@@ -144,13 +144,3 @@ def improvement_factor(logical, physical_time: float) -> float:
     if not (t_l > 0 and physical_time > 0):
         raise ValueError("lifetimes must be positive")
     return t_l / physical_time
-
-
-def per_cycle_lifetime(cycle_time, fidelities) -> DecayFit:
-    """Lifetime from the per-cycle fidelity sequence F_k ~ exp(-k dt / T).
-
-    ``cycle_time`` sets the units of the result (one sample per cycle).
-    """
-    f = np.asarray(fidelities, dtype=float)
-    t = np.arange(f.size) * float(cycle_time)
-    return fit_lifetime(t, f, model="exp")

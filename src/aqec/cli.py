@@ -26,7 +26,8 @@ def _add_common(p: argparse.ArgumentParser, preset_ok: bool = True) -> None:
     p.add_argument("--config", help="path to an experiment config file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for sweep points")
+                   help="worker processes for the T1 points of every sweep "
+                        "mode and of scan-reset")
     if preset_ok:
         p.add_argument("--preset", default=None,
                        help=f"named preset ({', '.join(list_presets())})")

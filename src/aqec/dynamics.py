@@ -511,17 +511,6 @@ def evolve_cycles(terms: ModelTerms,
     return _attach_observables(Trajectory(np.array(times), states), observables)
 
 
-def constant_problem(terms: ModelTerms, omega_x: float, omega_y: float,
-                     rates: Mapping[str, float], t_span, initial
-                     ) -> EvolutionProblem:
-    """Fixed-coupling, fixed-rate problem from model terms."""
-    return EvolutionProblem(
-        h_static=terms.h_static, h_x=terms.h_x, h_y=terms.h_y,
-        coupling=(lambda t: (omega_x, omega_y)),
-        channels=tuple((c.op, float(rates[c.label])) for c in terms.channels),
-        t_span=t_span, initial=initial)
-
-
 # --- exports ---------------------------------------------------------------------
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -226,10 +226,6 @@ def embed(local_op: np.ndarray, site: int, space: TensorSpace) -> Operator:
     return Operator(space, m)
 
 
-def identity(space: TensorSpace) -> Operator:
-    return Operator(space, np.eye(space.total_dim, dtype=complex))
-
-
 def basis_vector(space: TensorSpace, occupations: Sequence[int]) -> np.ndarray:
     """Raw unit vector for a product state; useful for superpositions."""
     v = np.zeros(space.total_dim, dtype=complex)

@@ -127,9 +127,6 @@ class ModelTerms:
     h_y: Operator
     channels: tuple[LindbladChannel, ...]
 
-    def channel_rates(self) -> dict[str, float]:
-        return {c.label: c.rate for c in self.channels}
-
 
 def check_coupling_regime(model: Model, peak_omega: float) -> None:
     """Warn when the pulse amplitude violates the model's rate hierarchy."""
@@ -316,14 +313,6 @@ def three_qubit_code_states(m: ThreeQubitModel) -> dict[str, QuantumState]:
         "0L": basis_state(sp, (0, 0, 0, 0, 0, 0)),
         "1L": basis_state(sp, (1, 1, 1, 0, 0, 0)),
     }
-
-
-def logical_states(model: Model) -> dict[str, QuantumState]:
-    if isinstance(model, VslqModel):
-        return vslq_logical_states(model)
-    if isinstance(model, ThreeQubitModel):
-        return three_qubit_code_states(model)
-    raise TypeError("logical states exist for the three-qubit and VSLQ models")
 
 
 # --- target operations --------------------------------------------------------

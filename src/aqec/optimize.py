@@ -1,4 +1,5 @@
-"""Gradient-ascent pulse optimization and fixed-parameter search.
+"""Gradient-ascent pulse optimization, the reset-time scan, and the
+constant-coupling and fixed-parameter baselines.
 
 The pulse objective is the weighted state-transfer fidelity of a target
 operation under decoherence-free evolution. Two structural facts keep this
@@ -393,27 +394,7 @@ def optimize_constant_coupling(delta: float, t1_us: float,
     return ConstantCouplingPoint(omega, gamma_r, float(f_cur), float(r_steady))
 
 
-# --- fixed-parameter benchmark (gradient ascent over {Omega, Gamma_S, omega_S}) ----
-
-@dataclass(frozen=True)
-class FixedParamSpace:
-    """Bounds for the constant-coupling VSLQ working point (internal units)."""
-
-    omega: tuple[float, float]       # rad/ns
-    gamma_s: tuple[float, float]     # 1/ns
-    omega_s: tuple[float, float]     # rad/ns
-
-
-@dataclass
-class FixedParamResult:
-    omega: float
-    gamma_s: float
-    omega_s: float
-    t_x_us: float
-    t_y_us: float
-    converged: bool
-    objective: str = "T_X"
-
+# --- fixed-parameter benchmark (lifetime at a given working point) ---------------
 
 def vslq_fixed_lifetime(w: float, delta: float, gamma_p: float,
                         omega: float, gamma_s: float, omega_s: float,
@@ -445,62 +426,3 @@ def vslq_fixed_lifetime(w: float, delta: float, gamma_p: float,
     keep = t_us >= skip_us
     fit = fit_lifetime(t_us[keep], vals[keep], model="exp")
     return fit.lifetime
-
-
-def optimize_fixed_parameters(w: float, delta: float, t1_us: float,
-                              space: FixedParamSpace,
-                              start: tuple[float, float, float] | None = None,
-                              max_iters: int = 60,
-                              rel_step: float = 0.02,
-                              learning_rate: float = 0.25,
-                              window_us: float = 40.0) -> FixedParamResult:
-    """Maximize T_X over (Omega, Gamma_S, omega_S) at fixed T1.
-
-    Plain finite-difference ascent with per-parameter relative scaling and
-    bound clipping; T_Y is evaluated once at the optimum and reported
-    alongside. The objective choice (T_X) is recorded on the result.
-    """
-    gamma_p = 1.0 / (t1_us * 1e3)
-    bounds = np.array([space.omega, space.gamma_s, space.omega_s])
-    if start is None:
-        x = bounds.mean(axis=1)
-    else:
-        x = np.array(start, dtype=float)
-    scale = np.maximum(np.abs(x), bounds[:, 1] * 0.05)
-
-    def t_x(p):
-        return vslq_fixed_lifetime(w, delta, gamma_p, p[0], p[1], p[2],
-                                   which="X", window_us=window_us)
-
-    f_cur = t_x(x)
-    step = learning_rate
-    converged = False
-    for _ in range(max_iters):
-        g = np.zeros(3)
-        for i in range(3):
-            dx = np.zeros(3)
-            dx[i] = rel_step * scale[i]
-            g[i] = (t_x(np.clip(x + dx, bounds[:, 0], bounds[:, 1]))
-                    - t_x(np.clip(x - dx, bounds[:, 0], bounds[:, 1]))) / (2 * dx[i])
-        direction = g * scale ** 2
-        norm = np.linalg.norm(direction / scale)
-        if norm == 0:
-            converged = True
-            break
-        improved = False
-        while step > 1e-4:
-            x_try = np.clip(x + step * direction / norm, bounds[:, 0], bounds[:, 1])
-            f_try = t_x(x_try)
-            if f_try > f_cur:
-                x, f_cur = x_try, f_try
-                improved = True
-                step = min(step * 1.5, learning_rate * 4)
-                break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-    t_y = vslq_fixed_lifetime(w, delta, gamma_p, x[0], x[1], x[2], which="Y",
-                              window_us=window_us)
-    return FixedParamResult(float(x[0]), float(x[1]), float(x[2]),
-                            float(f_cur), float(t_y), converged)

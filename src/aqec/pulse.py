@@ -105,37 +105,6 @@ class CycleSchedule:
         object.__setattr__(self, "rate_reset", dict(rate_reset))
         object.__setattr__(self, "n_cycles", int(n_cycles))
 
-    @property
-    def cycle_time(self) -> float:
-        return self.t_p + self.t_r
-
-    def phase_at(self, t: float) -> tuple[str, float]:
-        """("pulse"|"reset", time since phase start) at absolute time t."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        local = t % self.cycle_time if self.cycle_time > 0 else 0.0
-        if local < self.t_p:
-            return "pulse", local
-        return "reset", local - self.t_p
-
-
-def schedule_rate(schedule: CycleSchedule, channel: str, t: float) -> float:
-    """Piecewise-constant rate of one channel at absolute time t (1/ns)."""
-    if channel not in schedule.rate_pulse:
-        raise KeyError(f"unknown channel {channel!r}")
-    phase, _ = schedule.phase_at(t)
-    table = schedule.rate_pulse if phase == "pulse" else schedule.rate_reset
-    return float(table[channel])
-
-
-def schedule_coupling(schedule: CycleSchedule, pulse: PulseShape, t: float
-                      ) -> tuple[float, float]:
-    """Coupling quadratures at absolute time t: pulse envelope or (0, 0)."""
-    phase, local = schedule.phase_at(t)
-    if phase == "reset":
-        return 0.0, 0.0
-    return evaluate(pulse, min(local, pulse.t_p))
-
 
 # --- serialization ----------------------------------------------------------
 

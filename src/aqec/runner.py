@@ -2,9 +2,10 @@
 
 Every command takes a validated ExperimentConfig, writes CSV/JSON outputs
 into a run directory, and records every emitted file in a manifest whose
-config hash makes reruns comparable. Sweep points are independent and may
-run on a process pool; rows are aggregated after a deterministic sort, so
-numeric outputs do not depend on the worker count.
+config hash makes reruns comparable. The reset-time scan and every sweep
+mode evaluate one point function per T1 value on a process pool of
+``workers`` processes; rows are aggregated in T1 order, so numeric outputs
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import concurrent.futures
 import datetime
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -32,7 +34,6 @@ from .pulse import (
     PulseShape,
     evaluate_many,
     load_pulse,
-    pulse_record,
     save_pulse,
 )
 
@@ -101,39 +102,48 @@ def _pool_map(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _protected_state(cfg: ExperimentConfig):
-    model = cfg.model()
-    if isinstance(model, mo.SingleQubitModel):
-        return basis_state(model.space, (1, 0))
-    if isinstance(model, mo.ThreeQubitModel):
-        return mo.three_qubit_code_states(model)["0L"]
-    return mo.vslq_logical_states(model)["0L"]
+@dataclass(frozen=True)
+class _ModelKind:
+    """What the commands take from one model kind."""
+
+    t1_rates: tuple[str, ...]      # model parameters a T1 point sets to 1/T1
+    protected: Callable            # model -> the state the cycles protect
+    observables: Callable          # model -> {name: operator or state}
 
 
-def _model_observables(cfg: ExperimentConfig) -> dict:
-    model = cfg.model()
-    if isinstance(model, mo.SingleQubitModel):
-        sp = model.space
-        return {"fid_target": basis_state(sp, (1, 0)),
-                "pop_leak": basis_state(sp, (2, 1))}
-    if isinstance(model, mo.ThreeQubitModel):
-        states = mo.three_qubit_code_states(model)
-        return {"fid_0L": states["0L"], "fid_1L": states["1L"]}
-    ops = mo.vslq_logical_operators(model)
-    return {"exp_XL": ops["X"], "exp_YL": ops["Y"],
-            "fid_0L": mo.vslq_logical_states(model)["0L"]}
+_MODEL_KINDS = {
+    # the single qubit's pulse-phase lossy rate tracks the primary
+    "single_qubit": _ModelKind(
+        ("gamma_q", "gamma_r"),
+        lambda m: basis_state(m.space, (1, 0)),
+        lambda m: {"fid_target": basis_state(m.space, (1, 0)),
+                   "pop_leak": basis_state(m.space, (2, 1))}),
+    "three_qubit": _ModelKind(
+        ("gamma_p",),
+        lambda m: mo.three_qubit_code_states(m)["0L"],
+        lambda m: {f"fid_{k}": s
+                   for k, s in mo.three_qubit_code_states(m).items()}),
+    "vslq": _ModelKind(
+        ("gamma_p",),
+        lambda m: mo.vslq_logical_states(m)["0L"],
+        lambda m: {"exp_XL": mo.vslq_logical_operators(m)["X"],
+                   "exp_YL": mo.vslq_logical_operators(m)["Y"],
+                   "fid_0L": mo.vslq_logical_states(m)["0L"]}),
+}
 
 
 def _with_t1(cfg: ExperimentConfig, t1_ns: float) -> ExperimentConfig:
-    """Rebuild the config with the primary loss rate set to 1/t1."""
+    """Rebuild the config with the rates that T1 sets at 1/t1."""
     params = dict(cfg.model_params)
-    rate = 1.0 / t1_ns
-    if cfg.model_kind == "single_qubit":
-        params["gamma_q"] = rate
-        params["gamma_r"] = rate     # pulse-phase lossy rate tracks the primary
-    else:
-        params["gamma_p"] = rate
+    params.update(dict.fromkeys(_MODEL_KINDS[cfg.model_kind].t1_rates,
+                                1.0 / t1_ns))
     return with_overrides(cfg, model_params=tuple(sorted(params.items())))
+
+
+def _schedule(cfg: ExperimentConfig, terms: mo.ModelTerms, t_r: float,
+              n_cycles: int) -> CycleSchedule:
+    rate_p, rate_r = mo.pulse_reset_rates(terms, cfg.reset_rate)
+    return CycleSchedule(cfg.t_p, t_r, rate_p, rate_r, n_cycles)
 
 
 # --- optimize ----------------------------------------------------------------
@@ -187,12 +197,13 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir) -> dy.Trajectory:
     """Run pulse-reset cycles from the protected state; write the trajectory."""
     ctx = RunContext(Path(out_dir), cfg)
     pulse = _ensure_pulse(ctx)
-    terms = mo.build(cfg.model())
+    model = cfg.model()
+    kind = _MODEL_KINDS[cfg.model_kind]
+    terms = mo.build(model)
     t_r = cfg.t_r if cfg.t_r is not None else cfg.t_r_grid[0]
-    rate_p, rate_r = mo.pulse_reset_rates(terms, cfg.reset_rate)
-    schedule = CycleSchedule(cfg.t_p, t_r, rate_p, rate_r, cfg.n_cycles)
-    traj = dy.evolve_cycles(terms, pulse, schedule, _protected_state(cfg),
-                            observables=_model_observables(cfg))
+    schedule = _schedule(cfg, terms, t_r, cfg.n_cycles)
+    traj = dy.evolve_cycles(terms, pulse, schedule, kind.protected(model),
+                            observables=kind.observables(model))
     dy.trajectory_to_csv(traj, ctx.path("trajectory.csv"))
     dy.dump_states(traj, ctx.path("states.json"))
     ctx.write_json("evolve_summary.json", {
@@ -204,48 +215,41 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir) -> dy.Trajectory:
     return traj
 
 
-# --- reset-time scan -----------------------------------------------------------
+# --- T1 points -------------------------------------------------------------------
+#
+# The reset-time scan and every sweep mode evaluate one point function per
+# T1 value, (cfg, t1_ns, pulse) -> row, where cfg already carries the rates
+# that T1 sets. The points run on the pool and come back in T1 order. Each
+# is looked up by name in this module when it is called, so a wrapper bound
+# to the module attribute sees the call.
 
-def cmd_scan_reset(cfg: ExperimentConfig, out_dir) -> dict:
-    """Scan t_r per T1 for the end-of-cycle residual; write curve and best."""
-    ctx = RunContext(Path(out_dir), cfg)
-    pulse = _ensure_pulse(ctx)
-    if cfg.sweep_t1:
-        t1_list = cfg.sweep_t1
-    else:
-        params = dict(cfg.model_params)
-        rate = params.get("gamma_q", params.get("gamma_p"))
-        if not rate:
-            raise ValueError("model has no finite primary rate; set [sweep] t1")
-        t1_list = (1.0 / rate,)
-    rows, best_rows = [], []
-    for t1_ns in t1_list:
-        cfg_t1 = _with_t1(cfg, t1_ns)
-        terms = mo.build(cfg_t1.model())
-        target = _protected_state(cfg_t1)
-        scan = op.scan_reset_time(terms, pulse, cfg.t_r_grid, target,
-                                  cfg.reset_rate)
-        for t_r, r in zip(scan.t_r, scan.residuals):
-            rows.append((t1_ns / 1e3, t_r, r))
-        best_rows.append((t1_ns / 1e3, scan.best_t_r, scan.best_residual))
-    ctx.write_csv("scan.csv", ["t1_us", "t_r_ns", "residual"], rows)
-    ctx.write_csv("best.csv", ["t1_us", "t_r_ns", "residual"], best_rows)
-    ctx.finish()
-    return {"best": best_rows}
+def _run_point(item) -> dict:
+    name, cfg, t1_ns, pulse = item
+    return globals()[name](cfg, t1_ns, pulse)
 
 
-# --- sweep pipelines -------------------------------------------------------------
+def _map_points(cfg: ExperimentConfig, point: str, t1_axis,
+                pulse: PulseShape | None, workers: int) -> list[dict]:
+    """Rows of the named point function over the T1 axis, sorted by T1."""
+    items = [(point, _with_t1(cfg, t1), t1, pulse) for t1 in sorted(t1_axis)]
+    return _pool_map(_run_point, items, workers)
 
-def _residual_point(args) -> dict:
-    cfg_text, t1_ns, pulse_rec, window_us = args
-    from .config import parse_config
-    cfg = _with_t1(parse_config(cfg_text), t1_ns)
-    pulse = PulseShape(pulse_rec["cx"], pulse_rec["cy"], pulse_rec["t_p_ns"])
-    terms = mo.build(cfg.model())
-    target = _protected_state(cfg)
-    scan = op.scan_reset_time(terms, pulse, cfg.t_r_grid, target, cfg.reset_rate)
+
+def _scan_point(cfg: ExperimentConfig, t1_ns: float, pulse: PulseShape) -> dict:
+    """End-of-cycle residual over the t_r grid."""
+    model = cfg.model()
+    scan = op.scan_reset_time(mo.build(model), pulse, cfg.t_r_grid,
+                              _MODEL_KINDS[cfg.model_kind].protected(model),
+                              cfg.reset_rate)
+    return {"t1_us": t1_ns / 1e3, "scan": scan}
+
+
+def _residual_point(cfg: ExperimentConfig, t1_ns: float,
+                    pulse: PulseShape) -> dict:
+    """Best pulse-reset residual against the constant-coupling optimum."""
+    scan = _scan_point(cfg, t1_ns, pulse)["scan"]
     delta = dict(cfg.model_params)["delta"]
-    cc = op.optimize_constant_coupling(delta, t1_ns / 1e3, window_us=window_us)
+    cc = op.optimize_constant_coupling(delta, t1_ns / 1e3, window_us=CC_WINDOW_US)
     return {
         "t1_us": t1_ns / 1e3,
         "pulse_reset_residual": scan.best_residual,
@@ -257,56 +261,8 @@ def _residual_point(args) -> dict:
     }
 
 
-def sweep_residual(ctx: RunContext, pulse: PulseShape, workers: int,
-                   window_us: float = CC_WINDOW_US) -> dict:
-    """Residual-error scaling: pulse-reset cycles vs constant coupling.
-
-    Writes ``residuals.csv`` (one row per T1, sorted) and ``exponents.json``.
-    The latter maps ``pulse_reset``, ``pulse_reset_with_offset`` and
-    ``constant`` to the fields of their power-law ``ScalingFit`` over T1.
-    A sweep with fewer than ``analysis.MIN_POWER_LAW_POINTS`` T1 points
-    cannot be fitted: the three keys are then ``null`` and one more key,
-    ``not_fitted``, gives the reason and the point count. With enough
-    points there is no ``not_fitted`` key.
-    """
-    cfg = ctx.cfg
-    items = [(write_config(cfg), t1, pulse_record(pulse), window_us)
-             for t1 in cfg.sweep_t1]
-    rows = sorted(_pool_map(_residual_point, items, workers),
-                  key=lambda r: r["t1_us"])
-    header = ["t1_us", "pulse_reset_residual", "best_t_r_ns",
-              "constant_residual", "constant_residual_steady",
-              "constant_omega_radns", "constant_gamma_r_perns"]
-    ctx.write_csv("residuals.csv", header, [[r[h] for h in header] for r in rows])
-
-    x = np.array([r["t1_us"] for r in rows])
-    y_pr = np.array([r["pulse_reset_residual"] for r in rows])
-    y_cc = np.array([r["constant_residual"] for r in rows])
-    fits = {
-        "pulse_reset": lambda: an.fit_power_law(x, y_pr),
-        "pulse_reset_with_offset":
-            lambda: an.fit_power_law(x, y_pr, with_offset=True),
-        "constant": lambda: an.fit_power_law(x, y_cc),
-    }
-    fitted = len(rows) >= an.MIN_POWER_LAW_POINTS
-    exponents = {k: asdict(fit()) if fitted else None for k, fit in fits.items()}
-    if not fitted:
-        exponents["not_fitted"] = (
-            f"{len(rows)} T1 points; the power-law fit needs at least "
-            f"{an.MIN_POWER_LAW_POINTS}")
-    ctx.write_json("exponents.json", exponents)
-    return {
-        "rows": rows,
-        "exponents": exponents,
-        "paper": {"pulse_reset": PAPER_VALUES["pulse_reset_exponent"],
-                  "constant": PAPER_VALUES["constant_coupling_exponent"]},
-    }
-
-
-def _vslq_fixed_point(args) -> dict:
-    cfg_text, t1_ns = args
-    from .config import parse_config
-    cfg = parse_config(cfg_text)
+def _vslq_fixed_point(cfg: ExperimentConfig, t1_ns: float, pulse) -> dict:
+    """VSLQ lifetimes at the tabulated fixed working point (no pulse)."""
     p = dict(cfg.model_params)
     t1_us = t1_ns / 1e3
     row = VSLQ_FIXED_TABLE[int(round(t1_us))]
@@ -328,21 +284,6 @@ def _vslq_fixed_point(args) -> dict:
     }
 
 
-def sweep_fixed_lifetimes(ctx: RunContext, workers: int) -> dict:
-    """Evaluate VSLQ lifetimes at the tabulated fixed working points."""
-    cfg = ctx.cfg
-    for t1_ns in cfg.sweep_t1:
-        if int(round(t1_ns / 1e3)) not in VSLQ_FIXED_TABLE:
-            raise ValueError(f"no tabulated working point for T1={t1_ns/1e3} us")
-    items = [(write_config(cfg), t1) for t1 in cfg.sweep_t1]
-    rows = sorted(_pool_map(_vslq_fixed_point, items, workers),
-                  key=lambda r: r["t1_us"])
-    header = list(rows[0].keys())
-    ctx.write_csv("fixed_lifetimes.csv", header,
-                  [[r[h] for h in header] for r in rows])
-    return {"rows": rows}
-
-
 def _select_vslq_t_r(cfg: ExperimentConfig, pulse: PulseShape,
                      probe_cycles: int = 25) -> float:
     """Reset time with the slowest <X_L> decay over a short probe run."""
@@ -352,9 +293,8 @@ def _select_vslq_t_r(cfg: ExperimentConfig, pulse: PulseShape,
     state = mo.vslq_pauli_eigenstate(model, "X", +1)
     best = None
     for t_r in cfg.t_r_grid:
-        rate_p, rate_r = mo.pulse_reset_rates(terms, cfg.reset_rate)
-        schedule = CycleSchedule(cfg.t_p, t_r, rate_p, rate_r, probe_cycles)
-        traj = dy.evolve_cycles(terms, pulse, schedule, state,
+        traj = dy.evolve_cycles(terms, pulse,
+                                _schedule(cfg, terms, t_r, probe_cycles), state,
                                 observables={"x": ops["X"]})
         # per-time decay rate: cycle lengths differ across grid points
         rate = -np.log(max(traj.observables["x"][-1], 1e-12)) / traj.times[-1]
@@ -363,106 +303,85 @@ def _select_vslq_t_r(cfg: ExperimentConfig, pulse: PulseShape,
     return best[1]
 
 
-def _vslq_cycle_lifetime(cfg: ExperimentConfig, pulse: PulseShape,
-                         which: str, t_r: float,
-                         n_cycles: int | None = None) -> dict:
-    """Pulse-reset logical lifetime from the per-cycle expectation series."""
+def _cycle_end_series(cfg: ExperimentConfig, terms: mo.ModelTerms,
+                      pulse: PulseShape, t_r: float, state, obs):
+    """Times (us) and values of <obs> at the cycle ends of the lifetime window."""
     if not t_r > 0:
         raise ValueError("cycle lifetime extraction needs t_r > 0")
+    n_cycles = int(min(LIFETIME_WINDOW_CYCLES,
+                       LIFETIME_WINDOW_NS // (cfg.t_p + t_r)))
+    traj = dy.evolve_cycles(terms, pulse, _schedule(cfg, terms, t_r, n_cycles),
+                            state, observables={"obs": obs})
+    return traj.times[2::2] / 1e3, traj.observables["obs"][2::2]
+
+
+def _vslq_cycle_point(cfg: ExperimentConfig, t1_ns: float,
+                      pulse: PulseShape) -> dict:
+    """VSLQ logical lifetimes: pulse-reset cycles vs the tabulated fixed point."""
+    t1_us = t1_ns / 1e3
+    fixed = _vslq_fixed_point(cfg, t1_ns, pulse)
+    t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg, pulse)
     model = cfg.model()
     terms = mo.build(model)
     ops = mo.vslq_logical_operators(model)
-    state = mo.vslq_pauli_eigenstate(model, which, +1)
-    cycle = cfg.t_p + t_r
-    if n_cycles is None:
-        n_cycles = int(min(LIFETIME_WINDOW_CYCLES, LIFETIME_WINDOW_NS // cycle))
-    rate_p, rate_r = mo.pulse_reset_rates(terms, cfg.reset_rate)
-    schedule = CycleSchedule(cfg.t_p, t_r, rate_p, rate_r, n_cycles)
-    traj = dy.evolve_cycles(terms, pulse, schedule, state,
-                            observables={"obs": ops[which]})
-    times_us = traj.times[2::2] / 1e3       # cycle-end samples
-    vals = traj.observables["obs"][2::2]
-    fit = an.fit_lifetime(times_us, vals, model="exp")
-    return {"t_r_ns": t_r, "lifetime_us": fit.lifetime,
-            "r_squared": fit.r_squared, "n_cycles": n_cycles}
+    row = {"t1_us": t1_us, "t_r_ns": t_r}
+    for which in ("X", "Y"):
+        state = mo.vslq_pauli_eigenstate(model, which, +1)
+        times_us, vals = _cycle_end_series(cfg, terms, pulse, t_r, state,
+                                           ops[which])
+        lifetime = an.fit_lifetime(times_us, vals, model="exp").lifetime
+        row[f"t_{which.lower()}_cycles_us"] = lifetime
+        row[f"improvement_{which.lower()}_cycles"] = an.improvement_factor(
+            lifetime, t1_us)
+    row["t_x_fixed_us"] = fixed["t_x_us"]
+    row["t_y_fixed_us"] = fixed["t_y_us"]
+    row["improvement_x_fixed"] = fixed["improvement_x"]
+    row["improvement_y_fixed"] = fixed["improvement_y"]
+    return row
 
 
-def sweep_cycle_lifetimes(ctx: RunContext, pulse: PulseShape,
-                          workers: int) -> dict:
-    """VSLQ logical lifetimes: pulse-reset cycles vs tabulated fixed points."""
-    cfg = ctx.cfg
-    rows = []
-    for t1_ns in sorted(cfg.sweep_t1):
-        cfg_t1 = _with_t1(cfg, t1_ns)
-        t1_us = t1_ns / 1e3
-        fixed = _vslq_fixed_point((write_config(cfg_t1), t1_ns))
-        t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg_t1, pulse)
-        row = {"t1_us": t1_us, "t_r_ns": t_r}
-        for which in ("X", "Y"):
-            cyc = _vslq_cycle_lifetime(cfg_t1, pulse, which, t_r)
-            row[f"t_{which.lower()}_cycles_us"] = cyc["lifetime_us"]
-            row[f"improvement_{which.lower()}_cycles"] = an.improvement_factor(
-                cyc["lifetime_us"], t1_us)
-        row["t_x_fixed_us"] = fixed["t_x_us"]
-        row["t_y_fixed_us"] = fixed["t_y_us"]
-        row["improvement_x_fixed"] = fixed["improvement_x"]
-        row["improvement_y_fixed"] = fixed["improvement_y"]
-        rows.append(row)
-    header = list(rows[0].keys())
-    ctx.write_csv("cycle_lifetimes.csv", header,
-                  [[r[h] for h in header] for r in rows])
-    return {"rows": rows}
+def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
+                      pulse: PulseShape) -> dict:
+    """Short-window <X_L>, <Y_L>: pulse-reset cycles vs fixed parameters.
 
-
-def sweep_short_time(ctx: RunContext, pulse: PulseShape, workers: int) -> dict:
-    """Short-window <X_L>, <Y_L>: pulse-reset cycles vs fixed parameters."""
-    cfg = ctx.cfg
-    rows = []
+    The row's ``curves`` entry holds both protocols' time series; the
+    post-step moves them into ``short_time_curves.csv``.
+    """
+    model = cfg.model()
+    terms = mo.build(model)
+    ops = mo.vslq_logical_operators(model)
+    t1_us = t1_ns / 1e3
+    table = VSLQ_FIXED_TABLE[int(round(t1_us))]
+    p = dict(cfg.model_params)
+    m_fix = mo.VslqModel(w=p["w"], delta=p["delta"], gamma_p=1.0 / t1_ns,
+                         gamma_s=table[1] * 1e-3,
+                         omega_s=2 * np.pi * table[2] * 1e-3)
+    terms_fix = mo.build_vslq(m_fix)
+    h_fix = terms_fix.h_static + 2 * np.pi * table[0] * 1e-3 * terms_fix.h_x
+    ch_fix = tuple((c.op, c.rate) for c in terms_fix.channels)
+    ops_fix = mo.vslq_logical_operators(m_fix)
+    t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg, pulse)
+    n_cycles = int(SHORT_WINDOW_NS // (cfg.t_p + t_r))
+    schedule = _schedule(cfg, terms, t_r, n_cycles)
+    row = {"t1_us": t1_us, "t_r_ns": t_r}
     curves = []
-    for t1_ns in sorted(cfg.sweep_t1):
-        cfg_t1 = _with_t1(cfg, t1_ns)
-        model = cfg_t1.model()
-        terms = mo.build(model)
-        ops = mo.vslq_logical_operators(model)
-        t1_us = t1_ns / 1e3
-        table = VSLQ_FIXED_TABLE[int(round(t1_us))]
-        p = dict(cfg_t1.model_params)
-        m_fix = mo.VslqModel(w=p["w"], delta=p["delta"], gamma_p=1.0 / t1_ns,
-                             gamma_s=table[1] * 1e-3,
-                             omega_s=2 * np.pi * table[2] * 1e-3)
-        terms_fix = mo.build_vslq(m_fix)
-        h_fix = terms_fix.h_static + 2 * np.pi * table[0] * 1e-3 * terms_fix.h_x
-        ch_fix = tuple((c.op, c.rate) for c in terms_fix.channels)
-        t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg_t1, pulse)
-        n_cycles = int(SHORT_WINDOW_NS // (cfg.t_p + t_r))
-        row = {"t1_us": t1_us, "t_r_ns": t_r}
-        for which in ("X", "Y"):
-            state = mo.vslq_pauli_eigenstate(model, which, +1)
-            rate_p, rate_r = mo.pulse_reset_rates(terms, cfg.reset_rate)
-            sched = CycleSchedule(cfg.t_p, t_r, rate_p, rate_r, n_cycles)
-            traj = dy.evolve_cycles(terms, pulse, sched, state,
-                                    observables={"o": ops[which]})
-            t_end = float(traj.times[-1])
-            state_fix = mo.vslq_pauli_eigenstate(m_fix, which, +1)
-            ops_fix = mo.vslq_logical_operators(m_fix)
-            traj_fix = dy.evolve_constant_lindblad(
-                h_fix, ch_fix, state_fix,
-                np.linspace(0.0, t_end, n_cycles + 1),
-                observables={"o": ops_fix[which]})
-            row[f"{which.lower()}_pulse_reset"] = float(traj.observables["o"][-1])
-            row[f"{which.lower()}_fixed"] = float(traj_fix.observables["o"][-1])
-            row[f"window_ns_{which.lower()}"] = t_end
-            for t, v in zip(traj.times, traj.observables["o"]):
-                curves.append((t1_us, which, "pulse_reset", t, v))
-            for t, v in zip(traj_fix.times, traj_fix.observables["o"]):
-                curves.append((t1_us, which, "fixed", t, v))
-        rows.append(row)
-    ctx.write_csv("short_time_curves.csv",
-                  ["t1_us", "observable", "protocol", "time_ns", "value"],
-                  curves)
-    header = list(rows[0].keys())
-    ctx.write_csv("short_time.csv", header, [[r[h] for h in header] for r in rows])
-    return {"rows": rows}
+    for which in ("X", "Y"):
+        state = mo.vslq_pauli_eigenstate(model, which, +1)
+        traj = dy.evolve_cycles(terms, pulse, schedule, state,
+                                observables={"o": ops[which]})
+        t_end = float(traj.times[-1])
+        state_fix = mo.vslq_pauli_eigenstate(m_fix, which, +1)
+        traj_fix = dy.evolve_constant_lindblad(
+            h_fix, ch_fix, state_fix, np.linspace(0.0, t_end, n_cycles + 1),
+            observables={"o": ops_fix[which]})
+        row[f"{which.lower()}_pulse_reset"] = float(traj.observables["o"][-1])
+        row[f"{which.lower()}_fixed"] = float(traj_fix.observables["o"][-1])
+        row[f"window_ns_{which.lower()}"] = t_end
+        for protocol, tr in (("pulse_reset", traj), ("fixed", traj_fix)):
+            curves += [(t1_us, which, protocol, t, v)
+                       for t, v in zip(tr.times, tr.observables["o"])]
+    row["curves"] = curves
+    return row
 
 
 def _three_qubit_majority_projector(model: mo.ThreeQubitModel, bit: int):
@@ -481,65 +400,139 @@ def _three_qubit_majority_projector(model: mo.ThreeQubitModel, bit: int):
     return Operator(sp, proj)
 
 
-def sweep_three_qubit_improvement(ctx: RunContext, pulse: PulseShape,
-                                  workers: int) -> dict:
-    """Flip-code improvement factors T_L/T_E over the swept error times.
+def _three_qubit_point(cfg: ExperimentConfig, t1_ns: float,
+                       pulse: PulseShape) -> dict:
+    """Flip-code improvement factor T_L/T_E at one error time T_E.
 
     The logical lifetime is the decay time of the majority-class population
     (which relaxes toward 1/2) under pulse-reset cycles, extracted from a
     bounded per-cycle window.
     """
-    cfg = ctx.cfg
-    rows = []
-    for t_e_ns in sorted(cfg.sweep_t1):
-        cfg_te = _with_t1(cfg, t_e_ns)
-        model = cfg_te.model()
-        terms = mo.build(model)
-        t_e_us = t_e_ns / 1e3
-        t_r = cfg.t_r if cfg.t_r is not None else cfg.t_r_grid[0]
-        if not t_r > 0:
-            raise ValueError("three-qubit lifetime extraction needs t_r > 0")
-        cycle = cfg.t_p + t_r
-        n_cycles = int(min(LIFETIME_WINDOW_CYCLES, LIFETIME_WINDOW_NS // cycle))
-        proj = _three_qubit_majority_projector(model, 0)
-        state = mo.three_qubit_code_states(model)["0L"]
-        rate_p, rate_r = mo.pulse_reset_rates(terms, cfg.reset_rate)
-        sched = CycleSchedule(cfg.t_p, t_r, rate_p, rate_r, n_cycles)
-        traj = dy.evolve_cycles(terms, pulse, sched, state,
-                                observables={"maj": proj})
-        times_us = traj.times[2::2] / 1e3
-        vals = traj.observables["maj"][2::2]
-        fit = an.fit_lifetime(times_us, 2.0 * (vals - 0.5), model="exp")
-        rows.append({
-            "t_e_us": t_e_us, "t_r_ns": t_r,
-            "t_l_us": fit.lifetime, "r_squared": fit.r_squared,
-            "improvement": an.improvement_factor(fit.lifetime, t_e_us),
-        })
-    header = list(rows[0].keys())
-    ctx.write_csv("improvement.csv", header, [[r[h] for h in header] for r in rows])
-    return {"rows": rows}
+    model = cfg.model()
+    t_e_us = t1_ns / 1e3
+    t_r = cfg.t_r if cfg.t_r is not None else cfg.t_r_grid[0]
+    times_us, vals = _cycle_end_series(
+        cfg, mo.build(model), pulse, t_r,
+        mo.three_qubit_code_states(model)["0L"],
+        _three_qubit_majority_projector(model, 0))
+    fit = an.fit_lifetime(times_us, 2.0 * (vals - 0.5), model="exp")
+    return {
+        "t_e_us": t_e_us, "t_r_ns": t_r,
+        "t_l_us": fit.lifetime, "r_squared": fit.r_squared,
+        "improvement": an.improvement_factor(fit.lifetime, t_e_us),
+    }
+
+
+# --- reset-time scan -----------------------------------------------------------
+
+def cmd_scan_reset(cfg: ExperimentConfig, out_dir) -> dict:
+    """Scan t_r per T1 for the end-of-cycle residual; write curve and best.
+
+    The T1 axis is ``[sweep] t1``, or else the model's own primary T1. The
+    T1 points run on a pool of ``cfg.resolved_workers()`` processes.
+    """
+    t1_axis = cfg.sweep_t1
+    if not t1_axis:
+        rate = dict(cfg.model_params)[_MODEL_KINDS[cfg.model_kind].t1_rates[0]]
+        if not rate:
+            raise ValueError("model has no finite primary rate; set [sweep] t1")
+        t1_axis = (1.0 / rate,)
+    ctx = RunContext(Path(out_dir), cfg)
+    rows = _map_points(cfg, "_scan_point", t1_axis, _ensure_pulse(ctx),
+                       cfg.resolved_workers())
+    header = ["t1_us", "t_r_ns", "residual"]
+    ctx.write_csv("scan.csv", header,
+                  [(r["t1_us"], t_r, res) for r in rows
+                   for t_r, res in zip(r["scan"].t_r, r["scan"].residuals)])
+    best = [(r["t1_us"], r["scan"].best_t_r, r["scan"].best_residual)
+            for r in rows]
+    ctx.write_csv("best.csv", header, best)
+    ctx.finish()
+    return {"best": best}
+
+
+# --- sweeps --------------------------------------------------------------------
+
+def _write_exponents(ctx: RunContext, rows: list[dict]) -> dict:
+    """Fit the residuals' power laws over T1 and write ``exponents.json``.
+
+    The file maps ``pulse_reset``, ``pulse_reset_with_offset`` and
+    ``constant`` to the fields of their power-law ``ScalingFit`` over T1.
+    A sweep with fewer than ``analysis.MIN_POWER_LAW_POINTS`` T1 points
+    cannot be fitted: the three keys are then ``null`` and one more key,
+    ``not_fitted``, gives the reason and the point count. With enough
+    points there is no ``not_fitted`` key.
+    """
+    x = np.array([r["t1_us"] for r in rows])
+    y_pr = np.array([r["pulse_reset_residual"] for r in rows])
+    y_cc = np.array([r["constant_residual"] for r in rows])
+    fits = {
+        "pulse_reset": lambda: an.fit_power_law(x, y_pr),
+        "pulse_reset_with_offset":
+            lambda: an.fit_power_law(x, y_pr, with_offset=True),
+        "constant": lambda: an.fit_power_law(x, y_cc),
+    }
+    fitted = len(rows) >= an.MIN_POWER_LAW_POINTS
+    exponents = {k: asdict(fit()) if fitted else None for k, fit in fits.items()}
+    if not fitted:
+        exponents["not_fitted"] = (
+            f"{len(rows)} T1 points; the power-law fit needs at least "
+            f"{an.MIN_POWER_LAW_POINTS}")
+    ctx.write_json("exponents.json", exponents)
+    return {
+        "exponents": exponents,
+        "paper": {"pulse_reset": PAPER_VALUES["pulse_reset_exponent"],
+                  "constant": PAPER_VALUES["constant_coupling_exponent"]},
+    }
+
+
+def _write_short_time_curves(ctx: RunContext, rows: list[dict]) -> dict:
+    """Move every row's curves into ``short_time_curves.csv``."""
+    ctx.write_csv("short_time_curves.csv",
+                  ["t1_us", "observable", "protocol", "time_ns", "value"],
+                  [c for r in rows for c in r.pop("curves")])
+    return {}
+
+
+# sweep mode -> (name of its point function, its CSV, post-step over the rows)
+_SWEEPS = {
+    "residual": ("_residual_point", "residuals.csv", _write_exponents),
+    "fixed_lifetimes": ("_vslq_fixed_point", "fixed_lifetimes.csv", None),
+    "lifetimes": ("_vslq_cycle_point", "cycle_lifetimes.csv", None),
+    "short_time": ("_short_time_point", "short_time.csv",
+                   _write_short_time_curves),
+    "improvement": ("_three_qubit_point", "improvement.csv", None),
+}
+_TABULATED = ("fixed_lifetimes", "lifetimes", "short_time")  # read VSLQ_FIXED_TABLE
 
 
 def _sweep_core(ctx: RunContext, workers: int) -> dict:
     cfg = ctx.cfg
     if not cfg.sweep_t1:
         raise ValueError("sweep requires a non-empty t1 axis")
-    mode = cfg.sweep_mode
-    if mode in ("default", "residual"):
-        return sweep_residual(ctx, _ensure_pulse(ctx), workers)
-    if mode == "fixed_lifetimes":
-        return sweep_fixed_lifetimes(ctx, workers)
-    if mode == "lifetimes":
-        return sweep_cycle_lifetimes(ctx, _ensure_pulse(ctx), workers)
-    if mode == "short_time":
-        return sweep_short_time(ctx, _ensure_pulse(ctx), workers)
-    if mode == "improvement":
-        return sweep_three_qubit_improvement(ctx, _ensure_pulse(ctx), workers)
-    raise ValueError(f"unknown sweep mode {mode!r}")
+    mode = "residual" if cfg.sweep_mode == "default" else cfg.sweep_mode
+    if mode not in _SWEEPS:
+        raise ValueError(f"unknown sweep mode {cfg.sweep_mode!r}")
+    point, csv_name, post = _SWEEPS[mode]
+    if mode in _TABULATED:
+        for t1_ns in cfg.sweep_t1:
+            if int(round(t1_ns / 1e3)) not in VSLQ_FIXED_TABLE:
+                raise ValueError(
+                    f"no tabulated working point for T1={t1_ns/1e3} us")
+    pulse = None if mode == "fixed_lifetimes" else _ensure_pulse(ctx)
+    rows = _map_points(cfg, point, cfg.sweep_t1, pulse, workers)
+    result = {"rows": rows, **(post(ctx, rows) if post else {})}
+    header = list(rows[0])
+    ctx.write_csv(csv_name, header, [[r[h] for h in header] for r in rows])
+    return result
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir, workers: int | None = None) -> dict:
-    """Dispatch the configured sweep mode over the T1 axis."""
+    """Run the configured sweep mode over the T1 axis.
+
+    Every mode's T1 points run on a pool of ``workers`` processes (by
+    default ``cfg.resolved_workers()``); the outputs do not depend on it.
+    """
     workers = workers if workers is not None else cfg.resolved_workers()
     ctx = RunContext(Path(out_dir), cfg)
     result = _sweep_core(ctx, workers)

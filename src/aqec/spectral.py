@@ -84,20 +84,6 @@ def max_leakage(terms: mo.ModelTerms, pulse: PulseShape,
     return float(np.max(traj.observables["leak"]))
 
 
-def min_target_population(terms: mo.ModelTerms, pulse: PulseShape,
-                          n_samples: int = 200) -> float:
-    """Lowest population of |1_q 0_r> during the pulse, starting from it."""
-    space = terms.space
-    initial = basis_state(space, (1, 0))
-    record = np.linspace(0.0, pulse.t_p, n_samples)
-    prob = EvolutionProblem(
-        h_static=terms.h_static, h_x=terms.h_x, h_y=terms.h_y,
-        coupling=lambda t: evaluate(pulse, t), channels=(),
-        t_span=(0.0, pulse.t_p), initial=initial)
-    traj = evolve_unitary(prob, record_times=record, observables={"hold": initial})
-    return float(np.min(traj.observables["hold"]))
-
-
 @dataclass(frozen=True)
 class DeltaSweepRow:
     delta_mhz: float            # delta / 2 pi

@@ -83,11 +83,6 @@ class TestFitLifetime:
             an.fit_lifetime([0, 1, 2, 3, 4], [1, 0.8, 0.6, 0.5, 0.4],
                             model="biexponential")
 
-    def test_per_cycle_route(self):
-        fids = np.exp(-np.arange(30) * 0.01)
-        fit = an.per_cycle_lifetime(cycle_time=0.08, fidelities=fids)
-        assert fit.lifetime == pytest.approx(0.08 / 0.01, rel=1e-9)
-
 
 class TestFitPowerLaw:
     def test_exact_exponent(self):
@@ -140,21 +135,3 @@ class TestImprovementFactor:
             an.improvement_factor(-1.0, 5.0)
         with pytest.raises(ValueError):
             an.improvement_factor(1.0, 0.0)
-
-
-class TestLifetimeExtractionRoutesAgree:
-    def test_per_cycle_vs_direct_fit(self):
-        # both extraction routes on one decaying channel agree within 5%
-        sp = hi.TensorSpace((2,))
-        a = hi.Operator(sp, hi.ladder(2))
-        h0 = hi.Operator(sp, np.zeros((2, 2)))
-        gamma = 2e-4
-        target = hi.basis_state(sp, (1,))
-        cycle_ns = 80.0
-        times = np.arange(0.0, 40 * cycle_ns + 1, cycle_ns)
-        traj = dy.evolve_constant_lindblad(h0, ((a, gamma),), target, times,
-                                           observables={"f": target})
-        per_cycle = an.per_cycle_lifetime(cycle_ns / 1e3,
-                                          traj.observables["f"])
-        direct = an.fit_lifetime(times / 1e3, traj.observables["f"])
-        assert per_cycle.lifetime == pytest.approx(direct.lifetime, rel=0.05)

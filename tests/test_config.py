@@ -208,6 +208,80 @@ class TestScanResetCommand:
         assert len(res["best"]) == 1
 
 
+VSLQ = """\
+[model]
+kind = vslq
+w = 35 MHz
+delta = 350 MHz
+gamma_p = 0.2 per_us
+gamma_s = 35 per_us
+"""
+
+THREE_QUBIT = """\
+[model]
+kind = three_qubit
+j = 20 MHz
+gamma_p = 0.2 per_us
+gamma_r = 30 per_us
+"""
+
+
+class _PoolCalled(Exception):
+    """Raised by the pool stand-in with the worker count it was handed."""
+
+
+class TestSweepDispatch:
+    def test_untabulated_t1_rejected_before_any_work(self, tmp_path):
+        from aqec import runner
+        cfg = cf.parse_config(VSLQ + """
+[optimizer]
+max_iters = 0
+
+[sweep]
+t1 = 7 us
+mode = lifetimes
+""")
+        with pytest.raises(ValueError, match="no tabulated working point"):
+            runner.cmd_sweep(cfg, tmp_path)
+        assert not (tmp_path / "pulse.json").exists()
+
+    def test_every_mode_runs_its_points_on_the_pool(self, tmp_path,
+                                                    monkeypatch):
+        from aqec import dynamics, optimize, runner
+        from aqec.pulse import PulseShape, save_pulse
+
+        def pool_map(fn, items, workers):
+            raise _PoolCalled(workers)
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("a T1 point ran outside the pool")
+
+        monkeypatch.setattr(runner, "_pool_map", pool_map)
+        monkeypatch.setattr(dynamics, "evolve_cycles", simulate)
+        monkeypatch.setattr(optimize, "vslq_fixed_lifetime", simulate)
+        pulse_file = tmp_path / "pulse.json"
+        save_pulse(PulseShape([0.01, 0.0], [0.0, 0.0], 40.0), pulse_file)
+        models = {"residual": MINIMAL, "fixed_lifetimes": VSLQ,
+                  "lifetimes": VSLQ, "short_time": VSLQ,
+                  "improvement": THREE_QUBIT, "scan-reset": MINIMAL}
+        for mode, model in models.items():
+            sweep_mode = "default" if mode == "scan-reset" else mode
+            cfg = cf.parse_config(model + f"""
+[schedule]
+t_r = 60 ns
+
+[sweep]
+t1 = 5 30 us
+mode = {sweep_mode}
+""")
+            cfg = cf.with_overrides(cfg, workers=2, pulse_file=str(pulse_file))
+            command = (runner.cmd_scan_reset if mode == "scan-reset"
+                       else runner.cmd_sweep)
+            with pytest.raises(_PoolCalled) as handed:
+                command(cfg, tmp_path / mode)
+            assert handed.value.args == (2,), mode
+
+
 class TestFitCommand:
     def test_fit_exp_from_csv(self, tmp_path):
         from aqec import runner

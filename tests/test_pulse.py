@@ -58,54 +58,10 @@ class TestEvaluate:
             pu.PulseShape([0.1], [0.0], 0.0)
 
 
-@pytest.fixture
-def schedule():
-    return pu.CycleSchedule(
-        t_p=40.0, t_r=100.0,
-        rate_pulse={"q": 2e-4, "r": 2e-4},
-        rate_reset={"q": 2e-4, "r": 0.03},
-        n_cycles=3)
-
-
 class TestSchedule:
-    def test_rate_in_pulse_phase(self, schedule):
-        assert pu.schedule_rate(schedule, "r", 20.0) == 2e-4
-
-    def test_rate_in_reset_phase(self, schedule):
-        assert pu.schedule_rate(schedule, "r", 40.0 + 50.0) == 0.03
-
-    def test_rate_periodicity(self, schedule):
-        period = schedule.cycle_time
-        for ch in ("q", "r"):
-            for t in (4.0, 77.0, 139.9):
-                assert pu.schedule_rate(schedule, ch, t) == \
-                    pu.schedule_rate(schedule, ch, t + period)
-        assert pu.schedule_rate(schedule, "r", period + 4.0) == 2e-4
-
-    def test_unknown_channel(self, schedule):
-        with pytest.raises(KeyError):
-            pu.schedule_rate(schedule, "nope", 0.0)
-
     def test_channel_sets_must_match(self):
         with pytest.raises(ValueError):
             pu.CycleSchedule(40.0, 10.0, {"q": 1e-4}, {"r": 1e-4}, 1)
-
-    def test_coupling_zero_in_reset(self, schedule, pulse):
-        assert pu.schedule_coupling(schedule, pulse, 90.0) == (0.0, 0.0)
-
-    def test_coupling_periodic(self, schedule, pulse):
-        t = 20.0
-        a = pu.schedule_coupling(schedule, pulse, t)
-        b = pu.schedule_coupling(schedule, pulse, t + 2 * schedule.cycle_time)
-        assert a[0] == pytest.approx(b[0], abs=1e-12)
-        assert a[1] == pytest.approx(b[1], abs=1e-12)
-
-    def test_continuous_at_phase_boundary(self, schedule, pulse):
-        eps = 1e-9
-        before = pu.schedule_coupling(schedule, pulse, schedule.t_p - eps)
-        at = pu.schedule_coupling(schedule, pulse, schedule.t_p)
-        assert abs(before[0]) < 1e-7 and abs(before[1]) < 1e-7
-        assert at == (0.0, 0.0)
 
 
 class TestSerialization:

@@ -62,8 +62,6 @@ class TestCounterterm:
         terms = mo.build_single_qubit(model)
         silent = PulseShape([0.0] * 4, [0.0] * 4, 20.0)
         assert spc.max_leakage(terms, silent) == pytest.approx(0.0, abs=1e-12)
-        assert spc.min_target_population(terms, silent) == pytest.approx(
-            1.0, abs=1e-10)
 
 
 @pytest.mark.slow
