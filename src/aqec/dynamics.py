@@ -5,9 +5,12 @@ The workhorse is an adaptive Dormand-Prince 5(4) integrator operating on
 complex arrays of any shape. Evolutions are split at every phase boundary
 of a cycle schedule so a discontinuous rate change is never straddled by a
 step. Reset phases (constant Hamiltonian, constant rates) reuse a cached
-exact propagator exp(S * t_r) of the vectorized Lindblad generator, which
+exact propagator exp(S * t_r) of the vectorized Lindblad generator S, which
 is orders of magnitude faster than stepping through them; the two routes
-agree to integrator tolerance (see tests).
+agree to integrator tolerance (see tests). S is never formed densely for
+propagation: its nonzeros split the vec indices into decoupled blocks
+(excitation-difference sectors), and exp(S * t) is built and applied block
+by block, with no approximation beyond that of the matrix exponential.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import scipy.linalg
 
-from .hilbert import Operator, QuantumState, TensorSpace
-from .models import LindbladChannel, ModelTerms
+from .hilbert import Operator, QuantumState, sector_labels
+from .models import ModelTerms
 from .pulse import CycleSchedule, PulseShape, evaluate
 
 UNITARY_RTOL = 1e-10
@@ -374,31 +377,120 @@ def evolve_lindblad(problem: EvolutionProblem,
 
 # --- vectorized generator, exact segment propagation --------------------------------
 
-def lindblad_superoperator(h: np.ndarray,
-                           channels: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Row-major-vec generator: vec(rho') = S vec(rho) for constant H, rates."""
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+def _kron_triplets(a: np.ndarray, b: np.ndarray):
+    """(rows, cols, values) of the nonzero entries of kron(a, b)."""
+    ai, aj = np.nonzero(a)
+    bi, bj = np.nonzero(b)
+    d = b.shape[0]
+    rows = (ai[:, None] * d + bi).ravel()
+    cols = (aj[:, None] * d + bj).ravel()
+    vals = (a[ai, aj][:, None] * b[bi, bj]).ravel()
+    return rows, cols, vals
+
+
+def _generator_triplets(h: np.ndarray,
+                        channels: Sequence[tuple[np.ndarray, float]]):
+    """(rows, cols, values) of the row-major-vec Lindblad generator.
+
+    S = K (x) 1 + 1 (x) K'^T + sum_k g_k L_k (x) L_k^*, with
+    K = -iH - (1/2) sum_k g_k L_k^dag L_k and K' = iH - (1/2) sum_k g_k L_k^dag L_k.
+    Entries are taken from the exact nonzeros of the d x d factors, so the
+    d^2 x d^2 generator is never formed; a position may repeat, and its
+    values add.
+    """
+    eye = np.eye(h.shape[0])
+    decay = np.zeros_like(h, dtype=complex)
+    jumps = []
     for lop, rate in channels:
         if rate == 0.0:
             continue
-        lsq = lop.conj().T @ lop
-        s += rate * (np.kron(lop, lop.conj())
-                     - 0.5 * (np.kron(lsq, eye) + np.kron(eye, lsq.T)))
+        decay += (0.5 * rate) * (lop.conj().T @ lop)
+        jumps.append(_kron_triplets(rate * lop, lop.conj()))
+    parts = [_kron_triplets(-1j * h - decay, eye),
+             _kron_triplets(eye, (1j * h - decay).T)] + jumps
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def lindblad_superoperator(h: np.ndarray,
+                           channels: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
+    """Row-major-vec generator: vec(rho') = S vec(rho) for constant H, rates."""
+    n = h.shape[0] ** 2
+    rows, cols, vals = _generator_triplets(h, channels)
+    s = np.zeros((n, n), dtype=complex)
+    np.add.at(s, (rows, cols), vals)
     return s
+
+
+@dataclass(frozen=True)
+class SegmentPropagator:
+    """exp(S dt) of a block-diagonal generator, stored block by block.
+
+    The blocks are packed into zero-padded slots of m indices, and
+    ``exps[k]`` is the (block-diagonal) exponential of slot k. Row-major
+    vec index i of rho sits at ``index[i]`` of the flattened slots,
+    i.e. in slot ``index[i] // m``.
+    """
+
+    index: np.ndarray   # (d*d,)
+    exps: np.ndarray    # (n_slots, m, m)
 
 
 def segment_propagator(h: np.ndarray,
                        channels: Sequence[tuple[np.ndarray, float]],
-                       dt: float) -> np.ndarray:
-    """exp(S dt) for a time-independent Lindblad segment."""
-    return scipy.linalg.expm(lindblad_superoperator(h, channels) * dt)
+                       dt: float) -> SegmentPropagator:
+    """exp(S dt) for a time-independent Lindblad segment, exact by blocks.
+
+    The generator S couples vec indices only within the weakly connected
+    components of its nonzero pattern, so it is block diagonal up to a
+    permutation and exp(S dt) is block diagonal in the same partition.
+    Sideband couplings and single-site jumps conserve an excitation
+    difference, so the blocks are small: the VSLQ fixed-point generator has
+    8 blocks of 160-164 vec indices and the VSLQ reset generator 72 of at
+    most 52, against 1296 in all. Blocks are packed, largest first, into
+    slots the size m of the largest block (a slot takes the next block
+    while it fits), and all slots are exponentiated in one
+    ``scipy.linalg.expm`` call on the (n_slots, m, m) stack. No entry is
+    dropped, so the result is exp(S dt) to the accuracy of expm itself.
+    """
+    n = h.shape[0] ** 2
+    rows, cols, vals = _generator_triplets(h, channels)
+    block = sector_labels(rows, cols, n)
+    sizes = np.bincount(block)
+    m = int(sizes.max())
+    # packing keeps padding below 2x the indices and cuts expm's per-slice
+    # Python overhead, which dominates at d = 6
+    slot_of_block = np.empty(sizes.size, dtype=np.intp)
+    k = fill = 0
+    for b in np.argsort(-sizes, kind="stable").tolist():
+        if fill + sizes[b] > m:
+            k, fill = k + 1, 0
+        slot_of_block[b] = k
+        fill += sizes[b]
+    slot = slot_of_block[block]
+    fills = np.bincount(slot)
+    order = np.argsort(slot, kind="stable")
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n) - np.repeat(np.cumsum(fills) - fills, fills)
+    index = slot * m + pos
+    flat = index[rows] * m + pos[cols]
+    size = fills.size * m * m
+    gen = (np.bincount(flat, vals.real * dt, size)
+           + 1j * np.bincount(flat, vals.imag * dt, size))
+    exps = scipy.linalg.expm(gen.reshape(fills.size, m, m))
+    return SegmentPropagator(index, exps)
 
 
-def apply_propagator(e: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def apply_propagator(prop: SegmentPropagator, rho: np.ndarray) -> np.ndarray:
+    """exp(S dt) vec(rho): gather into the slots, multiply, scatter back.
+
+    The result is hermitized exactly.
+    """
     d = rho.shape[0]
-    out = (e @ rho.reshape(-1)).reshape(d, d)
+    n_slots, m, _ = prop.exps.shape
+    x = np.zeros(n_slots * m, dtype=complex)
+    x[prop.index] = rho.reshape(-1)
+    y = np.matmul(prop.exps, x.reshape(n_slots, m, 1)).reshape(-1)
+    out = y[prop.index].reshape(d, d)
     return (out + out.conj().T) / 2
 
 
@@ -420,7 +512,7 @@ def evolve_constant_lindblad(h: Operator,
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must start at 0 and increase strictly")
     mats = [(op.matrix, float(rate)) for op, rate in channels]
-    cache: dict[float, np.ndarray] = {}
+    cache: dict[float, SegmentPropagator] = {}
     rho = initial.density()
     space = initial.space
     states = [QuantumState(space, _sanitize_density(rho))]

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
 HERM_ATOL = 1e-12        # Hermiticity tolerance for generated Hamiltonians
 PURE_NORM_ATOL = 1e-10   # |norm - 1| allowed for pure states
@@ -259,6 +261,26 @@ def expectation(op: Operator, state: QuantumState) -> float:
     else:
         val = np.trace(op.matrix @ state.data)
     return float(val.real)
+
+
+def sector_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Invariant-sector label of each of ``n`` basis indices.
+
+    ``(rows, cols)`` are the positions of a matrix's nonzero entries. Two
+    indices share a label when a chain of entries, taken in either
+    direction, links them (the weakly connected components of the pattern),
+    so every such matrix maps each sector into itself.
+    """
+    # CSR built by hand: going through COO costs more than the labelling
+    # itself at the sizes used here (n <= 4096)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[np.argsort(rows, kind="stable")].astype(np.int32)
+    pattern = scipy.sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(n, n))
+    _, labels = scipy.sparse.csgraph.connected_components(pattern,
+                                                          directed=False)
+    return labels
 
 
 def overlap(a: QuantumState, b: QuantumState) -> complex:

@@ -30,7 +30,7 @@ from .dynamics import (
     evolve_constant_lindblad,
     evolve_cycles,
 )
-from .hilbert import Operator, QuantumState, state_fidelity
+from .hilbert import QuantumState, sector_labels, state_fidelity
 from .models import (
     ModelTerms,
     TargetOperation,
@@ -58,24 +58,15 @@ def reachable_indices(mats: Sequence[np.ndarray], seeds: Sequence[int],
 
     Returns the sorted basis indices of the smallest subspace containing
     the seeds that is invariant under every matrix (exactly, up to entries
-    below ``tol``).
+    below ``tol``): the union of the invariant sectors that hold a seed.
     """
     d = mats[0].shape[0]
     adj = np.zeros((d, d), dtype=bool)
     for m in mats:
         adj |= np.abs(m) > tol
-    adj |= adj.T
-    seen = set(int(s) for s in seeds)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.nonzero(adj[i])[0]:
-                if int(j) not in seen:
-                    seen.add(int(j))
-                    nxt.append(int(j))
-        frontier = nxt
-    return sorted(seen)
+    labels = sector_labels(*np.nonzero(adj), d)
+    keep = np.isin(labels, labels[np.asarray(seeds, dtype=int)])
+    return [int(i) for i in np.nonzero(keep)[0]]
 
 
 @dataclass(frozen=True)
@@ -406,8 +397,10 @@ def vslq_fixed_lifetime(w: float, delta: float, gamma_p: float,
 
     Evolves the +1 eigenstate of the chosen logical operator for a bounded
     window, then fits exp(-t/T) to its expectation after discarding the
-    initial transient. Uses the exact segment propagator (the generator is
-    time independent).
+    initial transient. The generator is time independent, so every sample
+    step applies one exact segment propagator; at the VSLQ fixed point it
+    splits into 8 decoupled blocks of 160-164 vec indices, built once and
+    applied block by block.
     """
     from .analysis import fit_lifetime
 

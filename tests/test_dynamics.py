@@ -5,6 +5,7 @@ import scipy.linalg
 from aqec import dynamics as dy
 from aqec import hilbert as hi
 from aqec import models as mo
+from aqec.presets import VSLQ_FIXED_TABLE
 from aqec.pulse import CycleSchedule, PulseShape, evaluate, seed_pulse
 
 TWO_PI = 2 * np.pi
@@ -207,6 +208,93 @@ class TestConstantPropagator:
         assert np.allclose(pe, np.exp(-0.01 * times), atol=1e-9)
 
 
+def _random_density(d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _sq_constant():
+    # single-qubit constant coupling over the 5 us settling window
+    terms = mo.build_single_qubit(mo.SingleQubitModel(
+        delta=TWO_PI * 0.35, gamma_q=1 / 5000, gamma_r=0.03))
+    h = terms.h_static + TWO_PI * 0.004 * terms.h_x
+    return h.matrix, [(c.op.matrix, c.rate) for c in terms.channels], 5000.0
+
+
+def _vslq_terms():
+    omega, gamma_s, omega_s = VSLQ_FIXED_TABLE[5][:3]
+    terms = mo.build_vslq(mo.VslqModel(
+        w=TWO_PI * 0.035, delta=TWO_PI * 0.35, gamma_p=1 / 5000,
+        gamma_s=gamma_s * 1e-3, omega_s=TWO_PI * omega_s * 1e-3))
+    return terms, TWO_PI * omega * 1e-3
+
+
+def _vslq_fixed_point():
+    # Table 1 working point at T1 = 5 us, one 500 ns sample step
+    terms, omega = _vslq_terms()
+    h = terms.h_static + omega * terms.h_x
+    return h.matrix, [(c.op.matrix, c.rate) for c in terms.channels], 500.0
+
+
+def _vslq_reset():
+    terms, _ = _vslq_terms()
+    _, rate_r = mo.pulse_reset_rates(terms, reset_rate=0.035)
+    return (terms.h_static.matrix,
+            [(c.op.matrix, rate_r[c.label]) for c in terms.channels], 60.0)
+
+
+SEGMENTS = {"sq-constant": _sq_constant, "vslq-fixed-point": _vslq_fixed_point,
+            "vslq-reset": _vslq_reset}
+
+
+class TestBlockPropagator:
+    @pytest.fixture(params=list(SEGMENTS), scope="class")
+    def segment(self, request):
+        return SEGMENTS[request.param]()
+
+    def test_generator_matches_kronecker_formula(self, segment):
+        h, channels, _ = segment
+        d = h.shape[0]
+        eye = np.eye(d)
+        s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for lop, rate in channels:
+            lsq = lop.conj().T @ lop
+            s += rate * (np.kron(lop, lop.conj())
+                         - 0.5 * (np.kron(lsq, eye) + np.kron(eye, lsq.T)))
+        got = dy.lindblad_superoperator(h, channels)
+        assert np.max(np.abs(got - s)) < 1e-15
+
+    def test_matches_dense_expm(self, segment):
+        h, channels, dt = segment
+        rho = _random_density(h.shape[0], seed=11)
+        dense = scipy.linalg.expm(dy.lindblad_superoperator(h, channels) * dt)
+        want = (dense @ rho.reshape(-1)).reshape(rho.shape)
+        got = dy.apply_propagator(dy.segment_propagator(h, channels, dt), rho)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_no_generator_entry_between_slots(self, segment):
+        # exactness: exp(S dt) is block diagonal in the partition used
+        h, channels, dt = segment
+        prop = dy.segment_propagator(h, channels, dt)
+        slot = prop.index // prop.exps.shape[1]
+        rows, cols = np.nonzero(dy.lindblad_superoperator(h, channels))
+        assert np.all(slot[rows] == slot[cols])
+        assert prop.exps.shape[0] > 1
+
+    def test_vslq_sector_counts(self):
+        sizes = {}
+        for name in ("vslq-fixed-point", "vslq-reset"):
+            h, channels, _ = SEGMENTS[name]()
+            rows, cols = np.nonzero(dy.lindblad_superoperator(h, channels))
+            sizes[name] = np.bincount(hi.sector_labels(rows, cols, 36 ** 2))
+        assert len(sizes["vslq-fixed-point"]) == 8
+        assert sizes["vslq-fixed-point"].max() == 164
+        assert len(sizes["vslq-reset"]) == 72
+        assert sizes["vslq-reset"].max() == 52
+
+
 class TestCycles:
     @pytest.fixture
     def cycle_setup(self):
@@ -247,6 +335,19 @@ class TestCycles:
         model, terms, pulse, rate_p, rate_r = cycle_setup
         sched = CycleSchedule(40.0, 60.0, rate_p, rate_r, 2)
         initial = hi.basis_state(model.space, (1, 0))
+        a = dy.evolve_cycles(terms, pulse, sched, initial, use_expm_reset=True)
+        b = dy.evolve_cycles(terms, pulse, sched, initial, use_expm_reset=False)
+        assert np.max(np.abs(a.final.density() - b.final.density())) < 1e-7
+
+    def test_three_qubit_expm_reset_matches_rk_reset(self):
+        # the dense d^2 x d^2 expm takes minutes at d = 64: RK is the oracle
+        model = mo.ThreeQubitModel(j=TWO_PI * 0.02, gamma_p=1 / 5000,
+                                   gamma_r=0.03)
+        terms = mo.build_three_qubit(model)
+        pulse = seed_pulse(8, 40.0, TWO_PI * 0.01)
+        rate_p, rate_r = mo.pulse_reset_rates(terms, reset_rate=0.03)
+        sched = CycleSchedule(40.0, 60.0, rate_p, rate_r, 1)
+        initial = hi.basis_state(model.space, (1, 0, 0, 0, 0, 0))
         a = dy.evolve_cycles(terms, pulse, sched, initial, use_expm_reset=True)
         b = dy.evolve_cycles(terms, pulse, sched, initial, use_expm_reset=False)
         assert np.max(np.abs(a.final.density() - b.final.density())) < 1e-7

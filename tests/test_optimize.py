@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from aqec import analysis as an
 from aqec import dynamics as dy
 from aqec import hilbert as hi
 from aqec import models as mo
 from aqec import optimize as op
+from aqec.presets import VSLQ_FIXED_TABLE
 from aqec.pulse import PulseShape, seed_pulse
 
 TWO_PI = 2 * np.pi
@@ -259,3 +259,16 @@ class TestFixedParameters:
                                      TWO_PI * 2.94e-3, 24.66e-3,
                                      TWO_PI * 0.20975, which="X")
         assert t_x == pytest.approx(117.0, rel=0.15)
+
+
+@pytest.mark.acceptance
+@pytest.mark.parametrize("t1_us", sorted(VSLQ_FIXED_TABLE))
+def test_table1_fixed_point_lifetimes(t1_us):
+    # every Table 1 row within the 5 % band the benchmark checks against
+    omega, gamma_s, omega_s, t_x_paper, t_y_paper = VSLQ_FIXED_TABLE[t1_us]
+    args = (TWO_PI * 0.035, TWO_PI * 0.35, 1.0 / (t1_us * 1e3),
+            TWO_PI * omega * 1e-3, gamma_s * 1e-3, TWO_PI * omega_s * 1e-3)
+    assert op.vslq_fixed_lifetime(*args, which="X") == pytest.approx(
+        t_x_paper, rel=0.05)
+    assert op.vslq_fixed_lifetime(*args, which="Y") == pytest.approx(
+        t_y_paper, rel=0.05)

@@ -4,7 +4,7 @@ import pytest
 from aqec import models as mo
 from aqec import optimize as op
 from aqec import spectral as spc
-from aqec.pulse import PulseShape, seed_pulse
+from aqec.pulse import PulseShape
 
 TWO_PI = 2 * np.pi
 
