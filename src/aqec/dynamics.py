@@ -2,15 +2,21 @@
 master-equation propagation for lossy pulse-reset cycles.
 
 The workhorse is an adaptive Dormand-Prince 5(4) integrator operating on
-complex arrays of any shape. Evolutions are split at every phase boundary
-of a cycle schedule so a discontinuous rate change is never straddled by a
-step. Reset phases (constant Hamiltonian, constant rates) reuse a cached
-exact propagator exp(S * t_r) of the vectorized Lindblad generator S, which
-is orders of magnitude faster than stepping through them; the two routes
-agree to integrator tolerance (see tests). S is never formed densely for
-propagation: its nonzeros split the vec indices into decoupled blocks
-(excitation-difference sectors), and exp(S * t) is built and applied block
-by block, with no approximation beyond that of the matrix exponential.
+complex arrays of any shape; its seven stages live in one preallocated
+array, so each stage input, the update and the error estimate are one
+matrix product each. Evolutions are split at every phase boundary of a
+cycle schedule so a discontinuous rate change is never straddled by a
+step. All Lindblad flow uses one definition of the vectorized generator S,
+built from the exact nonzeros of the d x d factors. A pulse phase
+integrates vec(rho) through the stacked sparse blocks of S (static part,
+the two coupling quadratures, callable-rate dissipators), one sparse matvec
+per right-hand side. Reset phases (constant Hamiltonian, constant rates)
+reuse a cached exact propagator exp(S * t_r), which is orders of magnitude
+faster than stepping through them; the two routes agree to integrator
+tolerance (see tests). S is never formed densely for propagation: its
+nonzeros split the vec indices into decoupled blocks (excitation-difference
+sectors), and exp(S * t) is built and applied block by block, with no
+approximation beyond that of the matrix exponential.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .hilbert import Operator, QuantumState, sector_labels
 from .models import ModelTerms
-from .pulse import CycleSchedule, PulseShape, evaluate
+from .pulse import CycleSchedule, PulseShape
 
 UNITARY_RTOL = 1e-10
 LINDBLAD_RTOL = 1e-9
@@ -43,18 +50,20 @@ class IntegrityError(RuntimeError):
 # --- Dormand-Prince 5(4) ------------------------------------------------------
 
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# complex rows, so their products with the complex stages need no cast
+_A = [np.array(row, dtype=complex) for row in (
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+               dtype=complex)
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
+                187 / 2100, 1 / 40], dtype=complex)
 _E = _B5 - _B4
 
 
@@ -88,8 +97,11 @@ def adaptive_rk(
     Steps are clamped to land exactly on every entry of ``record_times``
     (plus the endpoint), where the state is recorded. ``post_step`` is
     applied to the state after every accepted step (used to re-Hermitize
-    density matrices). Raises IntegrationError with the achieved error if
-    the step size underflows or the step budget is exhausted.
+    density matrices) and voids the reuse of the last stage as the next
+    first one. The seven stages are the rows of one preallocated array;
+    each stage input, the update and the error estimate is one product of
+    a tableau row with them. Raises IntegrationError with the achieved
+    error if the step size underflows or the step budget is exhausted.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
@@ -112,8 +124,11 @@ def adaptive_rk(
 
     span = t1 - t0
     t = t0
-    k1 = f(t, y)
-    h = _initial_step(f, t, y, k1, 1.0, rtol, atol, span)
+    shape = y.shape
+    ks = np.empty((7,) + shape, dtype=complex)
+    stages = ks.reshape(7, -1)
+    ks[0] = f(t, y)
+    h = _initial_step(f, t, y, ks[0], 1.0, rtol, atol, span)
     h_min = 1e-14 * span
     fsal_valid = True
     next_record = 0
@@ -128,14 +143,13 @@ def adaptive_rk(
         h_trial = min(h, target - t)
         clamped = h_trial < h
         if not fsal_valid:
-            k1 = f(t, y)
+            ks[0] = f(t, y)
             fsal_valid = True
-        ks = [k1]
         for i in range(1, 7):
-            yi = y + h_trial * sum(a * k for a, k in zip(_A[i], ks))
-            ks.append(f(t + _C[i] * h_trial, yi))
-        y_new = y + h_trial * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
-        err = h_trial * sum(e * k for e, k in zip(_E, ks) if e != 0.0)
+            yi = y + h_trial * (_A[i] @ stages[:i]).reshape(shape)
+            ks[i] = f(t + _C[i] * h_trial, yi)
+        y_new = y + h_trial * (_B5 @ stages).reshape(shape)
+        err = h_trial * (_E @ stages).reshape(shape)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.sqrt(np.mean(np.abs(err / sc) ** 2)))
         steps += 1
@@ -146,7 +160,7 @@ def adaptive_rk(
                 y = post_step(y)
                 fsal_valid = False
             else:
-                k1 = ks[6]
+                ks[0] = ks[6]
             if next_record < len(record) and abs(t - record[next_record]) <= 1e-12 * max(1.0, abs(t)):
                 out_t.append(record[next_record])
                 out_y.append(y.copy())
@@ -271,16 +285,13 @@ def _hamiltonian_fn(problem: EvolutionProblem) -> Callable[[float], np.ndarray]:
     return h_of_t
 
 
-def _rate_fn(rate: RateFn | float) -> RateFn:
-    if callable(rate):
-        return rate
-    value = float(rate)
-    return lambda t: value
+def _hermitize(rho: np.ndarray) -> np.ndarray:
+    return (rho + rho.conj().T) / 2
 
 
 def _sanitize_density(rho: np.ndarray) -> np.ndarray:
     """Hermitize; clip eigenvalues in [EIG_RAISE, EIG_CLIP); raise below."""
-    rho = (rho + rho.conj().T) / 2
+    rho = _hermitize(rho)
     w = np.linalg.eigvalsh(rho)
     if w[0] < EIG_RAISE:
         raise IntegrityError(
@@ -329,47 +340,14 @@ def evolve_lindblad(problem: EvolutionProblem,
     re-Hermitized after every accepted step; trace drift beyond 1e-8 or an
     eigenvalue below -1e-7 at a record time raises IntegrityError.
     """
-    rho0 = problem.initial.density()
-    ops = [(op.matrix, op.matrix.conj().T, op.matrix.conj().T @ op.matrix,
-            _rate_fn(rate)) for op, rate in problem.channels]
-    h0 = problem.h_static.matrix
-    hx = problem.h_x.matrix if problem.h_x is not None else None
-    hy = problem.h_y.matrix if problem.h_y is not None else None
-    coupling = problem.coupling
-
-    # rho' = K rho + rho K^dag + sum_k g_k L_k rho L_k^dag,
-    # with K = -iH(t) - (1/2) sum_k g_k L_k^dag L_k
-    def rhs(t, rho):
-        k = -1j * h0
-        if coupling is not None:
-            ox, oy = coupling(t)
-            if hx is not None and ox != 0.0:
-                k = k + (-1j * ox) * hx
-            if hy is not None and oy != 0.0:
-                k = k + (-1j * oy) * hy
-        rates = []
-        for _, _, lsq, rate in ops:
-            g = rate(t)
-            if g < 0:
-                raise ValueError(f"negative channel rate {g} at t={t}")
-            rates.append(g)
-            if g != 0.0:
-                k = k - (0.5 * g) * lsq
-        out = k @ rho
-        out = out + out.conj().T
-        for (lop, lop_dag, _, _), g in zip(ops, rates):
-            if g != 0.0:
-                out = out + g * (lop @ rho @ lop_dag)
-        return out
-
-    def hermitize(rho):
-        return (rho + rho.conj().T) / 2
-
-    times, ys = adaptive_rk(rhs, problem.t_span, rho0, rtol=rtol, atol=atol,
-                            record_times=record_times, post_step=hermitize)
-    drift = abs(np.trace(ys[-1]).real - 1.0)
-    if drift > 1e-8:
-        raise IntegrityError(f"trace drift {drift:.3e} exceeds 1e-8")
+    times, ys = adaptive_rk(lindblad_rhs(problem), problem.t_span,
+                            problem.initial.density(), rtol=rtol, atol=atol,
+                            record_times=record_times, post_step=_hermitize)
+    for t, y in zip(times, ys):
+        drift = abs(np.trace(y).real - 1.0)
+        if drift > 1e-8:
+            raise IntegrityError(
+                f"trace drift {drift:.3e} exceeds 1e-8 at t={t:.6g}")
     space = problem.initial.space
     states = [QuantumState(space, _sanitize_density(y)) for y in ys]
     return _attach_observables(Trajectory(times, states), observables)
@@ -409,6 +387,60 @@ def _generator_triplets(h: np.ndarray,
     parts = [_kron_triplets(-1j * h - decay, eye),
              _kron_triplets(eye, (1j * h - decay).T)] + jumps
     return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def lindblad_rhs(problem: EvolutionProblem
+                 ) -> Callable[[float, np.ndarray], np.ndarray]:
+    """rho' = f(t, rho) of the problem's master equation, for adaptive_rk.
+
+    In row-major vec form rho' = sum_j w_j(t) G_j rho over the generator
+    blocks G = [S(h_static, constant-rate channels); S(h_x); S(h_y); D_k for
+    each callable-rate channel], with weights w = [1, Omega_x(t),
+    Omega_y(t), g_k(t)]; the coupling blocks are present only with a
+    coupling, and D_k is the dissipator of L_k at unit rate. All blocks come
+    from ``_generator_triplets``, the definition the segment propagators
+    and ``steady_state`` use, and are stacked into one CSR matrix, so a call
+    is one sparse matvec and one weighted sum of its blocks. Constant rates
+    are checked once here, callable ones at every call.
+    """
+    d = problem.h_static.matrix.shape[0]
+    n = d * d
+    constant, timed = [], []
+    for op, rate in problem.channels:
+        if callable(rate):
+            timed.append((op.matrix, rate))
+        elif rate < 0:
+            raise ValueError(f"negative channel rate {rate}")
+        else:
+            constant.append((op.matrix, float(rate)))
+    zero = np.zeros((d, d))
+    blocks = [_generator_triplets(problem.h_static.matrix, constant)]
+    if problem.coupling is not None:
+        blocks += [_generator_triplets(zero if op is None else op.matrix, ())
+                   for op in (problem.h_x, problem.h_y)]
+    blocks += [_generator_triplets(zero, [(lop, 1.0)]) for lop, _ in timed]
+    rows = np.concatenate([r + k * n for k, (r, _, _) in enumerate(blocks)])
+    cols = np.concatenate([c for _, c, _ in blocks])
+    vals = np.concatenate([v for _, _, v in blocks])
+    stack = scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                    shape=(len(blocks) * n, n))
+    weights = np.ones(len(blocks), dtype=complex)
+    coupling = problem.coupling
+    rates = [rate for _, rate in timed]
+    first_rate = len(blocks) - len(rates)
+
+    def rhs(t, rho):
+        if coupling is not None:
+            weights[1:3] = coupling(t)
+        for k, rate in enumerate(rates, start=first_rate):
+            g = rate(t)
+            if g < 0:
+                raise ValueError(f"negative channel rate {g} at t={t}")
+            weights[k] = g
+        out = weights @ (stack @ rho.reshape(n)).reshape(len(blocks), n)
+        return out.reshape(d, d)
+
+    return rhs
 
 
 def lindblad_superoperator(h: np.ndarray,
@@ -490,8 +522,7 @@ def apply_propagator(prop: SegmentPropagator, rho: np.ndarray) -> np.ndarray:
     x = np.zeros(n_slots * m, dtype=complex)
     x[prop.index] = rho.reshape(-1)
     y = np.matmul(prop.exps, x.reshape(n_slots, m, 1)).reshape(-1)
-    out = y[prop.index].reshape(d, d)
-    return (out + out.conj().T) / 2
+    return _hermitize(y[prop.index].reshape(d, d))
 
 
 def evolve_constant_lindblad(h: Operator,
@@ -574,12 +605,20 @@ def evolve_cycles(terms: ModelTerms,
             terms.h_static.matrix,
             [(op.matrix, r) for op, r in reset_channels], schedule.t_r)
 
+    # the integrator samples t only inside [0, t_p], the window that
+    # pulse.evaluate checks; the sine modes are formed once here
+    modes = np.arange(1, pulse.n_modes + 1) * (np.pi / pulse.t_p)
+    coeffs = np.array([pulse.cx, pulse.cy])
+
+    def coupling(t):
+        return coeffs @ np.sin(modes * t)
+
     t_abs = 0.0
     for _ in range(schedule.n_cycles):
         state = QuantumState(space, _sanitize_density(rho))
         prob = EvolutionProblem(
             h_static=terms.h_static, h_x=terms.h_x, h_y=terms.h_y,
-            coupling=lambda t: evaluate(pulse, t),
+            coupling=coupling,
             channels=pulse_channels,
             t_span=(0.0, schedule.t_p), initial=state)
         seg = evolve_lindblad(prob, rtol=rtol)

@@ -170,6 +170,20 @@ class TestLindblad:
         assert traj.final.density()[1, 1].real == pytest.approx(
             np.exp(-g0 * t_end / 2), rel=1e-6)
 
+    def test_trace_gate_checks_every_record_time(self, monkeypatch):
+        # a drifted middle record must raise, not only a drifted last one
+        real = dy.adaptive_rk
+
+        def drifted(*args, **kwargs):
+            times, ys = real(*args, **kwargs)
+            ys[1] = ys[1] * (1.0 + 1e-6)
+            return times, ys
+
+        monkeypatch.setattr(dy, "adaptive_rk", drifted)
+        with pytest.raises(dy.IntegrityError):
+            dy.evolve_lindblad(two_level_decay_problem(0.01, 100.0),
+                               record_times=[0.0, 50.0, 100.0])
+
 
 class TestConstantPropagator:
     def test_matches_adaptive_rk(self, sq_terms):
@@ -293,6 +307,55 @@ class TestBlockPropagator:
         assert sizes["vslq-fixed-point"].max() == 164
         assert len(sizes["vslq-reset"]) == 72
         assert sizes["vslq-reset"].max() == 52
+
+
+def _dense_lindblad_rhs(problem, t, rho):
+    # the dense form K rho + rho K^dag + sum_k g_k L_k rho L_k^dag,
+    # K = -iH(t) - (1/2) sum_k g_k L_k^dag L_k
+    ox, oy = problem.coupling(t)
+    k = -1j * (problem.h_static.matrix + ox * problem.h_x.matrix
+               + oy * problem.h_y.matrix)
+    jumps = np.zeros_like(rho)
+    for op, rate in problem.channels:
+        g = rate(t) if callable(rate) else rate
+        lop = op.matrix
+        k = k - 0.5 * g * (lop.conj().T @ lop)
+        jumps = jumps + g * (lop @ rho @ lop.conj().T)
+    return k @ rho + rho @ k.conj().T + jumps
+
+
+RHS_MODELS = {
+    "sq": lambda: mo.build_single_qubit(mo.SingleQubitModel(
+        delta=TWO_PI * 0.35, gamma_q=1 / 5000, gamma_r=0.03)),
+    "vslq": lambda: _vslq_terms()[0],
+    "tq": lambda: mo.build_three_qubit(mo.ThreeQubitModel(
+        j=TWO_PI * 0.02, gamma_p=1 / 5000, gamma_r=0.03)),
+}
+
+
+class TestLindbladRhs:
+    @pytest.mark.parametrize("name", list(RHS_MODELS))
+    def test_matches_dense_formula(self, name):
+        # the seed pulse plus one y mode, so both coupling blocks carry
+        # weight; the first channel has a callable rate
+        terms = RHS_MODELS[name]()
+        seed = seed_pulse(8, 40.0, TWO_PI * 0.02)
+        pulse = PulseShape(seed.cx, [0.0, TWO_PI * 0.005] + [0.0] * 6, 40.0)
+        channels = [(c.op, 0.01 * (k + 1)) for k, c in enumerate(terms.channels)]
+        channels[0] = (channels[0][0], lambda t: 0.01 * (1.0 + t / 40.0))
+        initial = hi.basis_state(terms.space, (0,) * len(terms.space.dims))
+        prob = dy.EvolutionProblem(
+            terms.h_static, terms.h_x, terms.h_y, lambda t: evaluate(pulse, t),
+            channels, (0.0, 40.0), initial)
+        rhs = dy.lindblad_rhs(prob)
+        rng = np.random.default_rng(5)
+        d = terms.space.total_dim
+        for t in np.linspace(3.0, 37.0, 5):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = a + a.conj().T
+            want = _dense_lindblad_rhs(prob, t, rho)
+            got = rhs(t, rho)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 class TestCycles:

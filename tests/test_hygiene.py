@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aqec"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "aqec").glob("*.py")
+                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _dotted(node: ast.AST) -> str | None:

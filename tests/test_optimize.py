@@ -88,6 +88,31 @@ class TestFidelity:
             op.fidelity(obj, pulse), abs=1e-12)
 
 
+class TestBatchRhs:
+    def test_stacked_rhs_matches_einsum_form(self):
+        # oracle: the three-einsum form on (B, P, d) states
+        model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                             gamma_p=0.0, gamma_s=0.0)
+        obj = op.make_objective(mo.build_vslq(model), mo.target_operation(model))
+        rng = np.random.default_rng(7)
+        b, n_modes, t_p = 5, 8, 40.0
+        cx = rng.normal(size=(b, n_modes)) * 0.05
+        cy = rng.normal(size=(b, n_modes)) * 0.05
+        rhs = op.coeff_batch_rhs(obj, cx, cy, t_p)
+        p, d = obj.psi0.shape
+        for t in np.linspace(3.0, 37.0, 5):
+            y = rng.normal(size=(b, p, d)) + 1j * rng.normal(size=(b, p, d))
+            s = np.sin(np.arange(1, n_modes + 1) * (np.pi * t / t_p))
+            ox, oy = cx @ s, cy @ s
+            want = np.einsum("pij,bpj->bpi", obj.h0, y)
+            want += ox[:, None, None] * np.einsum("pij,bpj->bpi", obj.hx, y)
+            want += oy[:, None, None] * np.einsum("pij,bpj->bpi", obj.hy, y)
+            want = -1j * want
+            got = rhs(t, np.ascontiguousarray(y.transpose(1, 2, 0)))
+            err = np.max(np.abs(got.transpose(2, 0, 1) - want))
+            assert err < 1e-13 * np.max(np.abs(want))
+
+
 class TestGradient:
     def test_zero_for_stationary_objective(self):
         # target = initial = eigenstate of h_static, no coupling operators
