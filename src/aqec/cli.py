@@ -22,10 +22,16 @@ EXIT_CONVERGENCE = 3
 EXIT_INTEGRITY = 4
 
 
+def _worker_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser, preset_ok: bool = True) -> None:
     p.add_argument("--config", help="path to an experiment config file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_worker_count, default=None,
                    help="worker processes for the T1 points of every sweep "
                         "mode and of scan-reset")
     if preset_ok:
@@ -49,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("figure", choices=["fig2", "fig3", "fig4", "fig5",
                                         "fig6", "fig7", "table1"])
     rep.add_argument("--out", default=None)
-    rep.add_argument("--workers", type=int, default=None)
+    rep.add_argument("--workers", type=_worker_count, default=None)
 
     fit = sub.add_parser("fit", help="fit a decay or power law to CSV columns")
     fit.add_argument("--csv", required=True)
@@ -70,8 +76,6 @@ def _resolve_config(args) -> ExperimentConfig:
     else:
         raise ConfigError("either --config or --preset is required")
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
         cfg = with_overrides(cfg, workers=args.workers)
     return cfg
 

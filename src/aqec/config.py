@@ -18,13 +18,25 @@ Example::
 Angular frequencies accept MHz (meaning 2 pi x f) or rad_per_ns; rates
 accept per_us or per_ns; times accept ns or us. ``write_config`` emits
 canonical internal units, so load(write(cfg)) round-trips exactly.
+
+Each ``ExperimentConfig`` field is declared once, by ``_field``: its
+[section], key, value kind and default. The parser's key table, the
+section-to-attribute mapping, the range checks and ``write_config`` are all
+read from those declarations. The [model] keys of a kind are the fields of
+its model class; only their value kinds are listed here.
+
+Accepted ranges: every number is finite; rates, times and integers are
+>= 0; n_modes, t_p, epsilon, learning_rate, target_fidelity and each
+[sweep] t1 are > 0; target_fidelity is at most 1; t_r_grid is non-empty.
+The model classes add their own bounds (delta > 0, j > 0).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,29 +63,31 @@ _UNITS = {
 # canonical unit per quantity kind, used by write_config
 _CANONICAL = {"afreq": "rad_per_ns", "rate": "per_ns", "time": "ns"}
 
-# section -> key -> kind; kinds: afreq, rate, time, time_list, int, float, str
-_SCHEMA: dict[str, dict[str, str]] = {
-    "model": {
-        "kind": "str",
-        "delta": "afreq", "gamma_q": "rate", "gamma_r": "rate",
-        "j": "afreq", "gamma_p": "rate",
-        "w": "afreq", "gamma_s": "rate", "omega_s": "afreq",
-    },
-    "pulse": {"n_modes": "int", "t_p": "time", "seed_c1x": "afreq"},
-    "optimizer": {"epsilon": "afreq", "learning_rate": "float",
-                  "max_iters": "int", "target_fidelity": "float"},
-    "schedule": {"t_r": "time", "t_r_grid": "time_list",
-                 "reset_rate": "rate", "n_cycles": "int"},
-    "sweep": {"t1": "time_list", "mode": "str"},
-    "run": {"out_dir": "str", "workers": "int", "pulse_file": "str"},
+# kinds whose values must be >= 0; every numeric value must be finite
+_NONNEGATIVE = {"rate", "time", "time_list", "int"}
+
+_MODELS = {"single_qubit": SingleQubitModel, "three_qubit": ThreeQubitModel,
+           "vslq": VslqModel}
+
+# [model] key -> kind; the keys each model kind takes are its class's fields
+_MODEL_UNITS = {
+    "delta": "afreq", "gamma_q": "rate", "gamma_r": "rate",
+    "j": "afreq", "gamma_p": "rate",
+    "w": "afreq", "gamma_s": "rate", "omega_s": "afreq",
 }
 
-_MODEL_KEYS = {
-    "single_qubit": ("delta", "gamma_q", "gamma_r"),
-    "three_qubit": ("j", "gamma_p", "gamma_r"),
-    "vslq": ("w", "delta", "gamma_p", "gamma_s"),
-}
-_MODEL_OPTIONAL = {"vslq": ("omega_s",), "single_qubit": (), "three_qubit": ()}
+
+def _field(section: str, key: str, kind: str, default, optional: bool = False,
+           positive: bool = False):
+    """Declare a config field: its [section] key, value kind and default.
+
+    Kinds: afreq, rate, time, time_list, int, float, str. An ``optional``
+    field is written only when it differs from its default; a ``positive``
+    one must be > 0.
+    """
+    return field(default=default, metadata={
+        "section": section, "key": key, "kind": kind,
+        "optional": optional, "positive": positive})
 
 
 @dataclass(frozen=True)
@@ -83,40 +97,38 @@ class ExperimentConfig:
     model_kind: str
     model_params: tuple[tuple[str, float], ...]   # sorted (key, value) pairs
 
-    n_modes: int = 20
-    t_p: float = 40.0                             # ns
-    seed_c1x: float = TWO_PI * 0.02               # rad/ns
+    n_modes: int = _field("pulse", "n_modes", "int", 20, positive=True)
+    t_p: float = _field("pulse", "t_p", "time", 40.0, positive=True)
+    seed_c1x: float = _field("pulse", "seed_c1x", "afreq", TWO_PI * 0.02)
 
-    epsilon: float = FD_EPSILON
-    learning_rate: float = 0.02
-    max_iters: int = 1000
-    target_fidelity: float = 0.999
+    epsilon: float = _field("optimizer", "epsilon", "afreq", FD_EPSILON,
+                            positive=True)
+    learning_rate: float = _field("optimizer", "learning_rate", "float", 0.02,
+                                  positive=True)
+    max_iters: int = _field("optimizer", "max_iters", "int", 1000)
+    target_fidelity: float = _field("optimizer", "target_fidelity", "float",
+                                    0.999, positive=True)
 
-    t_r: float | None = None                      # ns
-    t_r_grid: tuple[float, ...] = (20.0, 40.0, 60.0, 80.0, 100.0,
-                                   140.0, 180.0, 240.0, 320.0, 400.0)
-    reset_rate: float = 30e-3                     # 1/ns
-    n_cycles: int = 1
+    t_r: float | None = _field("schedule", "t_r", "time", None, optional=True)
+    t_r_grid: tuple[float, ...] = _field(
+        "schedule", "t_r_grid", "time_list",
+        (20.0, 40.0, 60.0, 80.0, 100.0, 140.0, 180.0, 240.0, 320.0, 400.0))
+    reset_rate: float = _field("schedule", "reset_rate", "rate", 30e-3)
+    n_cycles: int = _field("schedule", "n_cycles", "int", 1)
 
-    sweep_t1: tuple[float, ...] = ()              # ns
-    sweep_mode: str = "default"
+    sweep_t1: tuple[float, ...] = _field("sweep", "t1", "time_list", (),
+                                         optional=True, positive=True)
+    sweep_mode: str = _field("sweep", "mode", "str", "default", optional=True)
 
-    out_dir: str = "out"
-    workers: int = 0                              # 0: resolve from env
-    pulse_file: str | None = None
+    out_dir: str = _field("run", "out_dir", "str", "out")
+    workers: int = _field("run", "workers", "int", 0)   # 0: resolve from env
+    pulse_file: str | None = _field("run", "pulse_file", "str", None,
+                                    optional=True)
 
     def model(self) -> Model:
-        p = dict(self.model_params)
-        if self.model_kind == "single_qubit":
-            return SingleQubitModel(delta=p["delta"], gamma_q=p["gamma_q"],
-                                    gamma_r=p["gamma_r"])
-        if self.model_kind == "three_qubit":
-            return ThreeQubitModel(j=p["j"], gamma_p=p["gamma_p"],
-                                   gamma_r=p["gamma_r"])
-        if self.model_kind == "vslq":
-            return VslqModel(w=p["w"], delta=p["delta"], gamma_p=p["gamma_p"],
-                             gamma_s=p["gamma_s"], omega_s=p.get("omega_s"))
-        raise ConfigError(f"unknown model kind {self.model_kind!r}")
+        if self.model_kind not in _MODELS:
+            raise ConfigError(f"unknown model kind {self.model_kind!r}")
+        return _MODELS[self.model_kind](**dict(self.model_params))
 
     def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(epsilon=self.epsilon,
@@ -138,6 +150,22 @@ class ExperimentConfig:
                 raise ConfigError("AQEC_WORKERS must be >= 1")
             return n
         return 1
+
+
+def _sections() -> dict[str, dict[str, Field]]:
+    """section -> key -> field, in declaration order, which is write order."""
+    out: dict[str, dict[str, Field]] = {}
+    for f in fields(ExperimentConfig):
+        if f.metadata:
+            out.setdefault(f.metadata["section"], {})[f.metadata["key"]] = f
+    return out
+
+
+_SECTIONS = _sections()
+# section -> key -> kind, as the parser reads them
+_KINDS = {"model": {"kind": "str", **_MODEL_UNITS},
+          **{section: {key: f.metadata["kind"] for key, f in group.items()}
+             for section, group in _SECTIONS.items()}}
 
 
 def _parse_value(kind: str, raw: str, lineno: int):
@@ -191,7 +219,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if body.startswith("[") and body.endswith("]"):
             current = body[1:-1].strip()
-            if current not in _SCHEMA:
+            if current not in _KINDS:
                 raise ConfigError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
@@ -200,11 +228,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, raw = (s.strip() for s in body.split("=", 1))
-        if key not in _SCHEMA[current]:
+        if key not in _KINDS[current]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        sections[current][key] = _parse_value(_SCHEMA[current][key], raw, lineno)
+        sections[current][key] = _parse_value(_KINDS[current][key], raw, lineno)
     return _finalize(sections)
 
 
@@ -215,63 +243,49 @@ def _finalize(sections: dict[str, dict[str, object]]) -> ExperimentConfig:
     kind = model.pop("kind", None)
     if kind is None:
         raise ConfigError("[model] must declare 'kind'")
-    if kind not in _MODEL_KEYS:
+    if kind not in _MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    required = _MODEL_KEYS[kind]
-    optional = _MODEL_OPTIONAL[kind]
-    missing = [k for k in required if k not in model]
+    required = {f.name: f.default is MISSING for f in fields(_MODELS[kind])}
+    missing = [k for k, needed in required.items() if needed and k not in model]
     if missing:
         raise ConfigError(f"[model] kind {kind} missing keys: {missing}")
-    extra = [k for k in model if k not in required + optional]
+    extra = [k for k in model if k not in required]
     if extra:
         raise ConfigError(f"[model] keys not valid for kind {kind}: {extra}")
     params = tuple(sorted((k, float(v)) for k, v in model.items()))
 
-    kwargs: dict = {"model_kind": kind, "model_params": params}
-    mapping = {
-        "pulse": {"n_modes": "n_modes", "t_p": "t_p", "seed_c1x": "seed_c1x"},
-        "optimizer": {"epsilon": "epsilon", "learning_rate": "learning_rate",
-                      "max_iters": "max_iters",
-                      "target_fidelity": "target_fidelity"},
-        "schedule": {"t_r": "t_r", "t_r_grid": "t_r_grid",
-                     "reset_rate": "reset_rate", "n_cycles": "n_cycles"},
-        "sweep": {"t1": "sweep_t1", "mode": "sweep_mode"},
-        "run": {"out_dir": "out_dir", "workers": "workers",
-                "pulse_file": "pulse_file"},
-    }
-    for section, keys in mapping.items():
-        for key, attr in keys.items():
-            if section in sections and key in sections[section]:
-                kwargs[attr] = sections[section][key]
-    cfg = ExperimentConfig(**kwargs)
+    values = {f.name: sections[section][key]
+              for section, group in _SECTIONS.items()
+              for key, f in group.items() if key in sections.get(section, {})}
+    cfg = ExperimentConfig(kind, params, **values)
     _validate(cfg)
     return cfg
 
 
+def _check_range(name: str, kind: str, value, positive: bool = False) -> None:
+    if kind == "str" or value is None:
+        return
+    for v in value if kind.endswith("_list") else (value,):
+        if not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {v}")
+        if positive and not v > 0:
+            raise ConfigError(f"{name} must be positive, got {v}")
+        if kind in _NONNEGATIVE and v < 0:
+            raise ConfigError(f"{name} must be nonnegative, got {v}")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
+    for key, value in cfg.model_params:
+        _check_range(f"[model] {key}", _MODEL_UNITS[key], value)
     cfg.model()  # model constructors check their own parameter ranges
-    if cfg.n_modes < 1:
-        raise ConfigError("n_modes must be >= 1")
-    if not cfg.t_p > 0:
-        raise ConfigError("t_p must be positive")
-    if not 0 < cfg.target_fidelity <= 1:
-        raise ConfigError("target_fidelity must be in (0, 1]")
-    if not cfg.epsilon > 0:
-        raise ConfigError("epsilon must be positive")
-    if cfg.max_iters < 0:
-        raise ConfigError("max_iters must be nonnegative")
-    if cfg.t_r is not None and cfg.t_r < 0:
-        raise ConfigError("t_r must be nonnegative")
-    if not cfg.t_r_grid or any(t < 0 for t in cfg.t_r_grid):
-        raise ConfigError("t_r_grid must be non-empty and nonnegative")
-    if cfg.reset_rate < 0:
-        raise ConfigError("reset_rate must be nonnegative")
-    if cfg.n_cycles < 0:
-        raise ConfigError("n_cycles must be nonnegative")
-    if any(t <= 0 for t in cfg.sweep_t1):
-        raise ConfigError("sweep t1 values must be positive")
-    if cfg.workers < 0:
-        raise ConfigError("workers must be >= 1 (or omitted)")
+    for section, group in _SECTIONS.items():
+        for key, f in group.items():
+            _check_range(f"[{section}] {key}", f.metadata["kind"],
+                         getattr(cfg, f.name), f.metadata["positive"])
+    if cfg.target_fidelity > 1:
+        raise ConfigError("target_fidelity must be <= 1")
+    if not cfg.t_r_grid:
+        raise ConfigError("t_r_grid must be non-empty")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -283,48 +297,32 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _format(kind: str, value) -> str:
+    if kind in ("str", "int"):
+        return str(value)
+    if kind == "float":
+        return _fmt(value)
+    if kind.endswith("_list"):
+        return " ".join(_fmt(v) for v in value) + " " + _CANONICAL[kind[:-5]]
+    return f"{_fmt(value)} {_CANONICAL[kind]}"
+
+
 def write_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form (internal units); parses back to an equal config."""
+    """Canonical text form (internal units); parses back to an equal config.
+
+    Optional fields are written only when they differ from their default,
+    and a section with nothing to write is left out.
+    """
     lines = ["[model]", f"kind = {cfg.model_kind}"]
-    for key, value in cfg.model_params:
-        kind = _SCHEMA["model"][key]
-        lines.append(f"{key} = {_fmt(value)} {_CANONICAL[kind]}")
-    lines += [
-        "",
-        "[pulse]",
-        f"n_modes = {cfg.n_modes}",
-        f"t_p = {_fmt(cfg.t_p)} ns",
-        f"seed_c1x = {_fmt(cfg.seed_c1x)} rad_per_ns",
-        "",
-        "[optimizer]",
-        f"epsilon = {_fmt(cfg.epsilon)} rad_per_ns",
-        f"learning_rate = {_fmt(cfg.learning_rate)}",
-        f"max_iters = {cfg.max_iters}",
-        f"target_fidelity = {_fmt(cfg.target_fidelity)}",
-        "",
-        "[schedule]",
-    ]
-    if cfg.t_r is not None:
-        lines.append(f"t_r = {_fmt(cfg.t_r)} ns")
-    lines.append("t_r_grid = " + " ".join(_fmt(t) for t in cfg.t_r_grid) + " ns")
-    lines += [
-        f"reset_rate = {_fmt(cfg.reset_rate)} per_ns",
-        f"n_cycles = {cfg.n_cycles}",
-    ]
-    if cfg.sweep_t1 or cfg.sweep_mode != "default":
-        lines += ["", "[sweep]"]
-        if cfg.sweep_t1:
-            lines.append("t1 = " + " ".join(_fmt(t) for t in cfg.sweep_t1) + " ns")
-        if cfg.sweep_mode != "default":
-            lines.append(f"mode = {cfg.sweep_mode}")
-    lines += [
-        "",
-        "[run]",
-        f"out_dir = {cfg.out_dir}",
-        f"workers = {cfg.workers}",
-    ]
-    if cfg.pulse_file is not None:
-        lines.append(f"pulse_file = {cfg.pulse_file}")
+    lines += [f"{key} = {_format(_MODEL_UNITS[key], value)}"
+              for key, value in cfg.model_params]
+    for section, group in _SECTIONS.items():
+        body = [f"{key} = {_format(f.metadata['kind'], getattr(cfg, f.name))}"
+                for key, f in group.items()
+                if not (f.metadata["optional"]
+                        and getattr(cfg, f.name) == f.default)]
+        if body:
+            lines += ["", f"[{section}]"] + body
     return "\n".join(lines) + "\n"
 
 

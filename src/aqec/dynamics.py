@@ -12,11 +12,13 @@ integrates vec(rho) through the stacked sparse blocks of S (static part,
 the two coupling quadratures, callable-rate dissipators), one sparse matvec
 per right-hand side. Reset phases (constant Hamiltonian, constant rates)
 reuse a cached exact propagator exp(S * t_r), which is orders of magnitude
-faster than stepping through them; the two routes agree to integrator
-tolerance (see tests). S is never formed densely for propagation: its
-nonzeros split the vec indices into decoupled blocks (excitation-difference
-sectors), and exp(S * t) is built and applied block by block, with no
-approximation beyond that of the matrix exponential.
+faster than stepping through them. Integrating a reset phase
+(``evolve_lindblad`` on the reset-phase problem) is no longer a route of
+``evolve_cycles``; it is kept only as the test oracle for that propagator,
+and the two agree to integrator tolerance. S is never formed densely for
+propagation: its nonzeros split the vec indices into decoupled blocks
+(excitation-difference sectors), and exp(S * t) is built and applied block
+by block, with no approximation beyond that of the matrix exponential.
 """
 
 from __future__ import annotations
@@ -577,19 +579,18 @@ def evolve_cycles(terms: ModelTerms,
                   schedule: CycleSchedule,
                   initial: QuantumState,
                   observables: Mapping[str, Observable] | None = None,
-                  rtol: float = LINDBLAD_RTOL,
-                  use_expm_reset: bool = True) -> Trajectory:
+                  rtol: float = LINDBLAD_RTOL) -> Trajectory:
     """Alternate pulse and reset phases of the schedule under Lindblad flow.
 
-    Each phase is integrated separately so the piecewise-constant rates are
-    never straddled by a step; states are recorded at every phase boundary.
-    Reset phases all share one exact propagator when ``use_expm_reset``.
+    Each pulse phase is integrated separately, from the state recorded at
+    the end of the previous phase, so the piecewise-constant rates are never
+    straddled by a step; states are recorded at every phase boundary. Reset
+    phases all share one exact propagator.
     """
     if abs(schedule.t_p - pulse.t_p) > 1e-12:
         raise ValueError("schedule t_p differs from pulse duration")
     space = terms.space
-    rho = initial.density()
-    states = [QuantumState(space, _sanitize_density(rho))]
+    states = [QuantumState(space, _sanitize_density(initial.density()))]
     times = [0.0]
     if schedule.n_cycles == 0:
         traj = Trajectory(np.array([0.0]), states)
@@ -597,13 +598,12 @@ def evolve_cycles(terms: ModelTerms,
 
     pulse_channels = tuple(
         (c.op, schedule.rate_pulse[c.label]) for c in terms.channels)
-    reset_channels = tuple(
-        (c.op, schedule.rate_reset[c.label]) for c in terms.channels)
     reset_prop = None
-    if use_expm_reset and schedule.t_r > 0:
+    if schedule.t_r > 0:
         reset_prop = segment_propagator(
             terms.h_static.matrix,
-            [(op.matrix, r) for op, r in reset_channels], schedule.t_r)
+            [(c.op.matrix, schedule.rate_reset[c.label]) for c in terms.channels],
+            schedule.t_r)
 
     # the integrator samples t only inside [0, t_p], the window that
     # pulse.evaluate checks; the sine modes are formed once here
@@ -615,27 +615,17 @@ def evolve_cycles(terms: ModelTerms,
 
     t_abs = 0.0
     for _ in range(schedule.n_cycles):
-        state = QuantumState(space, _sanitize_density(rho))
         prob = EvolutionProblem(
             h_static=terms.h_static, h_x=terms.h_x, h_y=terms.h_y,
             coupling=coupling,
             channels=pulse_channels,
-            t_span=(0.0, schedule.t_p), initial=state)
-        seg = evolve_lindblad(prob, rtol=rtol)
-        rho = seg.final.density()
+            t_span=(0.0, schedule.t_p), initial=states[-1])
+        final = evolve_lindblad(prob, rtol=rtol).final
         t_abs += schedule.t_p
         times.append(t_abs)
-        states.append(seg.final)
-        if schedule.t_r > 0:
-            if reset_prop is not None:
-                rho = apply_propagator(reset_prop, rho)
-            else:
-                state = QuantumState(space, _sanitize_density(rho))
-                prob = EvolutionProblem(
-                    h_static=terms.h_static, h_x=None, h_y=None, coupling=None,
-                    channels=reset_channels,
-                    t_span=(0.0, schedule.t_r), initial=state)
-                rho = evolve_lindblad(prob, rtol=rtol).final.density()
+        states.append(final)
+        if reset_prop is not None:
+            rho = apply_propagator(reset_prop, final.density())
             t_abs += schedule.t_r
             times.append(t_abs)
             states.append(QuantumState(space, _sanitize_density(rho)))

@@ -283,13 +283,6 @@ def sector_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return labels
 
 
-def overlap(a: QuantumState, b: QuantumState) -> complex:
-    """<a|b> for pure states."""
-    if a.space.dims != b.space.dims:
-        raise DimensionError("states live on different spaces")
-    return complex(np.vdot(a.vector(), b.vector()))
-
-
 def state_fidelity(rho: QuantumState, target: QuantumState) -> float:
     """<target| rho |target>, accepting pure or mixed rho."""
     if rho.space.dims != target.space.dims:

@@ -340,7 +340,7 @@ def _uniform(pairs) -> TargetOperation:
     return TargetOperation([(i, f, w) for i, f in pairs])
 
 
-def target_operation(model: Model, protect: str = "default") -> TargetOperation:
+def target_operation(model: Model) -> TargetOperation:
     """Transfer pairs defining one correction step of the model.
 
     single qubit: excite qubit+resonator on loss, leave the stabilized
@@ -352,8 +352,6 @@ def target_operation(model: Model, protect: str = "default") -> TargetOperation:
     matching shadow; code states are fixed points.
     """
     if isinstance(model, SingleQubitModel):
-        if protect not in ("default", "excited"):
-            raise ValueError(f"unknown protect label {protect!r}")
         sp = model.space
         return _uniform([
             (basis_state(sp, (0, 0)), basis_state(sp, (1, 1))),
@@ -361,8 +359,6 @@ def target_operation(model: Model, protect: str = "default") -> TargetOperation:
         ])
 
     if isinstance(model, ThreeQubitModel):
-        if protect not in ("default", "manifold"):
-            raise ValueError(f"unknown protect label {protect!r}")
         sp = model.space
         pairs = []
         for code in ((0, 0, 0), (1, 1, 1)):
@@ -380,8 +376,6 @@ def target_operation(model: Model, protect: str = "default") -> TargetOperation:
         return _uniform(pairs)
 
     if isinstance(model, VslqModel):
-        if protect not in ("default", "manifold"):
-            raise ValueError(f"unknown protect label {protect!r}")
         sp = model.space
         st = vslq_logical_states(model)
         pairs = [(st["0L"], st["0L"]), (st["1L"], st["1L"])]

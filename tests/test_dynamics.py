@@ -358,6 +358,25 @@ class TestLindbladRhs:
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
+def rk_reset_cycles(terms, pulse, sched, initial):
+    """The cycles with every reset phase integrated by evolve_lindblad.
+
+    The oracle for the exact reset propagator of evolve_cycles: each pulse
+    phase is evolve_cycles' own (one cycle with t_r = 0), each reset phase
+    the integrated reset-phase problem.
+    """
+    pulse_only = CycleSchedule(sched.t_p, 0.0, sched.rate_pulse,
+                               sched.rate_reset, 1)
+    reset_channels = [(c.op, sched.rate_reset[c.label]) for c in terms.channels]
+    state = initial
+    for _ in range(sched.n_cycles):
+        state = dy.evolve_cycles(terms, pulse, pulse_only, state).final
+        prob = dy.EvolutionProblem(terms.h_static, None, None, None,
+                                   reset_channels, (0.0, sched.t_r), state)
+        state = dy.evolve_lindblad(prob).final
+    return state
+
+
 class TestCycles:
     @pytest.fixture
     def cycle_setup(self):
@@ -398,9 +417,9 @@ class TestCycles:
         model, terms, pulse, rate_p, rate_r = cycle_setup
         sched = CycleSchedule(40.0, 60.0, rate_p, rate_r, 2)
         initial = hi.basis_state(model.space, (1, 0))
-        a = dy.evolve_cycles(terms, pulse, sched, initial, use_expm_reset=True)
-        b = dy.evolve_cycles(terms, pulse, sched, initial, use_expm_reset=False)
-        assert np.max(np.abs(a.final.density() - b.final.density())) < 1e-7
+        a = dy.evolve_cycles(terms, pulse, sched, initial)
+        b = rk_reset_cycles(terms, pulse, sched, initial)
+        assert np.max(np.abs(a.final.density() - b.density())) < 1e-7
 
     def test_three_qubit_expm_reset_matches_rk_reset(self):
         # the dense d^2 x d^2 expm takes minutes at d = 64: RK is the oracle
@@ -411,9 +430,9 @@ class TestCycles:
         rate_p, rate_r = mo.pulse_reset_rates(terms, reset_rate=0.03)
         sched = CycleSchedule(40.0, 60.0, rate_p, rate_r, 1)
         initial = hi.basis_state(model.space, (1, 0, 0, 0, 0, 0))
-        a = dy.evolve_cycles(terms, pulse, sched, initial, use_expm_reset=True)
-        b = dy.evolve_cycles(terms, pulse, sched, initial, use_expm_reset=False)
-        assert np.max(np.abs(a.final.density() - b.final.density())) < 1e-7
+        a = dy.evolve_cycles(terms, pulse, sched, initial)
+        b = rk_reset_cycles(terms, pulse, sched, initial)
+        assert np.max(np.abs(a.final.density() - b.density())) < 1e-7
 
     def test_schedule_pulse_mismatch_rejected(self, cycle_setup):
         model, terms, pulse, rate_p, rate_r = cycle_setup

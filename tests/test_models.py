@@ -136,7 +136,7 @@ class TestVslq:
 
     def test_code_states_orthonormal(self, vslq_model):
         st = mo.vslq_logical_states(vslq_model)
-        assert abs(hi.overlap(st["0L"], st["1L"])) < 1e-14
+        assert abs(np.vdot(st["0L"].vector(), st["1L"].vector())) < 1e-14
 
     def test_code_space_degenerate_under_static(self, vslq_model):
         terms = mo.build_vslq(vslq_model)
@@ -233,7 +233,7 @@ class TestTargetOperation:
             for nr in (0, 2):
                 expected[sp.index_of((1, nl, nr, 0))] = 0.5
         for i, f, _ in target.pairs:
-            if abs(hi.overlap(i, st["err_l_plus"])) > 0.99:
+            if abs(np.vdot(i.vector(), st["err_l_plus"].vector())) > 0.99:
                 assert abs(np.vdot(expected, f.data)) == pytest.approx(1.0)
                 break
         else:
@@ -245,7 +245,7 @@ class TestTargetOperation:
         st = mo.vslq_logical_states(vslq_model)
         ops = mo.vslq_logical_operators(vslq_model)
         for i, f, _ in target.pairs:
-            if abs(hi.overlap(i, st["err_l_minus"])) > 0.99:
+            if abs(np.vdot(i.vector(), st["err_l_minus"].vector())) > 0.99:
                 assert hi.expectation(ops["X"], f) == pytest.approx(-1.0)
                 break
         else:
@@ -256,10 +256,6 @@ class TestTargetOperation:
         ws = [w for _, _, w in target.pairs]
         assert sum(ws) == pytest.approx(1.0)
         assert all(w == pytest.approx(ws[0]) for w in ws)
-
-    def test_unknown_protect_label(self, sq_model):
-        with pytest.raises(ValueError):
-            mo.target_operation(sq_model, protect="sideways")
 
 
 class TestPulseResetRates:

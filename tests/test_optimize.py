@@ -47,7 +47,7 @@ class TestReachableIndices:
                                      ).evaluate(pulse, t),
                 (), (0.0, 40.0), initial)
             traj = dy.evolve_unitary(prob)
-            full = abs(hi.overlap(final, traj.final)) ** 2
+            full = abs(np.vdot(final.vector(), traj.final.vector())) ** 2
             assert fids[k] == pytest.approx(full, abs=1e-9)
 
 
