@@ -28,15 +28,15 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
-def _add_common(p: argparse.ArgumentParser, preset_ok: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
     p.add_argument("--config", help="path to an experiment config file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--workers", type=_worker_count, default=None,
-                   help="worker processes for the T1 points of every sweep "
-                        "mode and of scan-reset")
-    if preset_ok:
-        p.add_argument("--preset", default=None,
-                       help=f"named preset ({', '.join(list_presets())})")
+    if workers:
+        p.add_argument("--workers", type=_worker_count, default=None,
+                       help="worker processes for the T1 points of every "
+                            "sweep mode and of scan-reset")
+    p.add_argument("--preset", default=None,
+                   help=f"named preset ({', '.join(list_presets())})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_common(sub.add_parser("optimize", help="optimize a coupling pulse"))
     _add_common(sub.add_parser("evolve", help="run pulse-reset cycles"))
-    _add_common(sub.add_parser("sweep", help="sweep the configured T1 axis"))
-    _add_common(sub.add_parser("scan-reset", help="scan reset durations"))
+    _add_common(sub.add_parser("sweep", help="sweep the configured T1 axis"),
+                workers=True)
+    _add_common(sub.add_parser("scan-reset", help="scan reset durations"),
+                workers=True)
 
     rep = sub.add_parser("reproduce", help="reproduce a published figure/table")
     rep.add_argument("figure", choices=["fig2", "fig3", "fig4", "fig5",
@@ -75,7 +77,7 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = load_config(args.config)
     else:
         raise ConfigError("either --config or --preset is required")
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         cfg = with_overrides(cfg, workers=args.workers)
     return cfg
 

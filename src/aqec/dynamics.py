@@ -23,6 +23,7 @@ by block, with no approximation beyond that of the matrix exponential.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -469,25 +470,12 @@ class SegmentPropagator:
     exps: np.ndarray    # (n_slots, m, m)
 
 
-def segment_propagator(h: np.ndarray,
-                       channels: Sequence[tuple[np.ndarray, float]],
-                       dt: float) -> SegmentPropagator:
-    """exp(S dt) for a time-independent Lindblad segment, exact by blocks.
-
-    The generator S couples vec indices only within the weakly connected
-    components of its nonzero pattern, so it is block diagonal up to a
-    permutation and exp(S dt) is block diagonal in the same partition.
-    Sideband couplings and single-site jumps conserve an excitation
-    difference, so the blocks are small: the VSLQ fixed-point generator has
-    8 blocks of 160-164 vec indices and the VSLQ reset generator 72 of at
-    most 52, against 1296 in all. Blocks are packed, largest first, into
-    slots the size m of the largest block (a slot takes the next block
-    while it fits), and all slots are exponentiated in one
-    ``scipy.linalg.expm`` call on the (n_slots, m, m) stack. No entry is
-    dropped, so the result is exp(S dt) to the accuracy of expm itself.
-    """
-    n = h.shape[0] ** 2
-    rows, cols, vals = _generator_triplets(h, channels)
+@functools.lru_cache(maxsize=16)
+def _block_layout(n: int, rows: bytes, cols: bytes):
+    """(index, flat, n_slots, m) of the pattern given as the bytes of the
+    intp triplet ``rows`` and ``cols``: ``flat`` places each triplet in the
+    flattened (n_slots, m, m) stack."""
+    rows, cols = (np.frombuffer(b, dtype=np.intp) for b in (rows, cols))
     block = sector_labels(rows, cols, n)
     sizes = np.bincount(block)
     m = int(sizes.max())
@@ -507,10 +495,36 @@ def segment_propagator(h: np.ndarray,
     pos[order] = np.arange(n) - np.repeat(np.cumsum(fills) - fills, fills)
     index = slot * m + pos
     flat = index[rows] * m + pos[cols]
-    size = fills.size * m * m
+    index.flags.writeable = flat.flags.writeable = False
+    return index, flat, fills.size, m
+
+
+def segment_propagator(h: np.ndarray,
+                       channels: Sequence[tuple[np.ndarray, float]],
+                       dt: float) -> SegmentPropagator:
+    """exp(S dt) for a time-independent Lindblad segment, exact by blocks.
+
+    The generator S couples vec indices only within the weakly connected
+    components of its nonzero pattern, so it is block diagonal up to a
+    permutation and exp(S dt) is block diagonal in the same partition.
+    Sideband couplings and single-site jumps conserve an excitation
+    difference, so the blocks are small: the VSLQ fixed-point generator has
+    8 blocks of 160-164 vec indices and the VSLQ reset generator 72 of at
+    most 52, against 1296 in all. Blocks are packed, largest first, into
+    slots the size m of the largest block (a slot takes the next block
+    while it fits), and all slots are exponentiated in one
+    ``scipy.linalg.expm`` call on the (n_slots, m, m) stack. No entry is
+    dropped, so the result is exp(S dt) to the accuracy of expm itself.
+    The labelling and packing depend only on the nonzero pattern, so they
+    are memoised per exact pattern; the values and expm are not.
+    """
+    n = h.shape[0] ** 2
+    rows, cols, vals = _generator_triplets(h, channels)
+    index, flat, n_slots, m = _block_layout(n, rows.tobytes(), cols.tobytes())
+    size = n_slots * m * m
     gen = (np.bincount(flat, vals.real * dt, size)
            + 1j * np.bincount(flat, vals.imag * dt, size))
-    exps = scipy.linalg.expm(gen.reshape(fills.size, m, m))
+    exps = scipy.linalg.expm(gen.reshape(n_slots, m, m))
     return SegmentPropagator(index, exps)
 
 

@@ -295,17 +295,35 @@ def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
     Single-cycle scans measure the clean-start cost of a reset; multi-cycle
     scans additionally punish reset times too short to empty the lossy
     channel between corrections.
+
+    The first pulse phase starts from ``target`` whatever t_r is, so it is
+    integrated once; each t_r applies its exact reset to that state, and
+    further cycles continue from there. These are the operations of one
+    ``evolve_cycles`` run per t_r, in the same order, so the residuals are
+    bit-identical to such runs (unless an eigenvalue clip fires).
     """
     t_r_grid = list(t_r_grid)
     if not t_r_grid:
         raise ValueError("t_r grid must be non-empty")
+    if min(t_r_grid) < 0 or n_cycles < 1:
+        raise ValueError("a scan needs t_r >= 0 and n_cycles >= 1")
+    rate_pulse, rate_reset = pulse_reset_rates(terms, reset_rate)
+    reset_channels = [(c.op, rate_reset[c.label]) for c in terms.channels]
+    post_pulse = evolve_cycles(
+        terms, pulse, CycleSchedule(pulse.t_p, 0.0, rate_pulse, rate_reset, 1),
+        target, rtol=rtol).final
     residuals = []
     for t_r in t_r_grid:
-        rate_pulse, rate_reset = pulse_reset_rates(terms, reset_rate)
-        schedule = CycleSchedule(pulse.t_p, float(t_r), rate_pulse, rate_reset,
-                                 n_cycles=n_cycles)
-        traj = evolve_cycles(terms, pulse, schedule, target, rtol=rtol)
-        residuals.append(1.0 - state_fidelity(traj.final, target))
+        state = post_pulse
+        if t_r > 0:
+            state = evolve_constant_lindblad(terms.h_static, reset_channels,
+                                             post_pulse, [0.0, t_r]).final
+        if n_cycles > 1:
+            schedule = CycleSchedule(pulse.t_p, t_r, rate_pulse, rate_reset,
+                                     n_cycles - 1)
+            state = evolve_cycles(terms, pulse, schedule, state,
+                                  rtol=rtol).final
+        residuals.append(1.0 - state_fidelity(state, target))
     residuals = np.array(residuals)
     k = int(np.argmin(residuals))
     return ResetScan(np.array(t_r_grid, dtype=float), residuals,

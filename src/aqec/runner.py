@@ -240,7 +240,7 @@ def _scan_point(cfg: ExperimentConfig, t1_ns: float, pulse: PulseShape) -> dict:
     model = cfg.model()
     scan = op.scan_reset_time(mo.build(model), pulse, cfg.t_r_grid,
                               _MODEL_KINDS[cfg.model_kind].protected(model),
-                              cfg.reset_rate)
+                              cfg.reset_rate, n_cycles=cfg.n_cycles)
     return {"t1_us": t1_ns / 1e3, "scan": scan}
 
 

@@ -207,6 +207,28 @@ class TestScanResetCommand:
         assert len(lines) == 1 + 2          # header + 2 grid points
         assert len(res["best"]) == 1
 
+    def test_honours_n_cycles(self, tmp_path):
+        from aqec import hilbert as hi
+        from aqec import models as mo
+        from aqec import optimize as op
+        from aqec import runner
+        from aqec.pulse import save_pulse, seed_pulse
+        pulse = seed_pulse(6, 40.0, TWO_PI * 0.02)
+        save_pulse(pulse, tmp_path / "pulse.json")
+        cfg = cf.with_overrides(cf.parse_config(TINY_RUN), sweep_t1=(10e3,),
+                                sweep_mode="default", n_cycles=3,
+                                pulse_file=str(tmp_path / "pulse.json"))
+        runner.cmd_scan_reset(cfg, tmp_path / "out")
+        model = mo.SingleQubitModel(**{**dict(cfg.model_params),
+                                       "gamma_q": 1e-4, "gamma_r": 1e-4})
+        target = hi.basis_state(model.space, (1, 0))
+        scan = op.scan_reset_time(mo.build_single_qubit(model), pulse,
+                                  cfg.t_r_grid, target, cfg.reset_rate,
+                                  n_cycles=3)
+        lines = (tmp_path / "out" / "scan.csv").read_text().splitlines()
+        assert lines[1:] == [f"10,{t:.12g},{r:.12g}"
+                             for t, r in zip(scan.t_r, scan.residuals)]
+
 
 VSLQ = """\
 [model]

@@ -229,11 +229,11 @@ def _random_density(d, seed):
     return rho / np.trace(rho).real
 
 
-def _sq_constant():
+def _sq_constant(omega=TWO_PI * 0.004, gamma_r=0.03):
     # single-qubit constant coupling over the 5 us settling window
     terms = mo.build_single_qubit(mo.SingleQubitModel(
-        delta=TWO_PI * 0.35, gamma_q=1 / 5000, gamma_r=0.03))
-    h = terms.h_static + TWO_PI * 0.004 * terms.h_x
+        delta=TWO_PI * 0.35, gamma_q=1 / 5000, gamma_r=gamma_r))
+    h = terms.h_static + omega * terms.h_x
     return h.matrix, [(c.op.matrix, c.rate) for c in terms.channels], 5000.0
 
 
@@ -259,8 +259,12 @@ def _vslq_reset():
             [(c.op.matrix, rate_r[c.label]) for c in terms.channels], 60.0)
 
 
-SEGMENTS = {"sq-constant": _sq_constant, "vslq-fixed-point": _vslq_fixed_point,
-            "vslq-reset": _vslq_reset}
+# the omega = 0 and gamma_r = 0 cases share d with sq-constant but not its
+# generator pattern, so a block layout reused across patterns would show
+SEGMENTS = {"sq-constant": _sq_constant,
+            "sq-constant-omega0": lambda: _sq_constant(omega=0.0),
+            "sq-constant-gamma_r0": lambda: _sq_constant(gamma_r=0.0),
+            "vslq-fixed-point": _vslq_fixed_point, "vslq-reset": _vslq_reset}
 
 
 class TestBlockPropagator:

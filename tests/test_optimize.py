@@ -6,7 +6,7 @@ from aqec import hilbert as hi
 from aqec import models as mo
 from aqec import optimize as op
 from aqec.presets import VSLQ_FIXED_TABLE
-from aqec.pulse import PulseShape, seed_pulse
+from aqec.pulse import CycleSchedule, PulseShape, seed_pulse
 
 TWO_PI = 2 * np.pi
 
@@ -255,6 +255,60 @@ class TestResetScan:
                                       n_cycles=15)
         assert scan.best_residual < no_reset.best_residual
 
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    def test_shared_pulse_phase_matches_per_t_r_cycles(self, scan_setup,
+                                                      n_cycles):
+        # oracle: one full evolve_cycles run per grid point
+        terms, pulse, target = scan_setup
+        grid = [0.0, 20.0, 60.0, 400.0]
+        want = _per_t_r_residuals(terms, pulse, grid, target, 0.03, n_cycles)
+        scan = op.scan_reset_time(terms, pulse, grid, target, 0.03,
+                                  n_cycles=n_cycles)
+        assert np.max(np.abs(scan.residuals - want)) <= 1e-12
+
+    def test_shared_pulse_phase_matches_per_t_r_cycles_vslq(self):
+        model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                             gamma_p=1 / 30000, gamma_s=0.0)
+        terms = mo.build_vslq(model)
+        pulse = seed_pulse(8, 40.0, TWO_PI * 0.01)
+        target = mo.vslq_logical_states(model)["0L"]
+        grid = [20.0, 60.0]
+        want = _per_t_r_residuals(terms, pulse, grid, target, 0.035, 1)
+        scan = op.scan_reset_time(terms, pulse, grid, target, 0.035)
+        assert np.max(np.abs(scan.residuals - want)) <= 1e-12
+
+    def test_one_pulse_phase_per_single_cycle_scan(self, scan_setup,
+                                                   monkeypatch):
+        # work counter: 4 grid points share one pulse-phase integration
+        terms, pulse, target = scan_setup
+        calls = []
+        integrate = dy.adaptive_rk
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(dy, "adaptive_rk", counted)
+        op.scan_reset_time(terms, pulse, [20.0, 40.0, 60.0, 80.0], target, 0.03)
+        assert len(calls) == 1
+
+    def test_rejects_zero_cycles_and_negative_t_r(self, scan_setup):
+        terms, pulse, target = scan_setup
+        with pytest.raises(ValueError):
+            op.scan_reset_time(terms, pulse, [20.0], target, 0.03, n_cycles=0)
+        with pytest.raises(ValueError):
+            op.scan_reset_time(terms, pulse, [20.0, -1.0], target, 0.03)
+
+
+def _per_t_r_residuals(terms, pulse, grid, target, reset_rate, n_cycles):
+    rate_p, rate_r = mo.pulse_reset_rates(terms, reset_rate)
+    out = []
+    for t_r in grid:
+        schedule = CycleSchedule(pulse.t_p, t_r, rate_p, rate_r, n_cycles)
+        final = dy.evolve_cycles(terms, pulse, schedule, target).final
+        out.append(1.0 - hi.state_fidelity(final, target))
+    return np.array(out)
+
 
 def _fig2_like_pulse():
     # short deterministic optimization so the scan sees a sensible pulse
@@ -274,6 +328,20 @@ class TestConstantCoupling:
         assert 0 < p20.residual < p5.residual < 0.1
         assert p5.residual <= p5.residual_steady
         assert p20.residual <= p20.residual_steady
+
+    def test_sectors_labelled_once_per_descent(self, monkeypatch):
+        # every cost call shares one generator pattern, so its layout is
+        # built once; steady_state does not label
+        calls = []
+        label = dy.sector_labels
+
+        def counted(*args):
+            calls.append(1)
+            return label(*args)
+
+        monkeypatch.setattr(dy, "sector_labels", counted)
+        op.optimize_constant_coupling(TWO_PI * 0.35, 20.0)
+        assert len(calls) <= 1
 
 
 @pytest.mark.slow
