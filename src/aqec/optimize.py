@@ -436,9 +436,10 @@ def vslq_fixed_lifetime(w: float, delta: float, gamma_p: float,
     Evolves the +1 eigenstate of the chosen logical operator for a bounded
     window, then fits exp(-t/T) to its expectation after discarding the
     initial transient. The generator is time independent, so every sample
-    step applies one exact segment propagator; at the VSLQ fixed point it
-    splits into 8 decoupled blocks of 160-164 vec indices, built once and
-    applied block by block.
+    step applies one exact segment propagator; at the VSLQ fixed point the
+    generator splits into 8 decoupled blocks of 160-164 vec indices, of
+    which the X and Y eigenstates occupy 2, so only those 2 are
+    exponentiated, once, and applied.
     """
     from .analysis import fit_lifetime
 

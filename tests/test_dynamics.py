@@ -206,7 +206,7 @@ class TestConstantPropagator:
         h = terms.h_static + omega * terms.h_x
         channels = ((terms.channels[0].op, 2e-4), (terms.channels[1].op, 0.02))
         rho_ss = dy.steady_state(h, channels)
-        s = dy.lindblad_superoperator(
+        s = lindblad_superoperator(
             h.matrix, [(op.matrix, r) for op, r in channels])
         drift = s @ rho_ss.density().reshape(-1)
         assert np.max(np.abs(drift)) < 1e-10
@@ -220,6 +220,15 @@ class TestConstantPropagator:
                                            hi.basis_state(sp, (1,)), times)
         pe = np.array([s.density()[1, 1].real for s in traj.states])
         assert np.allclose(pe, np.exp(-0.01 * times), atol=1e-9)
+
+
+def lindblad_superoperator(h, channels):
+    """Row-major-vec generator: vec(rho') = S vec(rho) for constant H, rates."""
+    n = h.shape[0] ** 2
+    rows, cols, vals = dy._generator_triplets(h, channels)
+    s = np.zeros((n, n), dtype=complex)
+    np.add.at(s, (rows, cols), vals)
+    return s
 
 
 def _random_density(d, seed):
@@ -237,12 +246,17 @@ def _sq_constant(omega=TWO_PI * 0.004, gamma_r=0.03):
     return h.matrix, [(c.op.matrix, c.rate) for c in terms.channels], 5000.0
 
 
-def _vslq_terms():
+def _vslq_model():
     omega, gamma_s, omega_s = VSLQ_FIXED_TABLE[5][:3]
-    terms = mo.build_vslq(mo.VslqModel(
+    model = mo.VslqModel(
         w=TWO_PI * 0.035, delta=TWO_PI * 0.35, gamma_p=1 / 5000,
-        gamma_s=gamma_s * 1e-3, omega_s=TWO_PI * omega_s * 1e-3))
-    return terms, TWO_PI * omega * 1e-3
+        gamma_s=gamma_s * 1e-3, omega_s=TWO_PI * omega_s * 1e-3)
+    return model, TWO_PI * omega * 1e-3
+
+
+def _vslq_terms():
+    model, omega = _vslq_model()
+    return mo.build_vslq(model), omega
 
 
 def _vslq_fixed_point():
@@ -281,13 +295,13 @@ class TestBlockPropagator:
             lsq = lop.conj().T @ lop
             s += rate * (np.kron(lop, lop.conj())
                          - 0.5 * (np.kron(lsq, eye) + np.kron(eye, lsq.T)))
-        got = dy.lindblad_superoperator(h, channels)
+        got = lindblad_superoperator(h, channels)
         assert np.max(np.abs(got - s)) < 1e-15
 
     def test_matches_dense_expm(self, segment):
         h, channels, dt = segment
         rho = _random_density(h.shape[0], seed=11)
-        dense = scipy.linalg.expm(dy.lindblad_superoperator(h, channels) * dt)
+        dense = scipy.linalg.expm(lindblad_superoperator(h, channels) * dt)
         want = (dense @ rho.reshape(-1)).reshape(rho.shape)
         got = dy.apply_propagator(dy.segment_propagator(h, channels, dt), rho)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -297,7 +311,7 @@ class TestBlockPropagator:
         h, channels, dt = segment
         prop = dy.segment_propagator(h, channels, dt)
         slot = prop.index // prop.exps.shape[1]
-        rows, cols = np.nonzero(dy.lindblad_superoperator(h, channels))
+        rows, cols = np.nonzero(lindblad_superoperator(h, channels))
         assert np.all(slot[rows] == slot[cols])
         assert prop.exps.shape[0] > 1
 
@@ -305,7 +319,7 @@ class TestBlockPropagator:
         sizes = {}
         for name in ("vslq-fixed-point", "vslq-reset"):
             h, channels, _ = SEGMENTS[name]()
-            rows, cols = np.nonzero(dy.lindblad_superoperator(h, channels))
+            rows, cols = np.nonzero(lindblad_superoperator(h, channels))
             sizes[name] = np.bincount(hi.sector_labels(rows, cols, 36 ** 2))
         assert len(sizes["vslq-fixed-point"]) == 8
         assert sizes["vslq-fixed-point"].max() == 164
@@ -360,6 +374,159 @@ class TestLindbladRhs:
             want = _dense_lindblad_rhs(prob, t, rho)
             got = rhs(t, rho)
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def _pulse_phase(terms, initial):
+    # one cycles-style pulse phase: the seed pulse plus one y mode, at the
+    # pulse-phase rates of a 35 per_us reset
+    seed = seed_pulse(8, 40.0, TWO_PI * 0.01)
+    pulse = PulseShape(seed.cx, [0.0, TWO_PI * 0.002] + [0.0] * 6, 40.0)
+    rate_p, _ = mo.pulse_reset_rates(terms, reset_rate=0.035)
+    channels = tuple((c.op, rate_p[c.label]) for c in terms.channels)
+    return dy.EvolutionProblem(
+        terms.h_static, terms.h_x, terms.h_y, lambda t: evaluate(pulse, t),
+        channels, (0.0, 40.0), initial)
+
+
+def _tq_phase():
+    model = mo.ThreeQubitModel(j=TWO_PI * 0.02, gamma_p=1 / 5000, gamma_r=0.03)
+    terms = mo.build_three_qubit(model)
+    return _pulse_phase(terms, mo.three_qubit_code_states(model)["0L"])
+
+
+def _sq_phase():
+    terms = RHS_MODELS["sq"]()
+    return _pulse_phase(terms, hi.basis_state(terms.space, (1, 0)))
+
+
+def _vslq_phase():
+    # the cycles workload's VSLQ at T1 = 30 us
+    model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                         gamma_p=1 / 30000, gamma_s=0.035)
+    return _pulse_phase(mo.build_vslq(model),
+                        mo.vslq_logical_states(model)["0L"])
+
+
+PULSE_PHASES = {
+    "sq": _sq_phase,
+    "vslq-0L": _vslq_phase,
+    "tq-000": _tq_phase,
+}
+
+
+def _counted(fn, calls):
+    def wrapped(t, y):
+        calls.append(1)
+        return fn(t, y)
+    return wrapped
+
+
+def _constant_sq():
+    terms = RHS_MODELS["sq"]()
+    h = terms.h_static + TWO_PI * 0.004 * terms.h_x
+    channels = tuple((c.op, c.rate) for c in terms.channels)
+    return h, channels, hi.basis_state(terms.space, (1, 0)), 5000.0
+
+
+def _constant_vslq_x():
+    model, omega = _vslq_model()
+    terms = mo.build_vslq(model)
+    h = terms.h_static + omega * terms.h_x
+    channels = tuple((c.op, c.rate) for c in terms.channels)
+    return h, channels, mo.vslq_pauli_eigenstate(model, "X", +1), 500.0
+
+
+CONSTANT_STARTS = {"sq-constant": _constant_sq,
+                   "vslq-fixed-point-X": _constant_vslq_x}
+
+
+class TestOccupiedSectors:
+    @pytest.mark.parametrize("name", list(PULSE_PHASES))
+    def test_pulse_phase_matches_full_space(self, name, monkeypatch):
+        # oracle: the full-space pulse phase, every d^2 entry integrated
+        prob = PULSE_PHASES[name]()
+        full_calls, calls = [], []
+        _, ys = dy.adaptive_rk(_counted(dy.lindblad_rhs(prob), full_calls),
+                               prob.t_span, prob.initial.density(),
+                               rtol=dy.LINDBLAD_RTOL, atol=dy.DEFAULT_ATOL,
+                               post_step=dy._hermitize)
+        integrate = dy.adaptive_rk
+        monkeypatch.setattr(dy, "adaptive_rk", lambda f, *args, **kwargs:
+                            integrate(_counted(f, calls), *args, **kwargs))
+        got = dy.evolve_lindblad(prob).final.density()
+        assert np.max(np.abs(got - dy._sanitize_density(ys[-1]))) <= 1e-12
+        assert len(calls) == len(full_calls)
+
+    @pytest.mark.parametrize("name", list(CONSTANT_STARTS))
+    def test_constant_evolution_matches_full_propagator(self, name):
+        h, channels, initial, dt = CONSTANT_STARTS[name]()
+        prop = dy.segment_propagator(
+            h.matrix, [(op.matrix, r) for op, r in channels], dt)
+        rho = initial.density()
+        traj = dy.evolve_constant_lindblad(h, channels, initial,
+                                           dt * np.arange(4))
+        for state in traj.states[1:]:
+            rho = dy.apply_propagator(prop, rho)
+            want = dy._sanitize_density(rho)
+            assert np.max(np.abs(state.density() - want)) <= 1e-12
+
+    def test_full_density_occupies_every_index(self):
+        prob = PULSE_PHASES["vslq-0L"]()
+        rho = _random_density(36, seed=4)
+        _, keep = dy._sector_rhs(prob, rho)
+        assert np.array_equal(keep, np.arange(36 ** 2))
+
+    def test_vslq_pulse_phase_integrates_occupied_entries(self, monkeypatch):
+        # work counter: |0_L> occupies 2 of the 8 sectors of the pulse phase
+        sizes = []
+        integrate = dy.adaptive_rk
+
+        def counted(f, t_span, y0, *args, **kwargs):
+            sizes.append(y0.size)
+            return integrate(f, t_span, y0, *args, **kwargs)
+
+        monkeypatch.setattr(dy, "adaptive_rk", counted)
+        dy.evolve_lindblad(PULSE_PHASES["vslq-0L"]())
+        assert sizes == [324]
+
+    def test_fixed_point_propagator_keeps_occupied_slots(self, monkeypatch):
+        # work counter: |+X_L> occupies 2 of the 8 fixed-point blocks
+        slots = []
+        build = dy.segment_propagator
+
+        def counted(*args):
+            prop = build(*args)
+            slots.append(prop.exps.shape[0])
+            return prop
+
+        monkeypatch.setattr(dy, "segment_propagator", counted)
+        h, channels, initial, dt = _constant_vslq_x()
+        dy.evolve_constant_lindblad(h, channels, initial, [0.0, dt, 2 * dt])
+        assert slots == [2]
+
+    def test_apply_propagator_rejects_weight_outside_blocks(self):
+        h, channels, initial, dt = _constant_vslq_x()
+        prop = dy.segment_propagator(
+            h.matrix, [(op.matrix, r) for op, r in channels], dt,
+            initial.density())
+        with pytest.raises(ValueError):
+            dy.apply_propagator(prop, _random_density(36, seed=2))
+
+    def test_steady_state_matches_dense_lstsq(self):
+        # oracle: the (d^2 + 1) x d^2 least-squares system over every
+        # index, with the same refinement step
+        h, channels, _, _ = _constant_sq()
+        mats = [(op.matrix, r) for op, r in channels]
+        d = h.matrix.shape[0]
+        a = np.vstack([lindblad_superoperator(h.matrix, mats),
+                       np.eye(d).reshape(1, -1)])
+        b = np.zeros(d * d + 1)
+        b[-1] = 1.0
+        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+        x += np.linalg.lstsq(a, b - a @ x, rcond=None)[0]
+        want = dy._sanitize_density(x.reshape(d, d))
+        got = dy.steady_state(h, channels).density()
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def rk_reset_cycles(terms, pulse, sched, initial):

@@ -331,7 +331,7 @@ class TestConstantCoupling:
 
     def test_sectors_labelled_once_per_descent(self, monkeypatch):
         # every cost call shares one generator pattern, so its layout is
-        # built once; steady_state does not label
+        # built once, and steady_state reuses it
         calls = []
         label = dy.sector_labels
 
