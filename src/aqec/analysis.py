@@ -1,12 +1,13 @@
 """Observable extraction and regression: residual errors, exponential
-lifetimes, power-law scaling, improvement factors."""
+lifetimes, power-law scaling, improvement factors. Both fits solve their
+linear parameters in closed form (variable projection, Golub & Pereyra 1973)
+and minimize the residual over the one nonlinear parameter left."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dynamics import Trajectory
 from .hilbert import QuantumState, state_fidelity
@@ -42,12 +43,33 @@ def residual_error(trajectory: Trajectory, target: QuantumState) -> float:
     return 1.0 - state_fidelity(trajectory.final, target)
 
 
+def _golden_min(f, lo: float, hi: float, xatol: float) -> float:
+    """Golden-section search for a minimum of f on [lo, hi] to width xatol."""
+    if not lo < hi:
+        raise ValueError(f"empty search interval [{lo:.6g}, {hi:.6g}]")
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(int(np.ceil(np.log(xatol / (hi - lo)) / np.log(g)))):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = f(d)
+    return c if fc < fd else d
+
+
 def fit_lifetime(times, values, model: str = "exp") -> DecayFit:
     """Least-squares decay fit of A exp(-t/T) (+ B for "exp_with_offset").
 
-    Times are normalized internally, making the fitted T scale with the
-    input time units. Raises on fewer than 5 samples, degenerate (constant)
-    data, or a non-positive fitted lifetime.
+    For each trial rate k = 1/T the amplitude (and offset) are solved in
+    closed form and the residual is minimized over k, bracketed outward
+    from the log-slope seed; times are normalized, so T scales with their
+    units. Raises on fewer than 5 samples, non-finite or constant data, no
+    interior minimum, or a non-positive fitted lifetime.
     """
     if model not in ("exp", "exp_with_offset"):
         raise ValueError(f"unknown decay model {model!r}")
@@ -55,6 +77,8 @@ def fit_lifetime(times, values, model: str = "exp") -> DecayFit:
     y = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != y.shape or t.size < 5:
         raise ValueError("need at least 5 (time, value) samples")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise ValueError("times and values must be finite")
     if np.ptp(y) < 1e-15 * max(1.0, np.max(np.abs(y))):
         raise ValueError("degenerate data: values are constant")
 
@@ -63,38 +87,50 @@ def fit_lifetime(times, values, model: str = "exp") -> DecayFit:
         raise ValueError("times must be increasing")
     ts = (t - t[0]) / t_scale
 
-    # seed T from the log-slope of the offset-free positive part
+    # seed k = 1/T from the log-slope of the offset-free positive part
     b0 = 0.0 if model == "exp" else float(min(0.0, y.min()))
     pos = y - b0 > 1e-300
+    k0 = 1.0
     if pos.sum() >= 2:
         slope = np.polyfit(ts[pos], np.log(y[pos] - b0), 1)[0]
-        tau0 = -1.0 / slope if slope < 0 else 10.0
-        tau0 = float(np.clip(tau0, 1e-3, 1e6))
-    else:
-        tau0 = 1.0
-    a0 = float(y[0] - b0)
+        k0 = float(np.clip(-slope, 1e-6, 1e3)) if slope < 0 else 0.1
 
-    if model == "exp":
-        def f(tt, a, tau):
-            return a * np.exp(-tt / tau)
-        p0 = (a0, tau0)
-    else:
-        def f(tt, a, tau, b):
-            return a * np.exp(-tt / tau) + b
-        p0 = (a0, tau0, b0)
+    # centring both sides projects the offset out of the linear part
+    offset = model == "exp_with_offset"
+    yc = y - y.mean() if offset else y
 
-    popt, _ = scipy.optimize.curve_fit(f, ts, y, p0=p0, maxfev=20000)
-    a, tau = popt[0], popt[1]
-    b = popt[2] if model == "exp_with_offset" else 0.0
-    if not tau > 0:
-        raise ValueError(f"fitted lifetime {tau * t_scale} is not positive")
-    resid = y - f(ts, *popt)
+    def project(k):
+        e = np.exp(-k * ts)
+        e = e - e.mean() if offset else e
+        a = (e @ yc) / (e @ e)
+        return a, yc - a * e
+
+    def cost(k):
+        return np.linalg.norm(project(k)[1])
+
+    with np.errstate(all="ignore"):
+        # walk downhill from the seed rate in steps growing by the golden
+        # ratio until the cost rises (an overflowing exp's NaN never does)
+        k1, k2 = sorted((k0, 2.0 * k0), key=cost, reverse=True)
+        f2 = cost(k2)
+        for _ in range(60):
+            k3 = k2 + 1.618 * (k2 - k1)
+            if (f3 := cost(k3)) > f2:
+                break
+            k1, k2, f2 = k2, k3, f3
+        else:
+            raise ValueError("decay fit found no interior minimum")
+        k = _golden_min(cost, *sorted((k1, k3)), 1e-10 * abs(k3 - k1))
+        a, resid = project(k)
+    if not k > 0:
+        raise ValueError(f"fitted lifetime {t_scale / k} is not positive")
+    b = y.mean() - a * np.exp(-k * ts).mean() if offset else 0.0
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
     if r2 <= 0.0:
         raise ValueError("decay model does not describe the data "
                          f"(r^2 = {r2:.3g})")
-    return DecayFit(lifetime=float(tau * t_scale), amplitude=float(a),
+    return DecayFit(lifetime=float(t_scale / k), amplitude=float(a),
                     offset=float(b), r_squared=min(1.0, r2))
 
 
@@ -108,13 +144,17 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def fit_power_law(x, y, with_offset: bool = False) -> ScalingFit:
     """Exponent of y ~ x^b by log-log regression.
 
-    With ``with_offset`` the model is y = a x^b + c, solved by a nested
-    1-d minimization over the offset c (which must leave y - c positive).
+    With ``with_offset`` the model is y = a x^b + c: the log-log regression
+    of y - c gives a and b, and ``_golden_min`` minimizes its residual over
+    c (which must leave y - c positive). Raises on non-finite or
+    non-positive data.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or x.size < MIN_POWER_LAW_POINTS:
         raise ValueError(f"need at least {MIN_POWER_LAW_POINTS} (x, y) samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("power-law fit needs finite data")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power-law fit needs positive data")
 
@@ -128,10 +168,8 @@ def fit_power_law(x, y, with_offset: bool = False) -> ScalingFit:
     def cost(c):
         return _loglog_fit(x, y - c)[2]
 
-    res = scipy.optimize.minimize_scalar(
-        cost, bounds=(y_min - span, y_min * (1 - 1e-9)), method="bounded",
-        options={"xatol": y_min * 1e-12 + 1e-300})
-    c = float(res.x)
+    c = float(_golden_min(cost, y_min - span, y_min * (1 - 1e-9),
+                          y_min * 1e-12 + 1e-300))
     if cost(0.0) <= cost(c):
         c = 0.0
     b, a, r = _loglog_fit(x, y - c)

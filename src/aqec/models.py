@@ -128,23 +128,22 @@ class ModelTerms:
     channels: tuple[LindbladChannel, ...]
 
 
-def check_coupling_regime(model: Model, peak_omega: float) -> None:
-    """Warn when the pulse amplitude violates the model's rate hierarchy."""
-    if isinstance(model, SingleQubitModel):
-        if peak_omega > model.delta / 5:
-            warnings.warn(
-                f"peak |Omega| = {peak_omega:.4g} rad/ns exceeds delta/5 = "
-                f"{model.delta / 5:.4g}; delta >> Omega no longer holds",
-                RegimeWarning,
-            )
-    elif isinstance(model, VslqModel):
-        if model.delta < 5 * model.w or model.w < 5 * peak_omega:
-            warnings.warn(
-                "hierarchy delta >> W >> Omega violated: "
-                f"delta={model.delta:.4g}, W={model.w:.4g}, "
-                f"peak |Omega|={peak_omega:.4g} rad/ns",
-                RegimeWarning,
-            )
+def check_coupling_regime(model: Model, peak_omega: float) -> list[str]:
+    """Warn of, and return, each breach of the model's rate hierarchy."""
+    messages = []
+    if isinstance(model, SingleQubitModel) and peak_omega > model.delta / 5:
+        messages.append(
+            f"peak |Omega| = {peak_omega:.4g} rad/ns exceeds delta/5 = "
+            f"{model.delta / 5:.4g}; delta >> Omega no longer holds")
+    elif isinstance(model, VslqModel) and (model.delta < 5 * model.w
+                                           or model.w < 5 * peak_omega):
+        messages.append(
+            "hierarchy delta >> W >> Omega violated: "
+            f"delta={model.delta:.4g}, W={model.w:.4g}, "
+            f"peak |Omega|={peak_omega:.4g} rad/ns")
+    for message in messages:
+        warnings.warn(message, RegimeWarning)
+    return messages
 
 
 # --- builders ---------------------------------------------------------------

@@ -38,11 +38,11 @@ from .models import (
     TargetOperation,
     VslqModel,
     build_vslq,
+    pulse_reset_rates,
     vslq_logical_operators,
     vslq_pauli_eigenstate,
 )
 from .pulse import CycleSchedule, PulseShape, seed_pulse
-from .models import pulse_reset_rates
 
 FD_EPSILON = 2 * np.pi * 0.01e-3   # 2 pi x 0.01 MHz in rad/ns
 OBJECTIVE_RTOL = 1e-10
@@ -441,6 +441,8 @@ def vslq_fixed_lifetime(w: float, delta: float, gamma_p: float,
     which the X and Y eigenstates occupy 2, so only those 2 are
     exponentiated, once, and applied.
     """
+    # imported here: a module-level import would add an aqec.optimize alias,
+    # which perfbench's tracer would wrap and its tests do not classify
     from .analysis import fit_lifetime
 
     model = VslqModel(w=w, delta=delta, gamma_p=gamma_p, gamma_s=gamma_s,

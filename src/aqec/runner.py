@@ -154,7 +154,7 @@ def _optimize_core(ctx: RunContext) -> op.OptimizeResult:
     terms = mo.build(model)
     objective = op.make_objective(terms, mo.target_operation(model))
     result = op.optimize_pulse(objective, cfg.optimizer(), cfg.n_modes, cfg.t_p)
-    mo.check_coupling_regime(model, result.pulse.peak_coupling())
+    warned = mo.check_coupling_regime(model, result.pulse.peak_coupling())
 
     save_pulse(result.pulse, ctx.path("pulse.json"))
     ctx.write_csv("optimize_trace.csv", ["iteration", "fidelity", "step"],
@@ -169,6 +169,7 @@ def _optimize_core(ctx: RunContext) -> op.OptimizeResult:
         "iterations": result.iterations,
         "pair_fidelities": list(result.pair_breakdown(objective)),
         "target_fidelity": cfg.target_fidelity,
+        "regime_warnings": warned,
     })
     return result
 

@@ -135,3 +135,139 @@ class TestImprovementFactor:
             an.improvement_factor(-1.0, 5.0)
         with pytest.raises(ValueError):
             an.improvement_factor(1.0, 0.0)
+
+
+def _curve_fit_lifetime(t, y, model, **tolerances):
+    """The curve_fit decay fit that variable projection replaced, with its
+    p0: the log-slope seed, y[0] - b0 and b0."""
+    import scipy.optimize
+
+    ts = (t - t[0]) / (t[-1] - t[0])
+    b0 = 0.0 if model == "exp" else float(min(0.0, y.min()))
+    pos = y - b0 > 1e-300
+    slope = np.polyfit(ts[pos], np.log(y[pos] - b0), 1)[0]
+    tau0 = float(np.clip(-1.0 / slope if slope < 0 else 10.0, 1e-3, 1e6))
+    if model == "exp":
+        def f(tt, a, tau):
+            return a * np.exp(-tt / tau)
+        p0 = (float(y[0]), tau0)
+    else:
+        def f(tt, a, tau, b):
+            return a * np.exp(-tt / tau) + b
+        p0 = (float(y[0] - b0), tau0, b0)
+    popt, _ = scipy.optimize.curve_fit(f, ts, y, p0=p0, maxfev=20000,
+                                       **tolerances)
+    resid = y - f(ts, *popt)
+    return popt[1] * (t[-1] - t[0]), float(resid @ resid)
+
+
+def _ssr(t, y, fit):
+    model = fit.amplitude * np.exp(-(t - t[0]) / fit.lifetime) + fit.offset
+    return float(np.sum((y - model) ** 2))
+
+
+class TestFitLifetimeOracle:
+    @pytest.mark.parametrize("model", ["exp", "exp_with_offset"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_noisy_decay_matches_curve_fit(self, model, seed):
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 30.0, 40)
+        y = 0.9 * np.exp(-t / 8.0) + 1e-3 * rng.normal(size=t.size)
+        if model == "exp_with_offset":
+            y += 0.05
+        fit = an.fit_lifetime(t, y, model=model)
+        lifetime, ssr = _curve_fit_lifetime(t, y, model)
+        assert fit.lifetime == pytest.approx(lifetime, rel=1e-7)
+        assert _ssr(t, y, fit) <= ssr * (1 + 1e-12)
+
+    def test_vslq_fixed_point_window_matches_curve_fit(self, monkeypatch):
+        from aqec import optimize as op
+        from aqec.presets import VSLQ_FIXED_TABLE
+
+        windows = []
+        fit_lifetime = an.fit_lifetime
+
+        def recording(times, values, model="exp"):
+            windows.append((np.array(times), np.array(values)))
+            return fit_lifetime(times, values, model)
+
+        monkeypatch.setattr(an, "fit_lifetime", recording)
+        omega, gamma_s, omega_s = VSLQ_FIXED_TABLE[30][:3]
+        two_pi = 2 * np.pi
+        lifetime = op.vslq_fixed_lifetime(
+            two_pi * 0.035, two_pi * 0.35, 1.0 / 30e3, two_pi * omega * 1e-3,
+            gamma_s * 1e-3, two_pi * omega_s * 1e-3, which="X")
+        (t, y), = windows
+        assert lifetime == pytest.approx(_curve_fit_lifetime(t, y, "exp")[0],
+                                         rel=1e-7)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_residual_no_larger_than_converged_curve_fit(self, seed):
+        # long lifetimes against the window with an offset leave the
+        # residual flat along a valley, where the lifetime is defined only
+        # loosely; the least-squares residual is still defined tightly
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 50.0, 30))
+        t[0] = 0.0
+        y = (rng.uniform(0.2, 2.0) * np.exp(-t / rng.uniform(5.0, 250.0))
+             + rng.uniform(-0.3, 0.3) + 1e-2 * rng.normal(size=t.size))
+        fit = an.fit_lifetime(t, y, model="exp_with_offset")
+        _, ssr = _curve_fit_lifetime(t, y, "exp_with_offset", ftol=1e-15,
+                                     xtol=1e-15, gtol=1e-15)
+        assert _ssr(t, y, fit) <= ssr * (1 + 1e-12)
+
+
+class TestFitPowerLawOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_offset_fit_matches_bounded_minimize_scalar(self, seed):
+        import scipy.optimize
+
+        rng = np.random.default_rng(seed)
+        x = np.array([5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 50.0, 60.0])
+        y = (0.05 * x ** -0.81 + 0.002) * (1 + 0.02 * rng.normal(size=x.size))
+        span = y.max() - y.min()
+
+        def cost(c):
+            lx, ly = np.log(x), np.log(y - c)
+            resid = ly - np.polyval(np.polyfit(lx, ly, 1), lx)
+            return float(np.sqrt(np.mean(resid ** 2)))
+
+        res = scipy.optimize.minimize_scalar(
+            cost, bounds=(y.min() - span, y.min() * (1 - 1e-9)),
+            method="bounded", options={"xatol": y.min() * 1e-12 + 1e-300})
+        c = res.x if cost(res.x) < cost(0.0) else 0.0
+        lx, ly = np.log(x), np.log(y - c)
+        exponent = np.polyfit(lx, ly, 1)[0]
+        fit = an.fit_power_law(x, y, with_offset=True)
+        assert fit.exponent == pytest.approx(exponent, rel=1e-6)
+        assert fit.residual <= cost(c) * (1 + 1e-9)
+
+
+class TestFitsRaiseValueError:
+    def test_fit_lifetime_rejects_nan_and_inf(self):
+        t = np.linspace(0.0, 10.0, 8)
+        y = np.exp(-t / 3.0)
+        for bad_t, bad_y in ((t, np.where(t == t[3], np.nan, y)),
+                             (np.where(t == t[-1], np.inf, t), y)):
+            with pytest.raises(ValueError, match="finite"):
+                an.fit_lifetime(bad_t, bad_y)
+
+    @pytest.mark.parametrize("with_offset", [False, True])
+    def test_fit_power_law_rejects_nan_and_inf(self, with_offset):
+        x = np.array([5.0, 10.0, 20.0, 40.0, 60.0])
+        y = 0.05 * x ** -0.8
+        for bad_x, bad_y in ((x, np.where(x == 20.0, np.nan, y)),
+                             (np.where(x == 60.0, np.inf, x), y)):
+            with pytest.raises(ValueError, match="finite"):
+                an.fit_power_law(bad_x, bad_y, with_offset=with_offset)
+
+    def test_offset_fit_of_constant_data_raises_value_error(self):
+        # y - c must stay positive, so constant y leaves no offset to search
+        with pytest.raises(ValueError, match="empty search interval"):
+            an.fit_power_law([1.0, 2.0, 3.0, 4.0], [0.3] * 4, with_offset=True)
+
+    def test_decay_without_interior_minimum_raises_value_error(self):
+        # all weight in the first sample: the residual keeps falling as the
+        # decay rate grows, so no finite rate minimizes it
+        with pytest.raises(ValueError, match="no interior minimum"):
+            an.fit_lifetime(np.arange(6.0), [1.0, 0, 0, 0, 0, 0])

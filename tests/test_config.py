@@ -150,6 +150,19 @@ class TestRunnerOutputs:
         assert listed == on_disk
         assert manifest["config_hash"] == cf.config_hash(cfg)
 
+    def test_optimize_summary_records_regime_warnings(self, tiny_run):
+        import warnings
+
+        from aqec import models as mo
+        from aqec.pulse import load_pulse
+        cfg, out, _ = tiny_run
+        summary = json.loads((out / "optimize_summary.json").read_text())
+        peak = load_pulse(out / "pulse.json").peak_coupling()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = mo.check_coupling_regime(cfg.model(), peak)
+        assert summary["regime_warnings"] == expected
+
     def test_sweep_rows_sorted(self, tiny_run):
         _, out, result = tiny_run
         t1s = [r["t1_us"] for r in result["rows"]]
@@ -374,3 +387,12 @@ class TestCli:
                          "--out", str(tmp_path / "fo"))
         assert proc.returncode == 0
         assert "lifetime: 4" in proc.stdout
+
+    def test_fit_rejects_nan_cell(self, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_text("t,y\n0,1\n1,0.8\n2,nan\n3,0.5\n4,0.4\n5,0.3\n")
+        proc = self._run("fit", "--csv", str(csv), "--xcol", "t",
+                         "--ycol", "y", "--kind", "exp",
+                         "--out", str(tmp_path / "fo"))
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr

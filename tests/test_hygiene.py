@@ -1,6 +1,10 @@
-"""Source hygiene checks that need only the standard library's ``ast``."""
+"""Source hygiene checks: unused imports, read with the standard library's
+``ast``, and the modules that importing the CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,21 @@ def test_checker_flags_unused_names():
               "from typing import Sequence, Mapping\n"
               "x: Mapping = scipy.sparse.eye(2)\n")
     assert unused_imports(source) == ["os", "scipy.linalg", "Sequence"]
+
+
+def test_cli_import_loads_no_scipy_beyond_linalg_and_sparse():
+    # a fresh interpreter: the oracle tests load scipy.optimize into this one
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, aqec.cli\n"
+             "for name, module in sorted(sys.modules.items()):\n"
+             "    print(name, hasattr(module, '__path__'))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = dict(line.split() for line in out.splitlines())
+    heavy = {"scipy.optimize", "scipy.special", "scipy.fft", "scipy.spatial"}
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []
+    subpackages = {m for m, is_package in loaded.items()
+                   if m.startswith("scipy.") and m.count(".") == 1
+                   and not m.startswith("scipy._") and is_package == "True"}
+    assert subpackages == {"scipy.linalg", "scipy.sparse"}

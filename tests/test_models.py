@@ -74,6 +74,18 @@ class TestSingleQubit:
             warnings.simplefilter("error")
             mo.check_coupling_regime(sq_model, sq_model.delta / 10)
 
+    def test_regime_check_returns_what_it_warned(self, sq_model):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mo.check_coupling_regime(sq_model,
+                                            0.9 * sq_model.delta / 5) == []
+        with pytest.warns(mo.RegimeWarning) as caught:
+            messages = mo.check_coupling_regime(sq_model,
+                                                1.1 * sq_model.delta / 5)
+        assert len(messages) == 1 and "delta/5" in messages[0]
+        assert [str(w.message) for w in caught] == messages
+
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
             mo.SingleQubitModel(delta=0.0, gamma_q=0.0, gamma_r=0.0)
