@@ -14,6 +14,7 @@ from .hilbert import QuantumState, state_fidelity
 
 # Fewest (x, y) samples fit_power_law accepts; sweeps check against it too.
 MIN_POWER_LAW_POINTS = 4
+OFFSET_GRID = 64   # offsets the power-law fit scans before refining the best
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,14 @@ def fit_lifetime(times, values, model: str = "exp") -> DecayFit:
                     offset=float(b), r_squared=min(1.0, r2))
 
 
+def _loglog_residuals(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
+    """RMS residual of the least-squares line through (lx, each row of ly)."""
+    dx = lx - lx.mean()
+    dy = ly - ly.mean(axis=-1, keepdims=True)
+    resid = dy - ((dy @ dx) / (dx @ dx))[..., None] * dx
+    return np.sqrt(np.mean(resid ** 2, axis=-1))
+
+
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -145,9 +154,11 @@ def fit_power_law(x, y, with_offset: bool = False) -> ScalingFit:
     """Exponent of y ~ x^b by log-log regression.
 
     With ``with_offset`` the model is y = a x^b + c: the log-log regression
-    of y - c gives a and b, and ``_golden_min`` minimizes its residual over
-    c (which must leave y - c positive). Raises on non-finite or
-    non-positive data.
+    of y - c gives a and b, and its residual, which can have several minima,
+    is minimized over c in [2 y_min - y_max, y_min), where y - c > 0, by a
+    scan of ``OFFSET_GRID`` points refined by ``_golden_min`` between the
+    neighbours of the best; c = 0 is kept unless the refined c beats it.
+    Raises on non-finite or non-positive data.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -163,12 +174,18 @@ def fit_power_law(x, y, with_offset: bool = False) -> ScalingFit:
         return ScalingFit(exponent=b, prefactor=a, offset=0.0, residual=r)
 
     y_min = y.min()
-    span = y.max() - y_min
+    lo, hi = y_min - (y.max() - y_min), y_min * (1 - 1e-9)
+    if not lo < hi:
+        raise ValueError(f"empty search interval [{lo:.6g}, {hi:.6g}] for c")
+    lx = np.log(x)
 
     def cost(c):
-        return _loglog_fit(x, y - c)[2]
+        return float(_loglog_residuals(lx, np.log(y - c)))
 
-    c = float(_golden_min(cost, y_min - span, y_min * (1 - 1e-9),
+    grid = np.linspace(lo, hi, OFFSET_GRID)
+    k = int(np.argmin(_loglog_residuals(lx, np.log(y - grid[:, None]))))
+    c = float(_golden_min(cost, grid[max(k - 1, 0)],
+                          grid[min(k + 1, OFFSET_GRID - 1)],
                           y_min * 1e-12 + 1e-300))
     if cost(0.0) <= cost(c):
         c = 0.0

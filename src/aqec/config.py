@@ -20,9 +20,11 @@ accept per_us or per_ns; times accept ns or us. ``write_config`` emits
 canonical internal units, so load(write(cfg)) round-trips exactly.
 
 Each ``ExperimentConfig`` field is declared once, by ``_field``: its
-[section], key, value kind and default. The parser's key table, the
-section-to-attribute mapping, the range checks and ``write_config`` are all
-read from those declarations. The [model] keys of a kind are the fields of
+[section], key, value kind and default. The commands read every setting a
+user can change from these fields; ``optimize.optimize_pulse`` takes the
+config itself. The parser's key table, the section-to-attribute mapping,
+the range checks and ``write_config`` are all read from those
+declarations. The [model] keys of a kind are the fields of
 its model class; only their value kinds are listed here.
 
 Accepted ranges: every number is finite; rates, times and integers are
@@ -41,9 +43,9 @@ from dataclasses import MISSING, Field, dataclass, field, fields, replace
 import numpy as np
 
 from .models import Model, SingleQubitModel, ThreeQubitModel, VslqModel
-from .optimize import FD_EPSILON, OptimizerConfig
 
 TWO_PI = 2.0 * np.pi
+FD_EPSILON = TWO_PI * 0.01e-3   # default epsilon: 2 pi x 0.01 MHz in rad/ns
 
 
 class ConfigError(ValueError):
@@ -129,13 +131,6 @@ class ExperimentConfig:
         if self.model_kind not in _MODELS:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         return _MODELS[self.model_kind](**dict(self.model_params))
-
-    def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(epsilon=self.epsilon,
-                               learning_rate=self.learning_rate,
-                               max_iters=self.max_iters,
-                               target_fidelity=self.target_fidelity,
-                               seed_c1x=self.seed_c1x)
 
     def resolved_workers(self) -> int:
         if self.workers > 0:

@@ -13,18 +13,20 @@ densely: its nonzeros split the vec indices into decoupled sectors
 sectors), and a state occupies only some of them. One rule, exact zeros
 of rho and rho^T, names the occupied sectors, and only those are
 propagated. A pulse phase integrates the occupied entries of vec(rho)
-through the stacked sparse blocks of S (static part, the two coupling
-quadratures, callable-rate dissipators), one sparse matvec per right-hand
-side, with the step control of the full vector; the VSLQ |0_L> occupies
-324 of 1296 entries. Constant segments use the exact propagator
-exp(S * t), built and applied block by block with no approximation
-beyond that of the matrix exponential; a constant evolution builds only
-the blocks its initial state occupies. Reset phases share one cached
+through the stacked sparse blocks of S (static part and the two coupling
+quadratures), one sparse matvec per right-hand side, with the step
+control of the full vector; the VSLQ |0_L> occupies 324 of 1296 entries.
+Constant segments use the exact propagator exp(S * t), built and applied
+block by block with no approximation beyond that of the matrix
+exponential; a constant evolution builds only the blocks its initial
+state occupies. Reset phases share one cached
 propagator of every block, which is orders of magnitude faster than
 stepping through them. Integrating a reset phase (``evolve_lindblad`` on
 the reset-phase problem) is kept only as the test oracle for that
 propagator, and the two agree to integrator tolerance. ``steady_state``
-solves only over the sectors holding the identity's diagonal.
+solves only over the sectors holding the identity's diagonal. Every
+recorded density passes ``_sanitize_density``, which holds it to the
+tolerances of ``hilbert.QuantumState`` or raises IntegrityError.
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .hilbert import Operator, QuantumState, sector_labels
+from .hilbert import EIG_FLOOR, TRACE_ATOL, Operator, QuantumState, sector_labels
 from .models import ModelTerms
 from .pulse import CycleSchedule, PulseShape
 
 UNITARY_RTOL = 1e-10
 LINDBLAD_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
+NORM_DRIFT_ATOL = 1e-8   # |norm - 1| a Schrodinger propagation may reach
 EIG_RAISE = -1e-7    # density eigenvalue below this aborts the run
-EIG_CLIP = -1e-9     # below this (but above EIG_RAISE) eigenvalues are clipped
+MAX_STEPS = 5_000_000    # adaptive_rk's step budget per integration
 
 
 class IntegrationError(RuntimeError):
@@ -99,7 +102,6 @@ def adaptive_rk(
     atol: float = DEFAULT_ATOL,
     record_times: Sequence[float] | None = None,
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
-    max_steps: int = 5_000_000,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Integrate y' = f(t, y) with the embedded Dormand-Prince 5(4) pair.
 
@@ -110,7 +112,8 @@ def adaptive_rk(
     first one. The seven stages are the rows of one preallocated array;
     each stage input, the update and the error estimate is one product of
     a tableau row with them. Raises IntegrationError with the achieved
-    error if the step size underflows or the step budget is exhausted.
+    error if the step size underflows or the ``MAX_STEPS`` budget is
+    exhausted.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
@@ -144,9 +147,9 @@ def adaptive_rk(
     steps = 0
     err_norm = 0.0
     while t < t1 - 1e-14 * span:
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             raise IntegrationError(
-                f"step budget {max_steps} exhausted at t={t:.6g} "
+                f"step budget {MAX_STEPS} exhausted at t={t:.6g} "
                 f"(last error norm {err_norm:.3g})")
         target = record[next_record] if next_record < len(record) else t1
         h_trial = min(h, target - t)
@@ -189,7 +192,6 @@ def adaptive_rk(
 # --- problem containers ---------------------------------------------------------
 
 Coupling = Callable[[float], tuple[float, float]]
-RateFn = Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -197,15 +199,15 @@ class EvolutionProblem:
     """One evolution: Hamiltonian terms, coupling, channels, window, state.
 
     ``coupling`` maps t (ns) to the two quadrature amplitudes; None means
-    the static Hamiltonian alone. Channel rates may be constants or
-    callables of t; they must be nonnegative wherever sampled.
+    the static Hamiltonian alone. Channel rates are constant over the
+    window and must be nonnegative.
     """
 
     h_static: Operator
     h_x: Operator | None
     h_y: Operator | None
     coupling: Coupling | None
-    channels: tuple[tuple[Operator, RateFn | float], ...]
+    channels: tuple[tuple[Operator, float], ...]
     t_span: tuple[float, float]
     initial: QuantumState
 
@@ -299,14 +301,20 @@ def _hermitize(rho: np.ndarray) -> np.ndarray:
 
 
 def _sanitize_density(rho: np.ndarray) -> np.ndarray:
-    """Hermitize; clip eigenvalues in [EIG_RAISE, EIG_CLIP); raise below."""
+    """Hermitize; raise IntegrityError on a trace off by more than
+    TRACE_ATOL or an eigenvalue below EIG_RAISE; clip eigenvalues in
+    [EIG_RAISE, EIG_FLOOR). TRACE_ATOL and EIG_FLOOR are QuantumState's
+    own tolerances, so what passes is a valid state."""
     rho = _hermitize(rho)
+    drift = abs(np.trace(rho).real - 1.0)
+    if drift > TRACE_ATOL:
+        raise IntegrityError(f"trace drift {drift:.3e} exceeds {TRACE_ATOL}")
     w = np.linalg.eigvalsh(rho)
     if w[0] < EIG_RAISE:
         raise IntegrityError(
             f"density eigenvalue {w[0]:.3e} below {EIG_RAISE}; "
             "integration tolerance failure")
-    if w[0] < EIG_CLIP:
+    if w[0] < EIG_FLOOR:
         w_full, v = np.linalg.eigh(rho)
         w_full = np.clip(w_full, 0.0, None)
         rho = (v * w_full) @ v.conj().T
@@ -318,9 +326,8 @@ def _sanitize_density(rho: np.ndarray) -> np.ndarray:
 
 def evolve_unitary(problem: EvolutionProblem,
                    record_times: Sequence[float] | None = None,
-                   observables: Mapping[str, Observable] | None = None,
-                   rtol: float = UNITARY_RTOL,
-                   atol: float = DEFAULT_ATOL) -> Trajectory:
+                   observables: Mapping[str, Observable] | None = None
+                   ) -> Trajectory:
     """Integrate i psi' = H(t) psi (hbar = 1) for a pure initial state."""
     psi0 = problem.initial.vector()
     h_of_t = _hamiltonian_fn(problem)
@@ -328,11 +335,12 @@ def evolve_unitary(problem: EvolutionProblem,
     def rhs(t, psi):
         return -1j * (h_of_t(t) @ psi)
 
-    times, ys = adaptive_rk(rhs, problem.t_span, psi0, rtol=rtol, atol=atol,
+    times, ys = adaptive_rk(rhs, problem.t_span, psi0, rtol=UNITARY_RTOL,
                             record_times=record_times)
     drift = abs(np.linalg.norm(ys[-1]) - 1.0)
-    if drift > 1e-8:
-        raise IntegrationError(f"norm drift {drift:.3e} exceeds 1e-8")
+    if drift > NORM_DRIFT_ATOL:
+        raise IntegrationError(
+            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ATOL}")
     space = problem.initial.space
     states = [QuantumState(space, y / np.linalg.norm(y)) for y in ys]
     return _attach_observables(Trajectory(times, states), observables)
@@ -341,17 +349,15 @@ def evolve_unitary(problem: EvolutionProblem,
 def evolve_lindblad(problem: EvolutionProblem,
                     record_times: Sequence[float] | None = None,
                     observables: Mapping[str, Observable] | None = None,
-                    rtol: float = LINDBLAD_RTOL,
-                    atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Integrate the Lindblad master equation with time-varying rates.
+                    rtol: float = LINDBLAD_RTOL) -> Trajectory:
+    """Integrate the Lindblad master equation with a time-dependent coupling.
 
     Pure initial states are promoted to projectors. Only the vec indices of
     the generator sectors that the initial state occupies are integrated
     (``_sector_rhs``); every other entry of rho is zero and stays exactly
     zero. The state is re-Hermitized after every accepted step, through
     the transpose permutation of those indices, and the full d x d state
-    is rebuilt only at record times, where trace drift beyond 1e-8 or an
-    eigenvalue below -1e-7 raises IntegrityError.
+    is rebuilt only at record times, where ``_sanitize_density`` checks it.
     """
     rho0 = problem.initial.density()
     d = rho0.shape[0]
@@ -368,20 +374,15 @@ def evolve_lindblad(problem: EvolutionProblem,
     # norms, so it picks the same first step.
     c = np.sqrt(n / keep.size)
     times, ys = adaptive_rk(rhs, problem.t_span, rho0.reshape(n)[keep],
-                            rtol=c * rtol, atol=c * atol,
+                            rtol=c * rtol, atol=c * DEFAULT_ATOL,
                             record_times=record_times,
                             post_step=lambda y: (y + y[swap].conj()) / 2)
-    rhos = []
-    for t, y in zip(times, ys):
+    space = problem.initial.space
+    states = []
+    for y in ys:
         rho = np.zeros(n, dtype=complex)
         rho[keep] = y
-        rhos.append(rho.reshape(d, d))
-        drift = abs(np.trace(rhos[-1]).real - 1.0)
-        if drift > 1e-8:
-            raise IntegrityError(
-                f"trace drift {drift:.3e} exceeds 1e-8 at t={t:.6g}")
-    space = problem.initial.space
-    states = [QuantumState(space, _sanitize_density(rho)) for rho in rhos]
+        states.append(QuantumState(space, _sanitize_density(rho.reshape(d, d))))
     return _attach_observables(Trajectory(times, states), observables)
 
 
@@ -447,36 +448,28 @@ def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
     vec(rho)[keep], for adaptive_rk.
 
     In row-major vec form rho' = sum_j w_j(t) G_j rho over the generator
-    blocks G = [S(h_static, constant-rate channels); S(h_x); S(h_y); D_k for
-    each callable-rate channel], with weights w = [1, Omega_x(t),
-    Omega_y(t), g_k(t)]; the coupling blocks are present only with a
-    coupling, and D_k is the dissipator of L_k at unit rate. All blocks come
-    from ``_generator_triplets``, the definition the segment propagators
-    and ``steady_state`` use. ``keep`` holds the vec indices of the sectors
+    blocks G = [S(h_static, channels); S(h_x); S(h_y)], with weights
+    w = [1, Omega_x(t), Omega_y(t)]; the coupling blocks are present only
+    with a coupling. All blocks come from ``_generator_triplets``, the
+    definition the segment propagators and ``steady_state`` use. ``keep`` holds the vec indices of the sectors
     that ``rho`` occupies under the union pattern of all blocks, so every
     block maps them into themselves and the entries outside stay exactly
     zero. The triplets with a row in ``keep`` are stacked, in their
     original order, into one CSR matrix, so a call is one sparse matvec,
     each entry of which is bit-identical to that of the full-space matvec,
-    and one weighted sum of its blocks. Constant rates are checked once
-    here, callable ones at every call.
+    and one weighted sum of its blocks.
     """
     d = problem.h_static.matrix.shape[0]
     n = d * d
-    constant, timed = [], []
-    for op, rate in problem.channels:
-        if callable(rate):
-            timed.append((op.matrix, rate))
-        elif rate < 0:
+    for _, rate in problem.channels:
+        if rate < 0:
             raise ValueError(f"negative channel rate {rate}")
-        else:
-            constant.append((op.matrix, float(rate)))
-    zero = np.zeros((d, d))
-    blocks = [_generator_triplets(problem.h_static.matrix, constant)]
+    channels = [(op.matrix, float(rate)) for op, rate in problem.channels]
+    blocks = [_generator_triplets(problem.h_static.matrix, channels)]
     if problem.coupling is not None:
+        zero = np.zeros((d, d))
         blocks += [_generator_triplets(zero if op is None else op.matrix, ())
                    for op in (problem.h_x, problem.h_y)]
-    blocks += [_generator_triplets(zero, [(lop, 1.0)]) for lop, _ in timed]
     rows, cols, vals = (np.concatenate(p) for p in zip(*blocks))
     keep = _occupied(_block_layout(n, rows.tobytes(), cols.tobytes())[0], rho)
     m = keep.size
@@ -488,29 +481,13 @@ def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
         shape=(len(blocks) * m, m))
     weights = np.ones(len(blocks), dtype=complex)
     coupling = problem.coupling
-    rates = [rate for _, rate in timed]
-    first_rate = len(blocks) - len(rates)
 
     def rhs(t, x):
         if coupling is not None:
             weights[1:3] = coupling(t)
-        for k, rate in enumerate(rates, start=first_rate):
-            g = rate(t)
-            if g < 0:
-                raise ValueError(f"negative channel rate {g} at t={t}")
-            weights[k] = g
         return weights @ (stack @ x).reshape(len(blocks), m)
 
     return rhs, keep
-
-
-def lindblad_rhs(problem: EvolutionProblem
-                 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """rho' = f(t, rho) of the problem's master equation on the whole d x d
-    matrix: ``_sector_rhs`` with every vec index kept."""
-    d = problem.h_static.matrix.shape[0]
-    rhs, _ = _sector_rhs(problem, np.ones((d, d)))
-    return lambda t, rho: rhs(t, rho.reshape(-1)).reshape(d, d)
 
 
 @dataclass(frozen=True)

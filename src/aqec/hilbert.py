@@ -18,12 +18,10 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-HERM_ATOL = 1e-12        # Hermiticity tolerance for generated Hamiltonians
+HERM_ATOL = 1e-12        # Hermiticity tolerance for operators and densities
 PURE_NORM_ATOL = 1e-10   # |norm - 1| allowed for pure states
 TRACE_ATOL = 1e-10       # |trace - 1| allowed for density matrices
 EIG_FLOOR = -1e-9        # most negative admissible density eigenvalue
-
-TWO_PI = 2.0 * np.pi
 
 
 class DimensionError(ValueError):
@@ -145,10 +143,10 @@ class QuantumState:
             tr = np.trace(data)
             if abs(tr - 1.0) > TRACE_ATOL:
                 raise ValueError(f"density trace {tr} deviates from 1")
-            if np.max(np.abs(data - data.conj().T)) > 1e-12:
-                raise ValueError("density matrix is not Hermitian to 1e-12")
+            if np.max(np.abs(data - data.conj().T)) > HERM_ATOL:
+                raise ValueError(f"density matrix is not Hermitian to {HERM_ATOL}")
             if np.min(np.linalg.eigvalsh((data + data.conj().T) / 2)) < EIG_FLOOR:
-                raise ValueError("density matrix has eigenvalue below -1e-9")
+                raise ValueError(f"density matrix has eigenvalue below {EIG_FLOOR}")
             pure = False
         else:
             raise DimensionError("state must be a vector or a square matrix")

@@ -254,7 +254,7 @@ def _vslq_primary_vector(sp: TensorSpace, sign_l: int, sign_r: int,
 
 
 def vslq_logical_states(m: VslqModel) -> dict[str, QuantumState]:
-    """Code states, single-loss error states, and double-loss outcomes."""
+    """Code states 0L and 1L, and the single-loss error states."""
     sp = m.space
     states: dict[str, QuantumState] = {
         "0L": QuantumState(sp, _vslq_primary_vector(sp, +1, +1)),
@@ -267,10 +267,6 @@ def vslq_logical_states(m: VslqModel) -> dict[str, QuantumState]:
     for name, sign in (("err_r_plus", 1.0), ("err_r_minus", -1.0)):
         v = (basis_vector(sp, (0, 0, 1, 0)) + sign * basis_vector(sp, (0, 2, 1, 0)))
         states[name] = normalized_state(sp, v)
-    # double-loss outcomes reachable from 0L by two losses in the left qubit
-    states["psi_1"] = QuantumState(sp, _vslq_primary_vector(sp, -1, +1))
-    states["psi_2"] = states["0L"]
-    states["leak"] = basis_state(sp, (0, 1, 1, 0))
     return states
 
 
@@ -286,7 +282,7 @@ def vslq_logical_operators(m: VslqModel) -> dict[str, Operator]:
 def vslq_pauli_eigenstate(m: VslqModel, which: str, sign: int = +1) -> QuantumState:
     """Eigenstate of a logical Pauli inside the code manifold.
 
-    The code manifold is spanned by the two states of vslq_logical_states;
+    The code manifold is spanned by 0L and 1L of vslq_logical_states;
     the logical operator is restricted to that 2-d space and the requested
     eigenvector is returned as a full-space state.
     """

@@ -17,6 +17,8 @@ Gradients are central finite differences over the 2N sine coefficients;
 the ascent uses a fixed base step with backtracking halving on
 non-improvement and doubling after three consecutive accepts (capped at
 eight times the base step). Everything is deterministic.
+The pulse and ascent settings are ExperimentConfig fields, which
+``optimize_pulse`` reads; every other setting here is a module constant.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import FD_EPSILON, ExperimentConfig
 from .dynamics import (
+    DEFAULT_ATOL,
+    NORM_DRIFT_ATOL,
+    UNITARY_RTOL,
     IntegrationError,
     adaptive_rk,
     evolve_constant_lindblad,
@@ -44,8 +50,12 @@ from .models import (
 )
 from .pulse import CycleSchedule, PulseShape, seed_pulse
 
-FD_EPSILON = 2 * np.pi * 0.01e-3   # 2 pi x 0.01 MHz in rad/ns
-OBJECTIVE_RTOL = 1e-10
+ZERO_TOL = 1e-14          # Hamiltonian or state entries below this are zero
+CC_WINDOW_US = 5.0        # settling window of the constant-coupling residual
+CC_MAX_ITERS = 80         # descent iterations of the constant-coupling search
+FIXED_WINDOW_US = 40.0    # fixed-parameter lifetime: evolution window,
+FIXED_SAMPLES = 81        # the samples taken over it,
+FIXED_SKIP_US = 4.0       # and the initial transient left out of the fit
 
 
 class ConvergenceError(RuntimeError):
@@ -54,18 +64,18 @@ class ConvergenceError(RuntimeError):
 
 # --- invariant subspaces ------------------------------------------------------
 
-def reachable_indices(mats: Sequence[np.ndarray], seeds: Sequence[int],
-                      tol: float = 1e-14) -> list[int]:
+def reachable_indices(mats: Sequence[np.ndarray], seeds: Sequence[int]
+                      ) -> list[int]:
     """Closure of ``seeds`` under the combined sparsity of ``mats``.
 
     Returns the sorted basis indices of the smallest subspace containing
     the seeds that is invariant under every matrix (exactly, up to entries
-    below ``tol``): the union of the invariant sectors that hold a seed.
+    below ``ZERO_TOL``): the union of the invariant sectors that hold a seed.
     """
     d = mats[0].shape[0]
     adj = np.zeros((d, d), dtype=bool)
     for m in mats:
-        adj |= np.abs(m) > tol
+        adj |= np.abs(m) > ZERO_TOL
     labels = sector_labels(*np.nonzero(adj), d)
     keep = np.isin(labels, labels[np.asarray(seeds, dtype=int)])
     return [int(i) for i in np.nonzero(keep)[0]]
@@ -94,8 +104,8 @@ def make_objective(terms: ModelTerms, target: TargetOperation) -> Objective:
     blocks = []
     for initial, final, weight in target.pairs:
         v0, vf = initial.vector(), final.vector()
-        seeds = list(np.nonzero(np.abs(v0) > 1e-14)[0])
-        seeds += list(np.nonzero(np.abs(vf) > 1e-14)[0])
+        seeds = list(np.nonzero(np.abs(v0) > ZERO_TOL)[0])
+        seeds += list(np.nonzero(np.abs(vf) > ZERO_TOL)[0])
         idx = reachable_indices(mats, seeds)
         blocks.append((idx, v0[idx], vf[idx], weight))
     d = max(len(idx) for idx, *_ in blocks)
@@ -141,38 +151,37 @@ def coeff_batch_rhs(obj: Objective, cx: np.ndarray, cy: np.ndarray,
 
 
 def _propagate_coeff_batch(obj: Objective, cx: np.ndarray, cy: np.ndarray,
-                           t_p: float, rtol: float) -> np.ndarray:
+                           t_p: float) -> np.ndarray:
     """Pair fidelities (B, P) for a batch of coefficient vectors (B, N)."""
     cx = np.atleast_2d(np.asarray(cx, dtype=float))
     cy = np.atleast_2d(np.asarray(cy, dtype=float))
     y0 = np.repeat(obj.psi0[:, :, None], cx.shape[0], axis=2)
     _, ys = adaptive_rk(coeff_batch_rhs(obj, cx, cy, t_p), (0.0, t_p), y0,
-                        rtol=rtol, atol=1e-12)
+                        rtol=UNITARY_RTOL, atol=DEFAULT_ATOL)
     yf = ys[-1]
     norms = np.linalg.norm(yf, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > 1e-8:
-        raise IntegrationError(f"norm drift {drift:.3e} exceeds 1e-8")
+    if drift > NORM_DRIFT_ATOL:
+        raise IntegrationError(
+            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ATOL}")
     amps = np.einsum("pj,pjb->bp", obj.psif.conj(), yf)
     return np.abs(amps) ** 2
 
 
-def pair_fidelities(obj: Objective, pulse: PulseShape,
-                    rtol: float = OBJECTIVE_RTOL) -> np.ndarray:
+def pair_fidelities(obj: Objective, pulse: PulseShape) -> np.ndarray:
     """|<final|U(t_p)|initial>|^2 for every pair of the target operation."""
     f = _propagate_coeff_batch(obj, np.array([pulse.cx]), np.array([pulse.cy]),
-                               pulse.t_p, rtol)
+                               pulse.t_p)
     return f[0]
 
 
-def fidelity(obj: Objective, pulse: PulseShape,
-             rtol: float = OBJECTIVE_RTOL) -> float:
+def fidelity(obj: Objective, pulse: PulseShape) -> float:
     """Weighted state-transfer fidelity of the target operation."""
-    return float(np.dot(obj.weights, pair_fidelities(obj, pulse, rtol)))
+    return float(np.dot(obj.weights, pair_fidelities(obj, pulse)))
 
 
-def gradient(obj: Objective, pulse: PulseShape, epsilon: float = FD_EPSILON,
-             rtol: float = OBJECTIVE_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def gradient(obj: Objective, pulse: PulseShape, epsilon: float = FD_EPSILON
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference dF/dc for all 2N coefficients, batched."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -187,28 +196,13 @@ def gradient(obj: Objective, pulse: PulseShape, epsilon: float = FD_EPSILON,
         cx[2 * k + 1, k] -= epsilon
         cy[2 * n_modes + 2 * k, k] += epsilon
         cy[2 * n_modes + 2 * k + 1, k] -= epsilon
-    f = _propagate_coeff_batch(obj, cx, cy, pulse.t_p, rtol) @ obj.weights
+    f = _propagate_coeff_batch(obj, cx, cy, pulse.t_p) @ obj.weights
     gx = (f[0:2 * n_modes:2] - f[1:2 * n_modes:2]) / (2 * epsilon)
     gy = (f[2 * n_modes::2] - f[2 * n_modes + 1::2]) / (2 * epsilon)
     return gx, gy
 
 
 # --- pulse-shape ascent ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    epsilon: float = FD_EPSILON          # rad/ns
-    learning_rate: float = 0.02          # base ascent step
-    max_iters: int = 1000
-    target_fidelity: float = 1.0
-    seed_c1x: float = 2 * np.pi * 0.02   # rad/ns
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 < self.target_fidelity <= 1:
-            raise ValueError("target_fidelity must be in (0, 1]")
-
 
 @dataclass
 class OptimizeResult:
@@ -218,33 +212,29 @@ class OptimizeResult:
     iterations: int
     trace: list[tuple[int, float, float]] = field(repr=False)
 
-    def pair_breakdown(self, obj: Objective) -> np.ndarray:
-        return pair_fidelities(obj, self.pulse)
 
-
-def optimize_pulse(obj: Objective, config: OptimizerConfig,
-                   n_modes: int, t_p: float,
-                   initial: PulseShape | None = None) -> OptimizeResult:
+def optimize_pulse(obj: Objective, cfg: ExperimentConfig) -> OptimizeResult:
     """Maximize the transfer fidelity over the 2N sine coefficients.
 
+    Starts from ``seed_pulse(cfg.n_modes, cfg.t_p, cfg.seed_c1x)``.
     Deterministic given the configuration; returns the best pulse seen,
-    flagged as non-converged when target_fidelity was not reached.
+    flagged as non-converged when cfg.target_fidelity was not reached.
     """
-    pulse = initial if initial is not None else seed_pulse(
-        n_modes, t_p, config.seed_c1x)
+    t_p = cfg.t_p
+    pulse = seed_pulse(cfg.n_modes, t_p, cfg.seed_c1x)
     cx = np.array(pulse.cx)
     cy = np.array(pulse.cy)
     f_cur = fidelity(obj, pulse)
     best = (f_cur, cx.copy(), cy.copy())
-    step = config.learning_rate
+    step = cfg.learning_rate
     accepts = 0
     trace = [(0, f_cur, step)]
     it = 0
-    while it < config.max_iters and best[0] < config.target_fidelity:
+    while it < cfg.max_iters and best[0] < cfg.target_fidelity:
         it += 1
-        gx, gy = gradient(obj, PulseShape(cx, cy, t_p), config.epsilon)
+        gx, gy = gradient(obj, PulseShape(cx, cy, t_p), cfg.epsilon)
         improved = False
-        while step >= config.learning_rate * 2.0 ** -40:
+        while step >= cfg.learning_rate * 2.0 ** -40:
             cx_try = cx + step * gx
             cy_try = cy + step * gy
             f_try = fidelity(obj, PulseShape(cx_try, cy_try, t_p))
@@ -260,14 +250,14 @@ def optimize_pulse(obj: Objective, config: OptimizerConfig,
             best = (f_cur, cx.copy(), cy.copy())
         accepts += 1
         if accepts >= 3:
-            step = min(step * 2.0, config.learning_rate * 8.0)
+            step = min(step * 2.0, cfg.learning_rate * 8.0)
             accepts = 0
         trace.append((it, f_cur, step))
     f_best, cx_best, cy_best = best
     return OptimizeResult(
         pulse=PulseShape(cx_best, cy_best, t_p),
         fidelity=f_best,
-        converged=f_best >= config.target_fidelity,
+        converged=f_best >= cfg.target_fidelity,
         iterations=it,
         trace=trace,
     )
@@ -286,8 +276,7 @@ class ResetScan:
 def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
                     t_r_grid: Sequence[float], target: QuantumState,
                     reset_rate: float,
-                    n_cycles: int = 1,
-                    rtol: float = 1e-9) -> ResetScan:
+                    n_cycles: int = 1) -> ResetScan:
     """End-of-cycle residual error against ``target`` for each reset time.
 
     ``n_cycles`` pulse-reset cycles are evolved from the target state with
@@ -311,7 +300,7 @@ def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
     reset_channels = [(c.op, rate_reset[c.label]) for c in terms.channels]
     post_pulse = evolve_cycles(
         terms, pulse, CycleSchedule(pulse.t_p, 0.0, rate_pulse, rate_reset, 1),
-        target, rtol=rtol).final
+        target).final
     residuals = []
     for t_r in t_r_grid:
         state = post_pulse
@@ -321,8 +310,7 @@ def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
         if n_cycles > 1:
             schedule = CycleSchedule(pulse.t_p, t_r, rate_pulse, rate_reset,
                                      n_cycles - 1)
-            state = evolve_cycles(terms, pulse, schedule, state,
-                                  rtol=rtol).final
+            state = evolve_cycles(terms, pulse, schedule, state).final
         residuals.append(1.0 - state_fidelity(state, target))
     residuals = np.array(residuals)
     k = int(np.argmin(residuals))
@@ -358,17 +346,17 @@ def _sq_settled_residual(terms: ModelTerms, target: QuantumState,
     return 1.0 - state_fidelity(rho, target)
 
 
-def optimize_constant_coupling(delta: float, t1_us: float,
-                               window_us: float = 5.0,
-                               max_iters: int = 80) -> ConstantCouplingPoint:
+def optimize_constant_coupling(delta: float, t1_us: float
+                               ) -> ConstantCouplingPoint:
     """Best constant-coupling working point (Omega, Gamma_r) at fixed T1.
 
     Minimizes the residual error of holding the stabilized state, measured
-    at the end of a settling window (default 5 us; leakage populations
+    at the end of a settling window of ``CC_WINDOW_US`` (leakage populations
     equilibrate on a T1 timescale, so the window choice matters at long
     T1). A coarse logarithmic grid seeds a finite-difference descent in
-    log-parameter space. The t -> infinity steady-state residual at the
-    optimum is reported alongside.
+    log-parameter space of at most ``CC_MAX_ITERS`` steps. The
+    t -> infinity steady-state residual at the optimum is reported
+    alongside.
     """
     from .hilbert import basis_state
     from .models import SingleQubitModel, build_single_qubit
@@ -379,7 +367,7 @@ def optimize_constant_coupling(delta: float, t1_us: float,
                              gamma_r=0.0)
     terms = build_single_qubit(model)
     target = basis_state(model.space, (1, 0))
-    window_ns = window_us * 1e3
+    window_ns = CC_WINDOW_US * 1e3
 
     def cost(logx) -> float:
         return _sq_settled_residual(terms, target, np.exp(logx[0]),
@@ -397,7 +385,7 @@ def optimize_constant_coupling(delta: float, t1_us: float,
     f_cur = best[0]
     step = 0.25
     h_rel = 0.02
-    for _ in range(max_iters):
+    for _ in range(CC_MAX_ITERS):
         g = np.zeros(2)
         for i in range(2):
             dx = np.zeros(2)
@@ -427,16 +415,14 @@ def optimize_constant_coupling(delta: float, t1_us: float,
 
 def vslq_fixed_lifetime(w: float, delta: float, gamma_p: float,
                         omega: float, gamma_s: float, omega_s: float,
-                        which: str = "X",
-                        window_us: float = 40.0,
-                        n_samples: int = 81,
-                        skip_us: float = 4.0) -> float:
+                        which: str = "X") -> float:
     """Logical lifetime (us) under constant coupling and rates.
 
-    Evolves the +1 eigenstate of the chosen logical operator for a bounded
-    window, then fits exp(-t/T) to its expectation after discarding the
-    initial transient. The generator is time independent, so every sample
-    step applies one exact segment propagator; at the VSLQ fixed point the
+    Evolves the +1 eigenstate of the chosen logical operator for
+    ``FIXED_WINDOW_US``, then fits exp(-t/T) to its expectation after
+    discarding the first ``FIXED_SKIP_US`` of transient. The generator is
+    time independent, so every sample step applies one exact segment
+    propagator; at the VSLQ fixed point the
     generator splits into 8 decoupled blocks of 160-164 vec indices, of
     which the X and Y eigenstates occupy 2, so only those 2 are
     exponentiated, once, and applied.
@@ -452,11 +438,11 @@ def vslq_fixed_lifetime(w: float, delta: float, gamma_p: float,
     channels = tuple((c.op, c.rate) for c in terms.channels)
     state = vslq_pauli_eigenstate(model, which, +1)
     op = vslq_logical_operators(model)[which]
-    times_ns = np.linspace(0.0, window_us * 1e3, n_samples)
+    times_ns = np.linspace(0.0, FIXED_WINDOW_US * 1e3, FIXED_SAMPLES)
     traj = evolve_constant_lindblad(h, channels, state, times_ns,
                                     observables={"obs": op})
     t_us = traj.times / 1e3
     vals = traj.observables["obs"]
-    keep = t_us >= skip_us
+    keep = t_us >= FIXED_SKIP_US
     fit = fit_lifetime(t_us[keep], vals[keep], model="exp")
     return fit.lifetime

@@ -214,22 +214,14 @@ t1 = 5 30 60 us
 mode = fixed_lifetimes
 """
 
-_ALIASES = {
-    "single-qubit-fig2": "fig2",
-    "three-qubit-fig5": "fig5",
-    "vslq-fig6": "fig6",
-}
-
-
 def list_presets() -> list[str]:
     return sorted(_PRESETS)
 
 
 def preset_text(name: str) -> str:
-    key = _ALIASES.get(name, name)
-    if key not in _PRESETS:
+    if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}; known: {list_presets()}")
-    return _PRESETS[key]
+    return _PRESETS[name]
 
 
 def preset_config(name: str) -> ExperimentConfig:

@@ -18,6 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
+PEAK_SAMPLES = 1024   # uniform samples of the peak-coupling search
+
 
 @dataclass(frozen=True)
 class PulseShape:
@@ -42,9 +44,9 @@ class PulseShape:
     def n_modes(self) -> int:
         return len(self.cx)
 
-    def peak_coupling(self, n_samples: int = 1024) -> float:
-        """max over t of sqrt(Ox^2 + Oy^2), sampled on a uniform grid."""
-        t = np.linspace(0.0, self.t_p, n_samples)
+    def peak_coupling(self) -> float:
+        """max over t of sqrt(Ox^2 + Oy^2) on PEAK_SAMPLES uniform times."""
+        t = np.linspace(0.0, self.t_p, PEAK_SAMPLES)
         ox, oy = evaluate_many(self, t)
         return float(np.max(np.hypot(ox, oy)))
 

@@ -40,7 +40,7 @@ from .pulse import (
 LIFETIME_WINDOW_CYCLES = 200      # bounded-window lifetime extraction
 LIFETIME_WINDOW_NS = 50_000.0
 SHORT_WINDOW_NS = 2_000.0         # short-time comparison horizon
-CC_WINDOW_US = 5.0                # settling window for the constant baseline
+T_R_PROBE_CYCLES = 25             # cycles of the <X_L> probe per grid t_r
 
 
 # --- output plumbing ---------------------------------------------------------
@@ -153,7 +153,7 @@ def _optimize_core(ctx: RunContext) -> op.OptimizeResult:
     model = cfg.model()
     terms = mo.build(model)
     objective = op.make_objective(terms, mo.target_operation(model))
-    result = op.optimize_pulse(objective, cfg.optimizer(), cfg.n_modes, cfg.t_p)
+    result = op.optimize_pulse(objective, cfg)
     warned = mo.check_coupling_regime(model, result.pulse.peak_coupling())
 
     save_pulse(result.pulse, ctx.path("pulse.json"))
@@ -167,7 +167,7 @@ def _optimize_core(ctx: RunContext) -> op.OptimizeResult:
         "fidelity": result.fidelity,
         "converged": result.converged,
         "iterations": result.iterations,
-        "pair_fidelities": list(result.pair_breakdown(objective)),
+        "pair_fidelities": list(op.pair_fidelities(objective, result.pulse)),
         "target_fidelity": cfg.target_fidelity,
         "regime_warnings": warned,
     })
@@ -250,7 +250,7 @@ def _residual_point(cfg: ExperimentConfig, t1_ns: float,
     """Best pulse-reset residual against the constant-coupling optimum."""
     scan = _scan_point(cfg, t1_ns, pulse)["scan"]
     delta = dict(cfg.model_params)["delta"]
-    cc = op.optimize_constant_coupling(delta, t1_ns / 1e3, window_us=CC_WINDOW_US)
+    cc = op.optimize_constant_coupling(delta, t1_ns / 1e3)
     return {
         "t1_us": t1_ns / 1e3,
         "pulse_reset_residual": scan.best_residual,
@@ -270,10 +270,9 @@ def _vslq_fixed_point(cfg: ExperimentConfig, t1_ns: float, pulse) -> dict:
     omega = 2 * np.pi * row[0] * 1e-3
     gamma_s = row[1] * 1e-3
     omega_s = 2 * np.pi * row[2] * 1e-3
-    t_x = op.vslq_fixed_lifetime(p["w"], p["delta"], 1.0 / t1_ns, omega,
-                                 gamma_s, omega_s, which="X")
-    t_y = op.vslq_fixed_lifetime(p["w"], p["delta"], 1.0 / t1_ns, omega,
-                                 gamma_s, omega_s, which="Y")
+    t_x, t_y = (op.vslq_fixed_lifetime(p["w"], p["delta"], 1.0 / t1_ns, omega,
+                                       gamma_s, omega_s, which=which)
+                for which in ("X", "Y"))
     return {
         "t1_us": t1_us,
         "omega_over_2pi_mhz": row[0], "gamma_s_per_us": row[1],
@@ -285,8 +284,7 @@ def _vslq_fixed_point(cfg: ExperimentConfig, t1_ns: float, pulse) -> dict:
     }
 
 
-def _select_vslq_t_r(cfg: ExperimentConfig, pulse: PulseShape,
-                     probe_cycles: int = 25) -> float:
+def _select_vslq_t_r(cfg: ExperimentConfig, pulse: PulseShape) -> float:
     """Reset time with the slowest <X_L> decay over a short probe run."""
     model = cfg.model()
     terms = mo.build(model)
@@ -294,8 +292,8 @@ def _select_vslq_t_r(cfg: ExperimentConfig, pulse: PulseShape,
     state = mo.vslq_pauli_eigenstate(model, "X", +1)
     best = None
     for t_r in cfg.t_r_grid:
-        traj = dy.evolve_cycles(terms, pulse,
-                                _schedule(cfg, terms, t_r, probe_cycles), state,
+        schedule = _schedule(cfg, terms, t_r, T_R_PROBE_CYCLES)
+        traj = dy.evolve_cycles(terms, pulse, schedule, state,
                                 observables={"x": ops["X"]})
         # per-time decay rate: cycle lengths differ across grid points
         rate = -np.log(max(traj.observables["x"][-1], 1e-12)) / traj.times[-1]
@@ -388,17 +386,9 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
 def _three_qubit_majority_projector(model: mo.ThreeQubitModel, bit: int):
     """Projector onto the majority-``bit`` class of the primary qubits."""
     sp = model.space
-    proj = np.zeros((sp.total_dim, sp.total_dim), dtype=complex)
-    for idx in range(sp.total_dim):
-        occ = []
-        rem = idx
-        for d in reversed(sp.dims):
-            occ.append(rem % d)
-            rem //= d
-        occ = occ[::-1]
-        if mo.majority_vote(occ[:3]) == bit:
-            proj[idx, idx] = 1.0
-    return Operator(sp, proj)
+    occupations = np.unravel_index(np.arange(sp.total_dim), sp.dims)
+    hit = [mo.majority_vote(bits) == bit for bits in zip(*occupations[:3])]
+    return Operator(sp, np.diag(np.array(hit, dtype=complex)))
 
 
 def _three_qubit_point(cfg: ExperimentConfig, t1_ns: float,
@@ -563,8 +553,7 @@ def cmd_reproduce(figure_id: str, out_dir, workers: int | None = None) -> dict:
                    "meets_paper": bool(
                        result.fidelity >= PAPER_VALUES["single_qubit_fidelity"])}
     elif figure_id == "fig3":
-        res = _sweep_core(ctx, workers)
-        exps = res["exponents"]
+        exps = _sweep_core(ctx, workers)["exponents"]
         summary = {
             "pulse_reset_exponent": _fit_exponent(exps["pulse_reset"]),
             "constant_exponent": _fit_exponent(exps["constant"]),
@@ -574,7 +563,7 @@ def cmd_reproduce(figure_id: str, out_dir, workers: int | None = None) -> dict:
     elif figure_id == "fig4":
         deltas = [2 * np.pi * 1e-3 * d
                   for d in PAPER_VALUES["counterterm_deltas_mhz"]]
-        rows = spc.run_delta_sweep(deltas, cfg.n_modes, cfg.t_p, cfg.optimizer())
+        rows = spc.run_delta_sweep(deltas, cfg)
         ctx.write_csv(
             "counterterm.csv",
             ["delta_mhz", "peak_mhz", "power_fraction",
@@ -621,23 +610,18 @@ def cmd_fit(csv_path, x_col: str, y_col: str, kind: str, out_dir) -> dict:
     """Fit a decay or power law to two columns of a CSV file."""
     import csv as _csv
     with open(csv_path) as f:
-        reader = _csv.DictReader(f)
-        xs, ys = [], []
-        for rec in reader:
-            xs.append(float(rec[x_col]))
-            ys.append(float(rec[y_col]))
-    x = np.array(xs)
-    y = np.array(ys)
+        records = list(_csv.DictReader(f))
+    x = np.array([float(rec[x_col]) for rec in records])
+    y = np.array([float(rec[y_col]) for rec in records])
     if kind in ("exp", "exp_with_offset"):
         fit = an.fit_lifetime(x, y, model=kind)
-        payload = {"kind": kind, **asdict(fit)}
     elif kind in ("power", "power_with_offset"):
         fit = an.fit_power_law(x, y, with_offset=kind.endswith("offset"))
-        payload = {"kind": kind, **asdict(fit)}
     else:
         raise ValueError(f"unknown fit kind {kind!r}")
+    payload = {"kind": kind, **asdict(fit)}
     payload["source"] = {"csv": str(csv_path), "x": x_col, "y": y_col,
-                         "n_points": len(xs)}
+                         "n_points": len(records)}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "fit.json", "w") as f:

@@ -12,11 +12,13 @@ import numpy as np
 
 from . import models as mo
 from . import optimize as op
+from .config import ExperimentConfig
 from .dynamics import EvolutionProblem, evolve_unitary
 from .hilbert import basis_state
 from .pulse import PulseShape, evaluate, evaluate_many
 
 SAMPLE_DT_NS = 0.05   # Nyquist 10 GHz, far above any coupling frequency here
+LEAKAGE_SAMPLES = 200  # record times of the leakage probe over the window
 
 
 @dataclass(frozen=True)
@@ -57,25 +59,25 @@ def dominant_frequency(samples: Sequence[float], dt_ns: float) -> SpectralPeak:
                         power_fraction=min(1.0, frac))
 
 
-def counterterm_peak(pulse: PulseShape, dt_ns: float = SAMPLE_DT_NS) -> SpectralPeak:
-    """Dominant frequency of the y quadrature sampled over the pulse window."""
-    t = np.arange(0.0, pulse.t_p + dt_ns / 2, dt_ns)
+def counterterm_peak(pulse: PulseShape) -> SpectralPeak:
+    """Dominant frequency of the y quadrature sampled every SAMPLE_DT_NS
+    over the pulse window."""
+    t = np.arange(0.0, pulse.t_p + SAMPLE_DT_NS / 2, SAMPLE_DT_NS)
     t = np.clip(t, 0.0, pulse.t_p)
     _, oy = evaluate_many(pulse, t)
-    return dominant_frequency(oy, dt_ns)
+    return dominant_frequency(oy, SAMPLE_DT_NS)
 
 
-def max_leakage(terms: mo.ModelTerms, pulse: PulseShape,
-                n_samples: int = 200) -> float:
+def max_leakage(terms: mo.ModelTerms, pulse: PulseShape) -> float:
     """Peak population of the |2_q 1_r> leakage state while holding |1_q 0_r>.
 
     Decoherence-free propagation of the stabilized state under the pulse,
-    sampled densely across the window.
+    sampled at LEAKAGE_SAMPLES times across the window.
     """
     space = terms.space
     initial = basis_state(space, (1, 0))
     leak = basis_state(space, (2, 1))
-    record = np.linspace(0.0, pulse.t_p, n_samples)
+    record = np.linspace(0.0, pulse.t_p, LEAKAGE_SAMPLES)
     prob = EvolutionProblem(
         h_static=terms.h_static, h_x=terms.h_x, h_y=terms.h_y,
         coupling=lambda t: evaluate(pulse, t), channels=(),
@@ -95,12 +97,11 @@ class DeltaSweepRow:
 
 
 def run_delta_sweep(deltas: Sequence[float],
-                    n_modes: int,
-                    t_p: float,
-                    config: op.OptimizerConfig) -> list[DeltaSweepRow]:
+                    cfg: ExperimentConfig) -> list[DeltaSweepRow]:
     """Re-optimize the pulse for each nonlinearity and characterize Omega_y.
 
-    For every delta (rad/ns) this optimizes the stabilization pulse, finds
+    For every delta (rad/ns) this optimizes the stabilization pulse with the
+    pulse and optimizer settings of ``cfg`` (its model is not used), finds
     the dominant counterterm frequency, and compares the worst-case leakage
     population with the optimized y quadrature against the same pulse with
     the y quadrature forced to zero.
@@ -110,9 +111,9 @@ def run_delta_sweep(deltas: Sequence[float],
         model = mo.SingleQubitModel(delta=float(delta), gamma_q=0.0, gamma_r=0.0)
         terms = mo.build_single_qubit(model)
         objective = op.make_objective(terms, mo.target_operation(model))
-        result = op.optimize_pulse(objective, config, n_modes, t_p)
+        result = op.optimize_pulse(objective, cfg)
         peak = counterterm_peak(result.pulse)
-        no_y = PulseShape(result.pulse.cx, [0.0] * n_modes, t_p)
+        no_y = PulseShape(result.pulse.cx, [0.0] * cfg.n_modes, cfg.t_p)
         rows.append(DeltaSweepRow(
             delta_mhz=float(delta) / (2 * np.pi) * 1e3,
             peak_mhz=peak.frequency_mhz,

@@ -1,5 +1,6 @@
-"""Source hygiene checks: unused imports, read with the standard library's
-``ast``, and the modules that importing the CLI loads."""
+"""Source hygiene checks: unused imports and parameter defaults that no
+caller overrides, read with the standard library's ``ast``, and the modules
+that importing the CLI loads."""
 
 import ast
 import os
@@ -60,6 +61,105 @@ def test_checker_flags_unused_names():
               "from typing import Sequence, Mapping\n"
               "x: Mapping = scipy.sparse.eye(2)\n")
     assert unused_imports(source) == ["os", "scipy.linalg", "Sequence"]
+
+
+def _defaulted_params(tree: ast.AST) -> dict[str, tuple[str, int | None]]:
+    """"qualname.param" -> (function name, positional index or None) of
+    every parameter with a default; a method's index counts after self."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                skip = 1 if isinstance(node, ast.ClassDef) else 0
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    out[f"{prefix}{child.name}.{arg.arg}"] = (child.name, i - skip)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out[f"{prefix}{child.name}.{arg.arg}"] = (child.name, None)
+                visit(child, prefix + child.name + ".")
+
+    visit(tree, "")
+    return out
+
+
+def _set_params(trees) -> set[tuple[str, object]]:
+    """(callee name, keyword or positional index) of every argument passed
+    at a call site; a ``*args`` or ``**kwargs`` sets every position or
+    keyword from there on, marked by "*" and "**"."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            for i, arg in enumerate(node.args):
+                out.add((name, ("*", i) if isinstance(arg, ast.Starred) else i))
+            for kw in node.keywords:
+                out.add((name, kw.arg if kw.arg is not None else "**"))
+    return out
+
+
+def unset_defaults(sources: list[str], callers: list[str]) -> list[str]:
+    """Parameters with a default, declared in ``sources``, that no call in
+    ``sources`` or ``callers`` passes, by keyword or by position.
+
+    Calls are matched to functions by name alone, so a call to another
+    function of the same name counts as setting the parameter.
+    """
+    trees = [ast.parse(s) for s in sources]
+    params = {}
+    for tree in trees:
+        params.update(_defaulted_params(tree))
+    passed = _set_params(trees + [ast.parse(s) for s in callers])
+    starred = {(n, k[1]) for n, k in passed if isinstance(k, tuple)}
+    unset = []
+    for qualname, (name, index) in sorted(params.items()):
+        param = qualname.rsplit(".", 1)[1]
+        hit = ((name, param) in passed or (name, "**") in passed
+               or (index is not None and ((name, index) in passed or any(
+                   n == name and i <= index for n, i in starred))))
+        if not hit:
+            unset.append(qualname)
+    return unset
+
+
+# defaulted parameters that no caller in src or perfbench sets, and why
+# they stay parameters
+UNSET_ALLOWED = {
+    "main.argv": "the entry-point idiom: None reads sys.argv, a list runs "
+                 "the CLI in-process",
+    "evolve_lindblad.record_times": "the oracle tests compare intermediate "
+                                    "records with exact propagators",
+    "evolve_lindblad.observables": "the tests read observables off a single "
+                                   "Lindblad evolution",
+    "evolve_cycles.rtol": "the step-halving convergence test tightens it",
+}
+
+
+def test_every_default_is_overridden_somewhere():
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "aqec").glob("*.py"))]
+    callers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    unset = unset_defaults(sources, callers)
+    assert [q for q in unset if q not in UNSET_ALLOWED] == []
+    assert sorted(set(UNSET_ALLOWED) - set(unset)) == []
+
+
+def test_checker_flags_unset_defaults():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+              "def g(x=0, y=0):\n    pass\n"
+              "class K:\n    def m(self, n=1, k=2):\n        pass\n"
+              "f(1, 2)\ng(*args)\nK().m(k=3)\n")
+    assert unset_defaults([source], ["f(0, d=4)"]) == ["K.m.n", "f.c"]
 
 
 def test_cli_import_loads_no_scipy_beyond_linalg_and_sparse():

@@ -5,10 +5,18 @@ from aqec import dynamics as dy
 from aqec import hilbert as hi
 from aqec import models as mo
 from aqec import optimize as op
-from aqec.presets import VSLQ_FIXED_TABLE
+from aqec.config import FD_EPSILON, with_overrides
+from aqec.presets import VSLQ_FIXED_TABLE, preset_config
 from aqec.pulse import CycleSchedule, PulseShape, seed_pulse
 
 TWO_PI = 2 * np.pi
+
+
+def _settings(n_modes, t_p, **optimizer):
+    """A config carrying pulse and optimizer settings; optimize_pulse takes
+    the model from the objective, not from here."""
+    return with_overrides(preset_config("fig2"), n_modes=n_modes, t_p=t_p,
+                          epsilon=FD_EPSILON, **optimizer)
 
 
 @pytest.fixture(scope="module")
@@ -160,38 +168,35 @@ class TestGradient:
 class TestOptimizePulse:
     def test_never_below_initialization(self, sq_objective):
         _, _, obj = sq_objective
-        cfg = op.OptimizerConfig(learning_rate=0.02, max_iters=3,
-                                 target_fidelity=1.0,
-                                 seed_c1x=TWO_PI * 0.02)
+        cfg = _settings(20, 40.0, learning_rate=0.02, max_iters=3,
+                        target_fidelity=1.0, seed_c1x=TWO_PI * 0.02)
         seed_f = op.fidelity(obj, seed_pulse(20, 40.0, cfg.seed_c1x))
-        res = op.optimize_pulse(obj, cfg, 20, 40.0)
+        res = op.optimize_pulse(obj, cfg)
         assert res.fidelity >= seed_f
 
     def test_deterministic(self, sq_objective):
         _, _, obj = sq_objective
-        cfg = op.OptimizerConfig(learning_rate=0.02, max_iters=4,
-                                 target_fidelity=1.0,
-                                 seed_c1x=TWO_PI * 0.02)
-        a = op.optimize_pulse(obj, cfg, 12, 40.0)
-        b = op.optimize_pulse(obj, cfg, 12, 40.0)
+        cfg = _settings(12, 40.0, learning_rate=0.02, max_iters=4,
+                        target_fidelity=1.0, seed_c1x=TWO_PI * 0.02)
+        a = op.optimize_pulse(obj, cfg)
+        b = op.optimize_pulse(obj, cfg)
         assert a.pulse.cx == b.pulse.cx
         assert a.pulse.cy == b.pulse.cy
         assert a.trace == b.trace
 
     def test_stops_at_target(self, sq_objective):
         _, _, obj = sq_objective
-        cfg = op.OptimizerConfig(learning_rate=0.02, max_iters=500,
-                                 target_fidelity=0.9, seed_c1x=TWO_PI * 0.02)
-        res = op.optimize_pulse(obj, cfg, 20, 40.0)
+        cfg = _settings(20, 40.0, learning_rate=0.02, max_iters=500,
+                        target_fidelity=0.9, seed_c1x=TWO_PI * 0.02)
+        res = op.optimize_pulse(obj, cfg)
         assert res.converged and res.fidelity >= 0.9
         assert res.iterations < 500
 
     def test_non_convergence_flagged(self, sq_objective):
         _, _, obj = sq_objective
-        cfg = op.OptimizerConfig(learning_rate=0.02, max_iters=1,
-                                 target_fidelity=0.9999,
-                                 seed_c1x=TWO_PI * 0.02)
-        res = op.optimize_pulse(obj, cfg, 20, 40.0)
+        cfg = _settings(20, 40.0, learning_rate=0.02, max_iters=1,
+                        target_fidelity=0.9999, seed_c1x=TWO_PI * 0.02)
+        res = op.optimize_pulse(obj, cfg)
         assert not res.converged
         assert res.fidelity < 0.9999
 
@@ -203,9 +208,9 @@ class TestOptimizePulse:
         psi = hi.basis_state(sp, (1, 0))
         obj = op.make_objective(mo.ModelTerms(sp, h0, zero, zero, ()),
                                 mo.TargetOperation([(psi, psi, 1.0)]))
-        cfg = op.OptimizerConfig(learning_rate=0.05, max_iters=50,
-                                 target_fidelity=1.0, seed_c1x=0.05)
-        res = op.optimize_pulse(obj, cfg, 4, 40.0)
+        cfg = _settings(4, 40.0, learning_rate=0.05, max_iters=50,
+                        target_fidelity=1.0, seed_c1x=0.05)
+        res = op.optimize_pulse(obj, cfg)
         gx, gy = op.gradient(obj, res.pulse)
         assert max(np.max(np.abs(gx)), np.max(np.abs(gy))) < 1e-6
 
@@ -315,9 +320,9 @@ def _fig2_like_pulse():
     model = mo.SingleQubitModel(delta=TWO_PI * 0.35, gamma_q=0.0, gamma_r=0.0)
     obj = op.make_objective(mo.build_single_qubit(model),
                             mo.target_operation(model))
-    cfg = op.OptimizerConfig(learning_rate=0.02, max_iters=40,
-                             target_fidelity=0.995, seed_c1x=TWO_PI * 0.02)
-    return op.optimize_pulse(obj, cfg, 20, 40.0).pulse
+    cfg = _settings(20, 40.0, learning_rate=0.02, max_iters=40,
+                    target_fidelity=0.995, seed_c1x=TWO_PI * 0.02)
+    return op.optimize_pulse(obj, cfg).pulse
 
 
 class TestConstantCoupling:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from aqec import models as mo
-from aqec import optimize as op
 from aqec import spectral as spc
+from aqec.config import FD_EPSILON, with_overrides
+from aqec.presets import preset_config
 from aqec.pulse import PulseShape
 
 TWO_PI = 2 * np.pi
@@ -68,11 +69,12 @@ class TestCounterterm:
 class TestDeltaSweep:
     @pytest.fixture(scope="class")
     def sweep_rows(self):
-        cfg = op.OptimizerConfig(learning_rate=0.02, max_iters=300,
-                                 target_fidelity=0.9998,
-                                 seed_c1x=TWO_PI * 0.02)
+        cfg = with_overrides(preset_config("fig4"), n_modes=20, t_p=22.0,
+                             epsilon=FD_EPSILON, learning_rate=0.02,
+                             max_iters=300, target_fidelity=0.9998,
+                             seed_c1x=TWO_PI * 0.02)
         deltas = [TWO_PI * 0.10, TWO_PI * 0.20, TWO_PI * 0.35]
-        return spc.run_delta_sweep(deltas, n_modes=20, t_p=22.0, config=cfg)
+        return spc.run_delta_sweep(deltas, cfg)
 
     def test_peaks_track_nonlinearity(self, sweep_rows):
         peaks = [r.peak_mhz for r in sweep_rows]
