@@ -1,16 +1,16 @@
 """Time evolution: Schrodinger propagation for pulse design, Lindblad
 master-equation propagation for lossy pulse-reset cycles.
 
-The workhorse is an adaptive Dormand-Prince 5(4) integrator operating on
-complex arrays of any shape; its seven stages live in one preallocated
-array, so each stage input, the update and the error estimate are one
-matrix product each. Evolutions are split at every phase boundary of a
-cycle schedule so a discontinuous rate change is never straddled by a
-step. All Lindblad flow uses one definition of the vectorized generator S,
-built from the exact nonzeros of the d x d factors. S is never formed
-densely: its nonzeros split the vec indices into decoupled sectors
-(weakly connected components of the pattern, here excitation-difference
-sectors), and a state occupies only some of them. One rule, exact zeros
+The workhorse is an adaptive Dormand-Prince 8(5,3) integrator (DOP853)
+operating on complex arrays of any shape; its twelve stages live in one
+preallocated array, so each stage input, the update and the error
+estimate are one matrix product each. Evolutions are split at every phase
+boundary of a cycle schedule so a discontinuous rate change is never
+straddled by a step. All Lindblad flow uses one definition of the
+vectorized generator S, built from the exact nonzeros of the d x d
+factors. S is never formed densely: its nonzeros split the vec indices
+into decoupled sectors (weakly connected components of the pattern, here
+excitation-difference sectors), and a state occupies only some of them. One rule, exact zeros
 of rho and rho^T, names the occupied sectors, and only those are
 propagated. A pulse phase integrates the occupied entries of vec(rho)
 through the stacked sparse blocks of S (static part and the two coupling
@@ -59,24 +59,56 @@ class IntegrityError(RuntimeError):
     """A physical invariant (trace, positivity) failed beyond tolerance."""
 
 
-# --- Dormand-Prince 5(4) ------------------------------------------------------
+# --- Dormand-Prince 8(5,3) -----------------------------------------------------
+#
+# DOP853 (Prince & Dormand, J. Comput. Appl. Math. 7, 67 (1981); Hairer,
+# Norsett & Wanner, Solving ODEs I, sec. II.10): twelve stages give the
+# 8th-order update, and two embedded solutions, of orders 5 and 3, give the
+# error estimate. Written as literals: importing them from scipy.integrate
+# would load scipy.fft and about 150 more modules at every start.
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
 # complex rows, so their products with the complex stages need no cast
 _A = [np.array(row, dtype=complex) for row in (
     [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
 )]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-               dtype=complex)
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40], dtype=complex)
-_E = _B5 - _B4
+_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
+    dtype=complex)
+# the 8th-order update minus the 5th-order and minus the 3rd-order solution
+_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
+_E3 = _B.real - np.array([0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                          0.7338466882816118, 0.0, 0.0, 0.022058823529411766])
+_E53 = np.array([_E5, _E3], dtype=complex)
+_STAGES = len(_C)
 
 
 def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
@@ -90,7 +122,7 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * span, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, span)
 
 
@@ -103,17 +135,23 @@ def adaptive_rk(
     record_times: Sequence[float] | None = None,
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Integrate y' = f(t, y) with the embedded Dormand-Prince 5(4) pair.
+    """Integrate y' = f(t, y) with the embedded Dormand-Prince 8(5,3) pair.
 
     Steps are clamped to land exactly on every entry of ``record_times``
     (plus the endpoint), where the state is recorded. ``post_step`` is
     applied to the state after every accepted step (used to re-Hermitize
-    density matrices) and voids the reuse of the last stage as the next
-    first one. The seven stages are the rows of one preallocated array;
-    each stage input, the update and the error estimate is one product of
-    a tableau row with them. Raises IntegrationError with the achieved
-    error if the step size underflows or the ``MAX_STEPS`` budget is
-    exhausted.
+    density matrices). The twelve stages are the rows of one preallocated
+    array; each stage input, the update and the pair of error estimates is
+    one product of tableau rows with them. The first stage of a step is
+    f at its start, evaluated once however often the step is retried: it
+    is the last stage of the accepted step before ("first same as last"),
+    at the state that ``post_step`` left. The error norm is Hairer's
+    combination of the 5th- and 3rd-order estimates,
+    h n5 / sqrt((n5 + 0.01 n3) N), where n5 and n3 are the squared sums of
+    the estimates over the scale atol + rtol |y| and N is the size of y,
+    and the step follows it with exponent -1/8. Raises IntegrationError
+    with the achieved error if the step size underflows or the
+    ``MAX_STEPS`` budget is exhausted.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
@@ -137,12 +175,12 @@ def adaptive_rk(
     span = t1 - t0
     t = t0
     shape = y.shape
-    ks = np.empty((7,) + shape, dtype=complex)
-    stages = ks.reshape(7, -1)
+    ks = np.empty((_STAGES,) + shape, dtype=complex)
+    stages = ks.reshape(_STAGES, -1)
     ks[0] = f(t, y)
     h = _initial_step(f, t, y, ks[0], 1.0, rtol, atol, span)
     h_min = 1e-14 * span
-    fsal_valid = True
+    first_valid = True
     next_record = 0
     steps = 0
     err_norm = 0.0
@@ -154,35 +192,32 @@ def adaptive_rk(
         target = record[next_record] if next_record < len(record) else t1
         h_trial = min(h, target - t)
         clamped = h_trial < h
-        if not fsal_valid:
+        if not first_valid:
             ks[0] = f(t, y)
-            fsal_valid = True
-        for i in range(1, 7):
+            first_valid = True
+        for i in range(1, _STAGES):
             yi = y + h_trial * (_A[i] @ stages[:i]).reshape(shape)
             ks[i] = f(t + _C[i] * h_trial, yi)
-        y_new = y + h_trial * (_B5 @ stages).reshape(shape)
-        err = h_trial * (_E @ stages).reshape(shape)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean(np.abs(err / sc) ** 2)))
+        y_new = y + h_trial * (_B @ stages).reshape(shape)
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new)).reshape(-1)
+        err = np.abs((_E53 @ stages) / sc) ** 2
+        n5, n3 = err.sum(axis=1)
+        err_norm = 0.0 if n5 == 0.0 else float(
+            h_trial * n5 / np.sqrt((n5 + 0.01 * n3) * sc.size))
         steps += 1
         if err_norm <= 1.0:
             t = t + h_trial
-            y = y_new
-            if post_step is not None:
-                y = post_step(y)
-                fsal_valid = False
-            else:
-                ks[0] = ks[6]
+            y = y_new if post_step is None else post_step(y_new)
+            first_valid = False
             if next_record < len(record) and abs(t - record[next_record]) <= 1e-12 * max(1.0, abs(t)):
                 out_t.append(record[next_record])
                 out_y.append(y.copy())
                 next_record += 1
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.125))
             h_next = h_trial * factor
             h = max(h, h_next) if clamped else h_next
         else:
-            h = h_trial * max(0.2, 0.9 * err_norm ** -0.2)
-            fsal_valid = fsal_valid and post_step is None
+            h = h_trial * max(0.2, 0.9 * err_norm ** -0.125)
             if h < h_min:
                 raise IntegrationError(
                     f"step size underflow at t={t:.6g} (error norm {err_norm:.3g})")
@@ -365,13 +400,15 @@ def evolve_lindblad(problem: EvolutionProblem,
     rhs, keep = _sector_rhs(problem, rho0)
     swap = _positions(n, keep)[(keep % d) * d + keep // d]
     # The step control is that of the full d^2 entries. There, the entries
-    # outside keep are zero in y and in the error, so they add to the
-    # count of the RMS error norm but not to its sum: with
-    # sc = atol + rtol |y|, the norm is sqrt(sum_keep |err / sc|^2 / d^2).
-    # Scaling atol and rtol by c = sqrt(d^2 / |keep|) scales sc by c, so
-    # the RMS over keep alone, sqrt(sum_keep |err / (c sc)|^2 / |keep|),
-    # is the same number up to rounding. _initial_step takes the same
-    # norms, so it picks the same first step.
+    # outside keep are zero in y and in both error estimates, so they add
+    # to the count N = d^2 of the error norm but not to its sums: with
+    # sc = atol + rtol |y|, n5 and n3 are sums over keep of |err / sc|^2,
+    # and the norm is h n5 / sqrt((n5 + 0.01 n3) N). Scaling atol and
+    # rtol by c = sqrt(d^2 / |keep|) scales sc by c, so n5 and n3 fall by
+    # c^2 and n5 / sqrt(n5 + 0.01 n3) by c; with N = |keep| = d^2 / c^2,
+    # the norm over keep alone is the same number up to rounding.
+    # _initial_step takes RMS norms, which scale the same way, so it picks
+    # the same first step.
     c = np.sqrt(n / keep.size)
     times, ys = adaptive_rk(rhs, problem.t_span, rho0.reshape(n)[keep],
                             rtol=c * rtol, atol=c * DEFAULT_ATOL,

@@ -175,9 +175,17 @@ def pair_fidelities(obj: Objective, pulse: PulseShape) -> np.ndarray:
     return f[0]
 
 
-def fidelity(obj: Objective, pulse: PulseShape) -> float:
-    """Weighted state-transfer fidelity of the target operation."""
-    return float(np.dot(obj.weights, pair_fidelities(obj, pulse)))
+def fidelity(obj: Objective, pulse: PulseShape, *,
+             pairs: np.ndarray | None = None) -> float:
+    """Weighted state-transfer fidelity of the target operation.
+
+    When ``pairs`` is given, the pair fidelities it weighs are written
+    into it, so a caller that keeps them needs no second integration.
+    """
+    f = pair_fidelities(obj, pulse)
+    if pairs is not None:
+        pairs[:] = f
+    return float(np.dot(obj.weights, f))
 
 
 def gradient(obj: Objective, pulse: PulseShape, epsilon: float = FD_EPSILON
@@ -208,8 +216,10 @@ def gradient(obj: Objective, pulse: PulseShape, epsilon: float = FD_EPSILON
 class OptimizeResult:
     pulse: PulseShape
     fidelity: float
+    pair_fidelities: np.ndarray   # of ``pulse``, weighed into ``fidelity``
     converged: bool
     iterations: int
+    stop_reason: str   # "target_reached", "stationary" or "iteration_cap"
     trace: list[tuple[int, float, float]] = field(repr=False)
 
 
@@ -217,19 +227,24 @@ def optimize_pulse(obj: Objective, cfg: ExperimentConfig) -> OptimizeResult:
     """Maximize the transfer fidelity over the 2N sine coefficients.
 
     Starts from ``seed_pulse(cfg.n_modes, cfg.t_p, cfg.seed_c1x)``.
-    Deterministic given the configuration; returns the best pulse seen,
-    flagged as non-converged when cfg.target_fidelity was not reached.
+    Deterministic given the configuration; returns the best pulse seen and
+    its pair fidelities, flagged as non-converged when
+    cfg.target_fidelity was not reached. ``stop_reason`` says why the
+    ascent ended: the target was reached, no step down to 2^-40 of the
+    base step improved F (stationary), or cfg.max_iters ran out.
     """
     t_p = cfg.t_p
     pulse = seed_pulse(cfg.n_modes, t_p, cfg.seed_c1x)
     cx = np.array(pulse.cx)
     cy = np.array(pulse.cy)
-    f_cur = fidelity(obj, pulse)
-    best = (f_cur, cx.copy(), cy.copy())
+    pairs = np.empty(len(obj.weights))
+    f_cur = fidelity(obj, pulse, pairs=pairs)
+    best = (f_cur, cx.copy(), cy.copy(), pairs.copy())
     step = cfg.learning_rate
     accepts = 0
     trace = [(0, f_cur, step)]
     it = 0
+    stationary = False
     while it < cfg.max_iters and best[0] < cfg.target_fidelity:
         it += 1
         gx, gy = gradient(obj, PulseShape(cx, cy, t_p), cfg.epsilon)
@@ -237,28 +252,33 @@ def optimize_pulse(obj: Objective, cfg: ExperimentConfig) -> OptimizeResult:
         while step >= cfg.learning_rate * 2.0 ** -40:
             cx_try = cx + step * gx
             cy_try = cy + step * gy
-            f_try = fidelity(obj, PulseShape(cx_try, cy_try, t_p))
+            f_try = fidelity(obj, PulseShape(cx_try, cy_try, t_p), pairs=pairs)
             if f_try > f_cur:
                 improved = True
                 break
             step *= 0.5
             accepts = 0
         if not improved:
-            break  # stationary point: no ascent direction at the step floor
+            stationary = True   # no ascent direction at the step floor
+            break
         cx, cy, f_cur = cx_try, cy_try, f_try
         if f_cur > best[0]:
-            best = (f_cur, cx.copy(), cy.copy())
+            best = (f_cur, cx.copy(), cy.copy(), pairs.copy())
         accepts += 1
         if accepts >= 3:
             step = min(step * 2.0, cfg.learning_rate * 8.0)
             accepts = 0
         trace.append((it, f_cur, step))
-    f_best, cx_best, cy_best = best
+    f_best, cx_best, cy_best, pairs_best = best
+    converged = f_best >= cfg.target_fidelity
     return OptimizeResult(
         pulse=PulseShape(cx_best, cy_best, t_p),
         fidelity=f_best,
-        converged=f_best >= cfg.target_fidelity,
+        pair_fidelities=pairs_best,
+        converged=converged,
         iterations=it,
+        stop_reason=("target_reached" if converged else
+                     "stationary" if stationary else "iteration_cap"),
         trace=trace,
     )
 

@@ -167,7 +167,8 @@ def _optimize_core(ctx: RunContext) -> op.OptimizeResult:
         "fidelity": result.fidelity,
         "converged": result.converged,
         "iterations": result.iterations,
-        "pair_fidelities": list(op.pair_fidelities(objective, result.pulse)),
+        "stop_reason": result.stop_reason,
+        "pair_fidelities": result.pair_fidelities.tolist(),
         "target_fidelity": cfg.target_fidelity,
         "regime_warnings": warned,
     })

@@ -163,6 +163,13 @@ class TestRunnerOutputs:
             expected = mo.check_coupling_regime(cfg.model(), peak)
         assert summary["regime_warnings"] == expected
 
+    def test_optimize_summary_records_stop_reason(self, tiny_run):
+        _, out, _ = tiny_run
+        summary = json.loads((out / "optimize_summary.json").read_text())
+        assert summary["stop_reason"] in {"target_reached", "stationary",
+                                          "iteration_cap"}
+        assert (summary["stop_reason"] == "target_reached") == summary["converged"]
+
     def test_sweep_rows_sorted(self, tiny_run):
         _, out, result = tiny_run
         t1s = [r["t1_us"] for r in result["rows"]]

@@ -5,7 +5,8 @@ import scipy.linalg
 from aqec import dynamics as dy
 from aqec import hilbert as hi
 from aqec import models as mo
-from aqec.presets import VSLQ_FIXED_TABLE
+from aqec import optimize as op
+from aqec.presets import VSLQ_FIXED_TABLE, preset_config
 from aqec.pulse import CycleSchedule, PulseShape, evaluate, seed_pulse
 
 TWO_PI = 2 * np.pi
@@ -654,3 +655,89 @@ class TestTrajectoryExports:
         dy.dump_states(traj, path)
         recs = json.loads(path.read_text())
         assert recs[0]["pure"] and recs[0]["re"] == [0.0, 1.0]
+
+
+
+def _sq_objective(counted):
+    """The final sector states of one ``op.fidelity`` call on the fig2
+    objective under its seed pulse, integrating ``counted(rhs)``, and the
+    problem as (rhs, t_span, y0)."""
+    cfg = preset_config("fig2")
+    model = cfg.model()
+    obj = op.make_objective(mo.build(model), mo.target_operation(model))
+    pulse = seed_pulse(cfg.n_modes, cfg.t_p, cfg.seed_c1x)
+    rhs = op.coeff_batch_rhs(obj, np.array([pulse.cx]), np.array([pulse.cy]),
+                             pulse.t_p)
+    y0 = obj.psi0[:, :, None].copy()
+    _, ys = dy.adaptive_rk(counted(rhs), (0.0, pulse.t_p), y0,
+                           rtol=dy.UNITARY_RTOL, atol=dy.DEFAULT_ATOL)
+    return ys[-1], (rhs, (0.0, pulse.t_p), y0)
+
+
+def _sector_pulse_phase(name):
+    def run(counted, monkeypatch):
+        """The occupied entries of vec(rho) after ``evolve_lindblad``, with
+        every RHS it integrates wrapped in ``counted``, and the problem."""
+        prob = PULSE_PHASES[name]()
+        rho0 = prob.initial.density()
+        rhs, keep = dy._sector_rhs(prob, rho0)
+        integrate = dy.adaptive_rk
+        monkeypatch.setattr(dy, "adaptive_rk", lambda f, *args, **kwargs:
+                            integrate(counted(f), *args, **kwargs))
+        rho = dy.evolve_lindblad(prob).final.density()
+        return rho.reshape(-1)[keep], (rhs, prob.t_span, rho0.reshape(-1)[keep])
+    return run
+
+
+def _tight_reference(rhs, t_span, y0):
+    # an independent implementation of the same pair, 1,000 times tighter
+    from scipy.integrate import solve_ivp
+    sol = solve_ivp(lambda t, y: rhs(t, y.reshape(y0.shape)).reshape(-1),
+                    t_span, y0.reshape(-1), method="DOP853", rtol=1e-13,
+                    atol=1e-15)
+    return sol.y[:, -1].reshape(y0.shape)
+
+
+# Global error and RHS calls of one integration at the program's tolerance.
+# The error bounds are what the Dormand-Prince 5(4) pair reached on these
+# integrations; DOP853 reaches 0.7e-10, 2.1e-10 and 2.4e-10. The call
+# ceilings leave about 20 % over DOP853's 2,161 and 1,633 calls, where the
+# 5(4) pair took 6,890 and 4,628.
+INTEGRATION_CASES = {
+    "sq-objective": (lambda counted, _: _sq_objective(counted), 6.0e-10, 3000),
+    "vslq-pulse-phase": (_sector_pulse_phase("vslq-0L"), 2.5e-10, 2000),
+    "tq-pulse-phase": (_sector_pulse_phase("tq-000"), 3.1e-10, None),
+}
+
+
+class TestDop853:
+    def test_tableau_matches_scipy(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+        n = ref.N_STAGES
+        assert np.array_equal(dy._C, ref.C[:n])
+        for i in range(1, n):
+            assert np.array_equal(dy._A[i], ref.A[i, :i])
+        assert np.array_equal(dy._B, ref.B)
+        # the error weights of the stage at (t + h, y_new) are zero: the
+        # estimate needs only the twelve stages of the step
+        assert ref.E5[n] == ref.E3[n] == 0.0
+        assert np.array_equal(dy._E53, np.array([ref.E5[:n], ref.E3[:n]]))
+
+    def test_order_conditions(self):
+        # the quadrature conditions of order 8, and the row sums; the
+        # ninth-order condition fails, so the check is not vacuous
+        b, c = dy._B.real, dy._C
+        for k in range(8):
+            assert abs(b @ c ** k - 1 / (k + 1)) < 1e-14
+        assert abs(b @ c ** 8 - 1 / 9) > 1e-6
+        for i in range(1, len(c)):
+            assert abs(dy._A[i].sum() - c[i]) < 1e-14
+
+    @pytest.mark.parametrize("name", list(INTEGRATION_CASES))
+    def test_global_error_and_rhs_calls(self, name, monkeypatch):
+        run, max_error, max_calls = INTEGRATION_CASES[name]
+        calls = []
+        got, problem = run(lambda f: _counted(f, calls), monkeypatch)
+        assert np.max(np.abs(got - _tight_reference(*problem))) <= max_error
+        if max_calls is not None:
+            assert len(calls) <= max_calls

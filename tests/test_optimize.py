@@ -191,6 +191,11 @@ class TestOptimizePulse:
         res = op.optimize_pulse(obj, cfg)
         assert res.converged and res.fidelity >= 0.9
         assert res.iterations < 500
+        assert res.stop_reason == "target_reached"
+        # the carried pair fidelities are those of the returned pulse
+        pairs = op.pair_fidelities(obj, res.pulse)
+        assert np.array_equal(res.pair_fidelities, pairs)
+        assert res.fidelity == float(np.dot(obj.weights, pairs))
 
     def test_non_convergence_flagged(self, sq_objective):
         _, _, obj = sq_objective
@@ -199,6 +204,22 @@ class TestOptimizePulse:
         res = op.optimize_pulse(obj, cfg)
         assert not res.converged
         assert res.fidelity < 0.9999
+        assert res.stop_reason == "iteration_cap"
+
+    def test_stop_reason_stationary(self):
+        # no coupling: F = 0 for every pulse, so no step improves it
+        sp = hi.TensorSpace((2, 2))
+        h0 = hi.Operator(sp, np.diag([0.0, 0.01, 0.02, 0.03]).astype(complex))
+        zero = hi.Operator(sp, np.zeros((4, 4)))
+        obj = op.make_objective(
+            mo.ModelTerms(sp, h0, zero, zero, ()),
+            mo.TargetOperation([(hi.basis_state(sp, (1, 0)),
+                                 hi.basis_state(sp, (0, 1)), 1.0)]))
+        cfg = _settings(4, 40.0, learning_rate=0.05, max_iters=50,
+                        target_fidelity=0.9, seed_c1x=0.05)
+        res = op.optimize_pulse(obj, cfg)
+        assert res.stop_reason == "stationary"
+        assert res.iterations == 1 and not res.converged
 
     def test_stationary_on_converged_problem(self):
         # a fixed point of the loop has a small finite-difference gradient
