@@ -20,6 +20,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_INTEGRITY = 4
+WORKERS_HELP = "processes for the points; overrides [run] workers"
 
 
 def _worker_count(text: str) -> int:
@@ -33,8 +34,7 @@ def _add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
     p.add_argument("--out", default=None, help="output directory")
     if workers:
         p.add_argument("--workers", type=_worker_count, default=None,
-                       help="worker processes for the T1 points of every "
-                            "sweep mode and of scan-reset")
+                       help=WORKERS_HELP)
     p.add_argument("--preset", default=None,
                    help=f"named preset ({', '.join(list_presets())})")
 
@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("figure", choices=["fig2", "fig3", "fig4", "fig5",
                                         "fig6", "fig7", "table1"])
     rep.add_argument("--out", default=None)
-    rep.add_argument("--workers", type=_worker_count, default=None)
+    rep.add_argument("--workers", type=_worker_count, default=None,
+                     help=WORKERS_HELP)
 
     fit = sub.add_parser("fit", help="fit a decay or power law to CSV columns")
     fit.add_argument("--csv", required=True)
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
             print(f"evolved {cfg.n_cycles} cycles to t={traj.times[-1]:.1f} ns")
         elif args.command == "sweep":
             cfg = _resolve_config(args)
-            runner.cmd_sweep(cfg, args.out or cfg.out_dir, args.workers)
+            runner.cmd_sweep(cfg, args.out or cfg.out_dir)
             print("sweep complete")
         elif args.command == "scan-reset":
             cfg = _resolve_config(args)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 
 import numpy as np
@@ -123,7 +122,8 @@ class ExperimentConfig:
     sweep_mode: str = _field("sweep", "mode", "str", "default", optional=True)
 
     out_dir: str = _field("run", "out_dir", "str", "out")
-    workers: int = _field("run", "workers", "int", 0)   # 0: resolve from env
+    # processes of the point pool; 0 or 1 runs the points in this process
+    workers: int = _field("run", "workers", "int", 0)
     pulse_file: str | None = _field("run", "pulse_file", "str", None,
                                     optional=True)
 
@@ -131,20 +131,6 @@ class ExperimentConfig:
         if self.model_kind not in _MODELS:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         return _MODELS[self.model_kind](**dict(self.model_params))
-
-    def resolved_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        env = os.environ.get("AQEC_WORKERS", "")
-        if env.strip():
-            try:
-                n = int(env)
-            except ValueError:
-                raise ConfigError(f"AQEC_WORKERS={env!r} is not an integer")
-            if n < 1:
-                raise ConfigError("AQEC_WORKERS must be >= 1")
-            return n
-        return 1
 
 
 def _sections() -> dict[str, dict[str, Field]]:

@@ -150,8 +150,8 @@ def adaptive_rk(
     h n5 / sqrt((n5 + 0.01 n3) N), where n5 and n3 are the squared sums of
     the estimates over the scale atol + rtol |y| and N is the size of y,
     and the step follows it with exponent -1/8. Raises IntegrationError
-    with the achieved error if the step size underflows or the
-    ``MAX_STEPS`` budget is exhausted.
+    with the achieved error if the step size underflows or turns NaN, or
+    the ``MAX_STEPS`` budget is exhausted.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
@@ -218,7 +218,7 @@ def adaptive_rk(
             h = max(h, h_next) if clamped else h_next
         else:
             h = h_trial * max(0.2, 0.9 * err_norm ** -0.125)
-            if h < h_min:
+            if not h >= h_min:  # a NaN step (NaN in the RHS) fails here too
                 raise IntegrationError(
                     f"step size underflow at t={t:.6g} (error norm {err_norm:.3g})")
     return np.array(out_t), out_y

@@ -50,7 +50,6 @@ from .models import (
 )
 from .pulse import CycleSchedule, PulseShape, seed_pulse
 
-ZERO_TOL = 1e-14          # Hamiltonian or state entries below this are zero
 CC_WINDOW_US = 5.0        # settling window of the constant-coupling residual
 CC_MAX_ITERS = 80         # descent iterations of the constant-coupling search
 FIXED_WINDOW_US = 40.0    # fixed-parameter lifetime: evolution window,
@@ -69,13 +68,13 @@ def reachable_indices(mats: Sequence[np.ndarray], seeds: Sequence[int]
     """Closure of ``seeds`` under the combined sparsity of ``mats``.
 
     Returns the sorted basis indices of the smallest subspace containing
-    the seeds that is invariant under every matrix (exactly, up to entries
-    below ``ZERO_TOL``): the union of the invariant sectors that hold a seed.
+    the seeds that is invariant under every matrix, read from its exact
+    nonzeros: the union of the invariant sectors that hold a seed.
     """
     d = mats[0].shape[0]
     adj = np.zeros((d, d), dtype=bool)
     for m in mats:
-        adj |= np.abs(m) > ZERO_TOL
+        adj |= m != 0
     labels = sector_labels(*np.nonzero(adj), d)
     keep = np.isin(labels, labels[np.asarray(seeds, dtype=int)])
     return [int(i) for i in np.nonzero(keep)[0]]
@@ -104,8 +103,7 @@ def make_objective(terms: ModelTerms, target: TargetOperation) -> Objective:
     blocks = []
     for initial, final, weight in target.pairs:
         v0, vf = initial.vector(), final.vector()
-        seeds = list(np.nonzero(np.abs(v0) > ZERO_TOL)[0])
-        seeds += list(np.nonzero(np.abs(vf) > ZERO_TOL)[0])
+        seeds = list(np.flatnonzero(v0)) + list(np.flatnonzero(vf))
         idx = reachable_indices(mats, seeds)
         blocks.append((idx, v0[idx], vf[idx], weight))
     d = max(len(idx) for idx, *_ in blocks)

@@ -34,6 +34,8 @@ class PulseShape:
         cy = tuple(float(c) for c in cy)
         if len(cx) < 1 or len(cx) != len(cy):
             raise ValueError("cx and cy must have equal length >= 1")
+        if not np.isfinite(cx + cy).all():
+            raise ValueError("pulse coefficients must be finite")
         if not t_p > 0:
             raise ValueError(f"t_p must be positive, got {t_p}")
         object.__setattr__(self, "cx", cx)

@@ -2,10 +2,10 @@
 
 Every command takes a validated ExperimentConfig, writes CSV/JSON outputs
 into a run directory, and records every emitted file in a manifest whose
-config hash makes reruns comparable. The reset-time scan and every sweep
-mode evaluate one point function per T1 value on a process pool of
-``workers`` processes; rows are aggregated in T1 order, so numeric outputs
-do not depend on the worker count.
+config hash makes reruns comparable. The reset-time scan, every sweep mode
+and fig4 map one point function over their axis on a process pool of
+``cfg.workers`` processes, one row per point, in axis order, so numeric
+outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -217,24 +217,29 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir) -> dy.Trajectory:
     return traj
 
 
-# --- T1 points -------------------------------------------------------------------
+# --- points ----------------------------------------------------------------------
 #
-# The reset-time scan and every sweep mode evaluate one point function per
-# T1 value, (cfg, t1_ns, pulse) -> row, where cfg already carries the rates
-# that T1 sets. The points run on the pool and come back in T1 order. Each
-# is looked up by name in this module when it is called, so a wrapper bound
-# to the module attribute sees the call.
+# A point function maps (cfg, value, pulse) -> row. The value is T1, which
+# cfg's rates already carry, for the scan and the sweeps, and delta for
+# fig4. Each is looked up by name in this module when it is called, so a
+# wrapper bound to the module attribute sees the call.
 
 def _run_point(item) -> dict:
-    name, cfg, t1_ns, pulse = item
-    return globals()[name](cfg, t1_ns, pulse)
+    name, cfg, value, pulse = item
+    return globals()[name](cfg, value, pulse)
 
 
 def _map_points(cfg: ExperimentConfig, point: str, t1_axis,
-                pulse: PulseShape | None, workers: int) -> list[dict]:
+                pulse: PulseShape | None) -> list[dict]:
     """Rows of the named point function over the T1 axis, sorted by T1."""
     items = [(point, _with_t1(cfg, t1), t1, pulse) for t1 in sorted(t1_axis)]
-    return _pool_map(_run_point, items, workers)
+    return _pool_map(_run_point, items, cfg.workers)
+
+
+def _write_rows(ctx: RunContext, name: str, rows: list[dict]) -> None:
+    """Write the rows as a CSV whose header is the first row's keys."""
+    header = list(rows[0])
+    ctx.write_csv(name, header, [[r[h] for h in header] for r in rows])
 
 
 def _scan_point(cfg: ExperimentConfig, t1_ns: float, pulse: PulseShape) -> dict:
@@ -263,14 +268,21 @@ def _residual_point(cfg: ExperimentConfig, t1_ns: float,
     }
 
 
+def _vslq_working_point(t1_us: float):
+    """The VSLQ_FIXED_TABLE row at T1 and its (Omega, gamma_s, Omega_s)."""
+    key = int(round(t1_us))
+    if key not in VSLQ_FIXED_TABLE:
+        raise ValueError(f"no tabulated working point for T1={t1_us} us")
+    row = VSLQ_FIXED_TABLE[key]
+    return row, (2 * np.pi * row[0] * 1e-3, row[1] * 1e-3,
+                 2 * np.pi * row[2] * 1e-3)
+
+
 def _vslq_fixed_point(cfg: ExperimentConfig, t1_ns: float, pulse) -> dict:
     """VSLQ lifetimes at the tabulated fixed working point (no pulse)."""
     p = dict(cfg.model_params)
     t1_us = t1_ns / 1e3
-    row = VSLQ_FIXED_TABLE[int(round(t1_us))]
-    omega = 2 * np.pi * row[0] * 1e-3
-    gamma_s = row[1] * 1e-3
-    omega_s = 2 * np.pi * row[2] * 1e-3
+    row, (omega, gamma_s, omega_s) = _vslq_working_point(t1_us)
     t_x, t_y = (op.vslq_fixed_lifetime(p["w"], p["delta"], 1.0 / t1_ns, omega,
                                        gamma_s, omega_s, which=which)
                 for which in ("X", "Y"))
@@ -351,13 +363,12 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
     terms = mo.build(model)
     ops = mo.vslq_logical_operators(model)
     t1_us = t1_ns / 1e3
-    table = VSLQ_FIXED_TABLE[int(round(t1_us))]
+    _, (omega, gamma_s, omega_s) = _vslq_working_point(t1_us)
     p = dict(cfg.model_params)
     m_fix = mo.VslqModel(w=p["w"], delta=p["delta"], gamma_p=1.0 / t1_ns,
-                         gamma_s=table[1] * 1e-3,
-                         omega_s=2 * np.pi * table[2] * 1e-3)
+                         gamma_s=gamma_s, omega_s=omega_s)
     terms_fix = mo.build_vslq(m_fix)
-    h_fix = terms_fix.h_static + 2 * np.pi * table[0] * 1e-3 * terms_fix.h_x
+    h_fix = terms_fix.h_static + omega * terms_fix.h_x
     ch_fix = tuple((c.op, c.rate) for c in terms_fix.channels)
     ops_fix = mo.vslq_logical_operators(m_fix)
     t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg, pulse)
@@ -415,13 +426,32 @@ def _three_qubit_point(cfg: ExperimentConfig, t1_ns: float,
     }
 
 
+def _counterterm_point(cfg: ExperimentConfig, delta: float, pulse) -> dict:
+    """The lossless single-qubit pulse optimized at delta (rad/ns) with cfg's
+    settings: its y-quadrature peak, and its leakage with and without y."""
+    model = mo.SingleQubitModel(delta=float(delta), gamma_q=0.0, gamma_r=0.0)
+    terms = mo.build(model)
+    objective = op.make_objective(terms, mo.target_operation(model))
+    result = op.optimize_pulse(objective, cfg)
+    peak = spc.counterterm_peak(result.pulse)
+    no_y = PulseShape(result.pulse.cx, [0.0] * cfg.n_modes, cfg.t_p)
+    return {
+        "delta_mhz": float(delta) / (2 * np.pi) * 1e3,
+        "peak_mhz": peak.frequency_mhz,
+        "power_fraction": peak.power_fraction,
+        "max_leakage_with_y": spc.max_leakage(terms, result.pulse),
+        "max_leakage_without_y": spc.max_leakage(terms, no_y),
+        "fidelity": result.fidelity,
+    }
+
+
 # --- reset-time scan -----------------------------------------------------------
 
 def cmd_scan_reset(cfg: ExperimentConfig, out_dir) -> dict:
     """Scan t_r per T1 for the end-of-cycle residual; write curve and best.
 
     The T1 axis is ``[sweep] t1``, or else the model's own primary T1. The
-    T1 points run on a pool of ``cfg.resolved_workers()`` processes.
+    T1 points run on a pool of ``cfg.workers`` processes.
     """
     t1_axis = cfg.sweep_t1
     if not t1_axis:
@@ -430,8 +460,7 @@ def cmd_scan_reset(cfg: ExperimentConfig, out_dir) -> dict:
             raise ValueError("model has no finite primary rate; set [sweep] t1")
         t1_axis = (1.0 / rate,)
     ctx = RunContext(Path(out_dir), cfg)
-    rows = _map_points(cfg, "_scan_point", t1_axis, _ensure_pulse(ctx),
-                       cfg.resolved_workers())
+    rows = _map_points(cfg, "_scan_point", t1_axis, _ensure_pulse(ctx))
     header = ["t1_us", "t_r_ns", "residual"]
     ctx.write_csv("scan.csv", header,
                   [(r["t1_us"], t_r, res) for r in rows
@@ -486,48 +515,49 @@ def _write_short_time_curves(ctx: RunContext, rows: list[dict]) -> dict:
     return {}
 
 
-# sweep mode -> (name of its point function, its CSV, post-step over the rows)
+# sweep mode -> (the model kind it runs on, name of its point function, its
+# CSV, post-step over the rows). The VSLQ modes read VSLQ_FIXED_TABLE.
 _SWEEPS = {
-    "residual": ("_residual_point", "residuals.csv", _write_exponents),
-    "fixed_lifetimes": ("_vslq_fixed_point", "fixed_lifetimes.csv", None),
-    "lifetimes": ("_vslq_cycle_point", "cycle_lifetimes.csv", None),
-    "short_time": ("_short_time_point", "short_time.csv",
+    "residual": ("single_qubit", "_residual_point", "residuals.csv", _write_exponents),
+    "fixed_lifetimes": ("vslq", "_vslq_fixed_point", "fixed_lifetimes.csv", None),
+    "lifetimes": ("vslq", "_vslq_cycle_point", "cycle_lifetimes.csv", None),
+    "short_time": ("vslq", "_short_time_point", "short_time.csv",
                    _write_short_time_curves),
-    "improvement": ("_three_qubit_point", "improvement.csv", None),
+    "improvement": ("three_qubit", "_three_qubit_point", "improvement.csv", None),
 }
-_TABULATED = ("fixed_lifetimes", "lifetimes", "short_time")  # read VSLQ_FIXED_TABLE
 
 
-def _sweep_core(ctx: RunContext, workers: int) -> dict:
+def _sweep_core(ctx: RunContext) -> dict:
     cfg = ctx.cfg
     if not cfg.sweep_t1:
         raise ValueError("sweep requires a non-empty t1 axis")
     mode = "residual" if cfg.sweep_mode == "default" else cfg.sweep_mode
     if mode not in _SWEEPS:
         raise ValueError(f"unknown sweep mode {cfg.sweep_mode!r}")
-    point, csv_name, post = _SWEEPS[mode]
-    if mode in _TABULATED:
+    kind, point, csv_name, post = _SWEEPS[mode]
+    if cfg.model_kind != kind:
+        raise ValueError(f"sweep mode {mode} runs on model kind {kind}, "
+                         f"not {cfg.model_kind}")
+    if kind == "vslq":
         for t1_ns in cfg.sweep_t1:
-            if int(round(t1_ns / 1e3)) not in VSLQ_FIXED_TABLE:
-                raise ValueError(
-                    f"no tabulated working point for T1={t1_ns/1e3} us")
+            _vslq_working_point(t1_ns / 1e3)
     pulse = None if mode == "fixed_lifetimes" else _ensure_pulse(ctx)
-    rows = _map_points(cfg, point, cfg.sweep_t1, pulse, workers)
+    rows = _map_points(cfg, point, cfg.sweep_t1, pulse)
     result = {"rows": rows, **(post(ctx, rows) if post else {})}
-    header = list(rows[0])
-    ctx.write_csv(csv_name, header, [[r[h] for h in header] for r in rows])
+    _write_rows(ctx, csv_name, rows)
     return result
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir, workers: int | None = None) -> dict:
     """Run the configured sweep mode over the T1 axis.
 
-    Every mode's T1 points run on a pool of ``workers`` processes (by
-    default ``cfg.resolved_workers()``); the outputs do not depend on it.
+    ``workers``, if given, overrides ``cfg.workers``; outputs do not depend
+    on it.
     """
-    workers = workers if workers is not None else cfg.resolved_workers()
+    if workers is not None:
+        cfg = with_overrides(cfg, workers=workers)
     ctx = RunContext(Path(out_dir), cfg)
-    result = _sweep_core(ctx, workers)
+    result = _sweep_core(ctx)
     ctx.finish()
     return result
 
@@ -539,12 +569,14 @@ def _fit_exponent(fit: dict | None) -> float | None:
 
 
 def cmd_reproduce(figure_id: str, out_dir, workers: int | None = None) -> dict:
-    """Run the full pipeline for a named figure or table preset."""
+    """Run the full pipeline for a named figure or table preset; ``workers``,
+    if given, overrides the preset's."""
     known = {"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table1"}
     if figure_id not in known:
         raise ValueError(f"unknown figure id {figure_id!r}; known: {sorted(known)}")
     cfg = preset_config(figure_id)
-    workers = workers if workers is not None else cfg.resolved_workers()
+    if workers is not None:
+        cfg = with_overrides(cfg, workers=workers)
     ctx = RunContext(Path(out_dir), cfg)
 
     if figure_id == "fig2":
@@ -554,7 +586,7 @@ def cmd_reproduce(figure_id: str, out_dir, workers: int | None = None) -> dict:
                    "meets_paper": bool(
                        result.fidelity >= PAPER_VALUES["single_qubit_fidelity"])}
     elif figure_id == "fig3":
-        exps = _sweep_core(ctx, workers)["exponents"]
+        exps = _sweep_core(ctx)["exponents"]
         summary = {
             "pulse_reset_exponent": _fit_exponent(exps["pulse_reset"]),
             "constant_exponent": _fit_exponent(exps["constant"]),
@@ -564,21 +596,16 @@ def cmd_reproduce(figure_id: str, out_dir, workers: int | None = None) -> dict:
     elif figure_id == "fig4":
         deltas = [2 * np.pi * 1e-3 * d
                   for d in PAPER_VALUES["counterterm_deltas_mhz"]]
-        rows = spc.run_delta_sweep(deltas, cfg)
-        ctx.write_csv(
-            "counterterm.csv",
-            ["delta_mhz", "peak_mhz", "power_fraction",
-             "max_leakage_with_y", "max_leakage_without_y", "fidelity"],
-            [[r.delta_mhz, r.peak_mhz, r.power_fraction,
-              r.max_leakage_with_y, r.max_leakage_without_y, r.fidelity]
-             for r in rows])
-        peaks = [r.peak_mhz for r in rows]
+        rows = _pool_map(_run_point, [("_counterterm_point", cfg, d, None)
+                                      for d in deltas], cfg.workers)
+        _write_rows(ctx, "counterterm.csv", rows)
+        peaks = [r["peak_mhz"] for r in rows]
         summary = {
-            "deltas_mhz": [r.delta_mhz for r in rows],
+            "deltas_mhz": [r["delta_mhz"] for r in rows],
             "peaks_mhz": peaks,
             "monotone": bool(np.all(np.diff(peaks) > 0)),
             "within_25pct": bool(all(
-                abs(r.peak_mhz - r.delta_mhz) <= 0.25 * r.delta_mhz
+                abs(r["peak_mhz"] - r["delta_mhz"]) <= 0.25 * r["delta_mhz"]
                 for r in rows)),
         }
     elif figure_id == "fig5":
@@ -592,12 +619,12 @@ def cmd_reproduce(figure_id: str, out_dir, workers: int | None = None) -> dict:
                    "paper_fidelity": PAPER_VALUES["vslq_fidelity"],
                    "note": "sweep mode=lifetimes produces panel (c)"}
     elif figure_id == "fig7":
-        res = _sweep_core(ctx, workers)
+        res = _sweep_core(ctx)
         ok = all(r["x_pulse_reset"] >= r["x_fixed"]
                  and r["y_pulse_reset"] >= r["y_fixed"] for r in res["rows"])
         summary = {"rows": res["rows"], "pulse_reset_advantage": bool(ok)}
     else:  # table1
-        res = _sweep_core(ctx, workers)
+        res = _sweep_core(ctx)
         summary = {"rows": res["rows"]}
 
     ctx.write_json("reproduce_summary.json", summary)

@@ -1,7 +1,7 @@
-"""Counterterm spectroscopy: dominant-frequency extraction for optimized
-second-quadrature envelopes, and the nonlinearity sweep that correlates the
-oscillation frequency with the qubit anharmonicity while tracking leakage
-suppression."""
+"""Counterterm spectroscopy: the dominant frequency of an optimized pulse's
+second quadrature, and the worst-case leakage it suppresses. fig4's point
+function (``runner._counterterm_point``) applies both at each
+nonlinearity."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from typing import Sequence
 import numpy as np
 
 from . import models as mo
-from . import optimize as op
-from .config import ExperimentConfig
 from .dynamics import EvolutionProblem, evolve_unitary
 from .hilbert import basis_state
 from .pulse import PulseShape, evaluate, evaluate_many
@@ -84,42 +82,3 @@ def max_leakage(terms: mo.ModelTerms, pulse: PulseShape) -> float:
         t_span=(0.0, pulse.t_p), initial=initial)
     traj = evolve_unitary(prob, record_times=record, observables={"leak": leak})
     return float(np.max(traj.observables["leak"]))
-
-
-@dataclass(frozen=True)
-class DeltaSweepRow:
-    delta_mhz: float            # delta / 2 pi
-    peak_mhz: float
-    power_fraction: float
-    max_leakage_with_y: float
-    max_leakage_without_y: float
-    fidelity: float
-
-
-def run_delta_sweep(deltas: Sequence[float],
-                    cfg: ExperimentConfig) -> list[DeltaSweepRow]:
-    """Re-optimize the pulse for each nonlinearity and characterize Omega_y.
-
-    For every delta (rad/ns) this optimizes the stabilization pulse with the
-    pulse and optimizer settings of ``cfg`` (its model is not used), finds
-    the dominant counterterm frequency, and compares the worst-case leakage
-    population with the optimized y quadrature against the same pulse with
-    the y quadrature forced to zero.
-    """
-    rows = []
-    for delta in deltas:
-        model = mo.SingleQubitModel(delta=float(delta), gamma_q=0.0, gamma_r=0.0)
-        terms = mo.build_single_qubit(model)
-        objective = op.make_objective(terms, mo.target_operation(model))
-        result = op.optimize_pulse(objective, cfg)
-        peak = counterterm_peak(result.pulse)
-        no_y = PulseShape(result.pulse.cx, [0.0] * cfg.n_modes, cfg.t_p)
-        rows.append(DeltaSweepRow(
-            delta_mhz=float(delta) / (2 * np.pi) * 1e3,
-            peak_mhz=peak.frequency_mhz,
-            power_fraction=peak.power_fraction,
-            max_leakage_with_y=max_leakage(terms, result.pulse),
-            max_leakage_without_y=max_leakage(terms, no_y),
-            fidelity=result.fidelity,
-        ))
-    return rows

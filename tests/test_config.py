@@ -93,20 +93,20 @@ class TestRoundTrip:
 
 
 class TestWorkers:
-    def test_env_fallback(self, monkeypatch):
-        cfg = cf.parse_config(MINIMAL)
-        monkeypatch.setenv("AQEC_WORKERS", "3")
-        assert cfg.resolved_workers() == 3
-        monkeypatch.setenv("AQEC_WORKERS", "zero")
-        with pytest.raises(cf.ConfigError):
-            cfg.resolved_workers()
-        monkeypatch.delenv("AQEC_WORKERS")
-        assert cfg.resolved_workers() == 1
+    def test_explicit_wins(self, tmp_path, monkeypatch):
+        # the pool gets cfg.workers; a command's workers argument overrides it
+        from aqec import runner
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("AQEC_WORKERS", "7")
-        cfg = cf.with_overrides(cf.parse_config(MINIMAL), workers=2)
-        assert cfg.resolved_workers() == 2
+        def pool_map(fn, items, workers):
+            raise _PoolCalled(workers)
+
+        monkeypatch.setattr(runner, "_pool_map", pool_map)
+        cfg = cf.with_overrides(cf.parse_config(VSLQ), workers=2,
+                                sweep_t1=(5e3,), sweep_mode="fixed_lifetimes")
+        for workers, handed in ((None, 2), (3, 3)):
+            with pytest.raises(_PoolCalled) as got:
+                runner.cmd_sweep(cfg, tmp_path / str(handed), workers)
+            assert got.value.args == (handed,)
 
 
 TINY_RUN = MINIMAL + """
@@ -287,6 +287,30 @@ mode = lifetimes
             runner.cmd_sweep(cfg, tmp_path)
         assert not (tmp_path / "pulse.json").exists()
 
+    @pytest.mark.parametrize("mode,model", [("residual", VSLQ),
+                                            ("fixed_lifetimes", MINIMAL)])
+    def test_model_kind_mismatch_exits_2_before_any_work(self, mode, model,
+                                                         tmp_path, monkeypatch):
+        from aqec import cli, runner
+
+        def pool_map(fn, items, workers):
+            raise AssertionError("a mismatched sweep reached its points")
+
+        monkeypatch.setattr(runner, "_pool_map", pool_map)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(model + f"""
+[optimizer]
+max_iters = 0
+
+[sweep]
+t1 = 5 us
+mode = {mode}
+""")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg_file),
+                         "--out", str(out)]) == 2
+        assert not (out / "pulse.json").exists()
+
     def test_every_mode_runs_its_points_on_the_pool(self, tmp_path,
                                                     monkeypatch):
         from aqec import dynamics, optimize, runner
@@ -301,6 +325,7 @@ mode = lifetimes
         monkeypatch.setattr(runner, "_pool_map", pool_map)
         monkeypatch.setattr(dynamics, "evolve_cycles", simulate)
         monkeypatch.setattr(optimize, "vslq_fixed_lifetime", simulate)
+        monkeypatch.setattr(optimize, "optimize_pulse", simulate)
         pulse_file = tmp_path / "pulse.json"
         save_pulse(PulseShape([0.01, 0.0], [0.0, 0.0], 40.0), pulse_file)
         models = {"residual": MINIMAL, "fixed_lifetimes": VSLQ,
@@ -322,6 +347,9 @@ mode = {sweep_mode}
             with pytest.raises(_PoolCalled) as handed:
                 command(cfg, tmp_path / mode)
             assert handed.value.args == (2,), mode
+        with pytest.raises(_PoolCalled) as handed:
+            runner.cmd_reproduce("fig4", tmp_path / "fig4", workers=2)
+        assert handed.value.args == (2,), "fig4"
 
 
 class TestFitCommand:

@@ -711,6 +711,21 @@ INTEGRATION_CASES = {
 
 
 class TestDop853:
+    def test_nan_rhs_fails_fast(self):
+        # a NaN error norm used to make the step NaN, which no underflow
+        # test catches, so the whole MAX_STEPS budget ran before the raise
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            if len(calls) > 500:
+                raise RuntimeError("NaN RHS still integrating")
+            return np.full_like(y, np.nan)
+
+        with pytest.raises(dy.IntegrationError), np.errstate(invalid="ignore"):
+            dy.adaptive_rk(f, (0.0, 10.0), np.ones(4, dtype=complex), 1e-9)
+        assert len(calls) <= 100
+
     def test_tableau_matches_scipy(self):
         from scipy.integrate._ivp import dop853_coefficients as ref
         n = ref.N_STAGES

@@ -1,6 +1,6 @@
-"""Source hygiene checks: unused imports and parameter defaults that no
-caller overrides, read with the standard library's ``ast``, and the modules
-that importing the CLI loads."""
+"""Source hygiene checks: unused imports, environment reads in the package
+and parameter defaults that no caller overrides, read with the standard
+library's ``ast``, and the modules that importing the CLI loads."""
 
 import ast
 import os
@@ -61,6 +61,32 @@ def test_checker_flags_unused_names():
               "from typing import Sequence, Mapping\n"
               "x: Mapping = scipy.sparse.eye(2)\n")
     assert unused_imports(source) == ["os", "scipy.linalg", "Sequence"]
+
+
+def env_reads(source: str) -> list[str]:
+    """Every read of the process environment: ``os.environ``, ``os.getenv``
+    and ``from os import environ``/``getenv``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and _dotted(node) in (
+                "os.environ", "os.getenv"):
+            found.append(_dotted(node))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names
+                      if a.name in ("environ", "getenv")]
+    return found
+
+
+def test_package_reads_no_environment_variable():
+    # each setting a user can change is an ExperimentConfig field
+    for path in sorted((ROOT / "src" / "aqec").glob("*.py")):
+        assert env_reads(path.read_text()) == [], path.name
+
+
+def test_checker_flags_environment_reads():
+    source = ("import os\nfrom os import getenv\n"
+              "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.sep\n")
+    assert sorted(env_reads(source)) == ["os.environ", "os.getenv", "os.getenv"]
 
 
 def _defaulted_params(tree: ast.AST) -> dict[str, tuple[str, int | None]]:

@@ -43,6 +43,20 @@ class TestReachableIndices:
         idx = op.reachable_indices(mats, [model.space.index_of((1, 0, 0, 0, 0, 0))])
         assert len(idx) == 8
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig5", "fig6"])
+    def test_exact_zeros_match_a_1e_14_floor(self, preset):
+        # the sectors are read from exact nonzeros, as dynamics._occupied
+        # reads them; on sq, tq and VSLQ no Hamiltonian or target-state
+        # entry lies in (0, 1e-14], so a 1e-14 floor gives the same sectors
+        # and the same Objective
+        model = preset_config(preset).model()
+        terms = mo.build(model)
+        arrays = [terms.h_static.matrix, terms.h_x.matrix, terms.h_y.matrix]
+        arrays += [s.vector() for pair in mo.target_operation(model).pairs
+                   for s in pair[:2]]
+        for a in arrays:
+            assert np.array_equal(a != 0, np.abs(a) > 1e-14)
+
     def test_restriction_matches_full_propagation(self, sq_objective):
         # restricted propagation reproduces full-space amplitudes exactly
         model, terms, obj = sq_objective

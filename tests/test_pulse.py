@@ -58,6 +58,37 @@ class TestEvaluate:
             pu.PulseShape([0.1], [0.0], 0.0)
 
 
+class TestFiniteCoefficients:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pu.PulseShape([0.01, bad], [0.0, 0.0], 40.0)
+        with pytest.raises(ValueError, match="finite"):
+            pu.PulseShape([0.01, 0.0], [bad, 0.0], 40.0)
+
+    def test_nan_pulse_file_exits_2(self, tmp_path):
+        from aqec import cli
+        pulse_file = tmp_path / "pulse.json"
+        pulse_file.write_text('{"n_modes": 2, "cx": [0.01, NaN], '
+                              '"cy": [0.0, 0.0], "t_p_ns": 40.0}\n')
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"""\
+[model]
+kind = single_qubit
+delta = 350 MHz
+gamma_q = 0.2 per_us
+gamma_r = 0.2 per_us
+
+[schedule]
+t_r = 60 ns
+
+[run]
+pulse_file = {pulse_file}
+""")
+        assert cli.main(["evolve", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "out")]) == 2
+
+
 class TestSchedule:
     def test_channel_sets_must_match(self):
         with pytest.raises(ValueError):
