@@ -40,7 +40,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .hilbert import EIG_FLOOR, TRACE_ATOL, Operator, QuantumState, sector_labels
-from .models import ModelTerms
+from .models import ModelTerms, phase_channels
 from .pulse import CycleSchedule, PulseShape
 
 UNITARY_RTOL = 1e-10
@@ -715,28 +715,26 @@ def evolve_cycles(terms: ModelTerms,
                   rtol: float = LINDBLAD_RTOL) -> Trajectory:
     """Alternate pulse and reset phases of the schedule under Lindblad flow.
 
-    Each pulse phase is integrated separately, from the state recorded at
-    the end of the previous phase, so the piecewise-constant rates are never
-    straddled by a step; states are recorded at every phase boundary. Reset
-    phases all share one exact propagator of every block, since their
-    input has passed the eigenvalue clip.
+    A pulse phase lasts ``pulse.t_p`` with the lossy channels at the first
+    primary's rate, a reset phase ``schedule.t_r`` with them at
+    ``schedule.reset_rate``. Each pulse phase is integrated separately,
+    from the state recorded at the end of the previous phase, so the
+    piecewise-constant rates are never straddled by a step; states are
+    recorded at every phase boundary. Reset phases all share one exact
+    propagator of every block, since their input has passed the
+    eigenvalue clip.
     """
-    if abs(schedule.t_p - pulse.t_p) > 1e-12:
-        raise ValueError("schedule t_p differs from pulse duration")
     space = terms.space
     states = [QuantumState(space, _sanitize_density(initial.density()))]
     times = [0.0]
-    if schedule.n_cycles == 0:
-        traj = Trajectory(np.array([0.0]), states)
-        return _attach_observables(traj, observables)
-
-    pulse_channels = tuple(
-        (c.op, schedule.rate_pulse[c.label]) for c in terms.channels)
+    primary_rate = next(c.rate for c in terms.channels if not c.lossy)
+    pulse_channels = phase_channels(terms, primary_rate)
     reset_prop = None
     if schedule.t_r > 0:
         reset_prop = segment_propagator(
             terms.h_static.matrix,
-            [(c.op.matrix, schedule.rate_reset[c.label]) for c in terms.channels],
+            [(op.matrix, rate)
+             for op, rate in phase_channels(terms, schedule.reset_rate)],
             schedule.t_r)
 
     # the integrator samples t only inside [0, t_p], the window that
@@ -753,9 +751,9 @@ def evolve_cycles(terms: ModelTerms,
             h_static=terms.h_static, h_x=terms.h_x, h_y=terms.h_y,
             coupling=coupling,
             channels=pulse_channels,
-            t_span=(0.0, schedule.t_p), initial=states[-1])
+            t_span=(0.0, pulse.t_p), initial=states[-1])
         final = evolve_lindblad(prob, rtol=rtol).final
-        t_abs += schedule.t_p
+        t_abs += pulse.t_p
         times.append(t_abs)
         states.append(final)
         if reset_prop is not None:

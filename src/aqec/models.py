@@ -388,24 +388,13 @@ def target_operation(model: Model) -> TargetOperation:
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-# --- pulse-reset rate tables ---------------------------------------------------
+# --- pulse-reset phases ------------------------------------------------------
 
-def pulse_reset_rates(terms: ModelTerms, reset_rate: float
-                      ) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-channel rates for the two phases of a pulse-reset cycle.
-
-    During the coupling phase every lossy channel is slowed down to its
-    primary partner's rate; during the reset phase it is pumped at
-    ``reset_rate`` while primary channels keep their base rate throughout.
-    """
-    primary = [c.rate for c in terms.channels if not c.lossy]
-    if not primary:
-        raise ValueError("model has no primary channels")
-    primary_rate = primary[0]
-    rate_pulse = {
-        c.label: (primary_rate if c.lossy else c.rate) for c in terms.channels
-    }
-    rate_reset = {
-        c.label: (reset_rate if c.lossy else c.rate) for c in terms.channels
-    }
-    return rate_pulse, rate_reset
+def phase_channels(terms: ModelTerms, lossy_rate: float
+                   ) -> tuple[tuple[Operator, float], ...]:
+    """(operator, rate) of every channel with the lossy element held at
+    ``lossy_rate`` and every primary channel at its base rate: a pulse
+    phase holds it at the first primary's rate, a reset phase at the reset
+    rate, and the constant-coupling baseline at its own Gamma_r."""
+    return tuple((c.op, lossy_rate if c.lossy else c.rate)
+                 for c in terms.channels)

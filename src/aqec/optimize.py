@@ -44,7 +44,7 @@ from .models import (
     TargetOperation,
     VslqModel,
     build_vslq,
-    pulse_reset_rates,
+    phase_channels,
     vslq_logical_operators,
     vslq_pauli_eigenstate,
 )
@@ -298,7 +298,9 @@ def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
     """End-of-cycle residual error against ``target`` for each reset time.
 
     ``n_cycles`` pulse-reset cycles are evolved from the target state with
-    photon loss on; the grid point with the lowest final residual wins.
+    photon loss on: each is the pulse, then t_r of reset with the lossy
+    channels at ``reset_rate`` (``models.phase_channels``). The grid point
+    with the lowest final residual wins.
     Single-cycle scans measure the clean-start cost of a reset; multi-cycle
     scans additionally punish reset times too short to empty the lossy
     channel between corrections.
@@ -314,11 +316,9 @@ def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
         raise ValueError("t_r grid must be non-empty")
     if min(t_r_grid) < 0 or n_cycles < 1:
         raise ValueError("a scan needs t_r >= 0 and n_cycles >= 1")
-    rate_pulse, rate_reset = pulse_reset_rates(terms, reset_rate)
-    reset_channels = [(c.op, rate_reset[c.label]) for c in terms.channels]
-    post_pulse = evolve_cycles(
-        terms, pulse, CycleSchedule(pulse.t_p, 0.0, rate_pulse, rate_reset, 1),
-        target).final
+    reset_channels = phase_channels(terms, reset_rate)
+    post_pulse = evolve_cycles(terms, pulse, CycleSchedule(0.0, reset_rate, 1),
+                               target).final
     residuals = []
     for t_r in t_r_grid:
         state = post_pulse
@@ -326,8 +326,7 @@ def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
             state = evolve_constant_lindblad(terms.h_static, reset_channels,
                                              post_pulse, [0.0, t_r]).final
         if n_cycles > 1:
-            schedule = CycleSchedule(pulse.t_p, t_r, rate_pulse, rate_reset,
-                                     n_cycles - 1)
+            schedule = CycleSchedule(t_r, reset_rate, n_cycles - 1)
             state = evolve_cycles(terms, pulse, schedule, state).final
         residuals.append(1.0 - state_fidelity(state, target))
     residuals = np.array(residuals)
@@ -353,8 +352,7 @@ def _sq_settled_residual(terms: ModelTerms, target: QuantumState,
     from .hilbert import state_fidelity
 
     h = terms.h_static + omega * terms.h_x
-    channels = tuple((c.op, gamma_r if c.lossy else c.rate)
-                     for c in terms.channels)
+    channels = phase_channels(terms, gamma_r)
     if np.isinf(window_ns):
         from .dynamics import steady_state
         rho = steady_state(h, channels)

@@ -5,16 +5,15 @@ vanishes at both ends of the coupling window by construction:
 
     Omega_{x,y}(t) = sum_n c_n^{x,y} sin(n pi t / t_p),   0 <= t <= t_p.
 
-A schedule alternates a coupling phase of length t_p (pulse on, low loss)
-with a reset phase of length t_r (coupling off, lossy channel pumped hard),
-with piecewise-constant per-channel rates in each phase.
+A schedule alternates the pulse (lossy element at the primary rate) with a
+reset phase of length t_r (coupling off, lossy element pumped at the reset
+rate); ``models.phase_channels`` gives each phase its channel rates.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -81,33 +80,18 @@ def evaluate_many(pulse: PulseShape, t: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class CycleSchedule:
-    """Alternating pulse/reset phases with per-channel piecewise rates.
+    """``n_cycles`` cycles of the pulse, then t_r ns of reset with the lossy
+    channels at ``reset_rate`` (1/ns). Within one period of t_p + t_r,
+    [0, t_p) is the pulse phase and [t_p, t_p + t_r) the reset phase."""
 
-    ``rate_pulse`` and ``rate_reset`` map channel labels to rates in 1/ns.
-    Phase membership convention: within one period of length t_p + t_r,
-    [0, t_p) is the pulse phase and [t_p, t_p + t_r) the reset phase.
-    """
-
-    t_p: float
     t_r: float
-    rate_pulse: Mapping[str, float]
-    rate_reset: Mapping[str, float]
+    reset_rate: float
     n_cycles: int
 
-    def __init__(self, t_p, t_r, rate_pulse, rate_reset, n_cycles):
-        if not t_p > 0:
-            raise ValueError("t_p must be positive")
-        if t_r < 0:
-            raise ValueError("t_r must be nonnegative")
-        if n_cycles < 0:
-            raise ValueError("n_cycles must be nonnegative")
-        if set(rate_pulse) != set(rate_reset):
-            raise ValueError("pulse and reset phases must list the same channels")
-        object.__setattr__(self, "t_p", float(t_p))
-        object.__setattr__(self, "t_r", float(t_r))
-        object.__setattr__(self, "rate_pulse", dict(rate_pulse))
-        object.__setattr__(self, "rate_reset", dict(rate_reset))
-        object.__setattr__(self, "n_cycles", int(n_cycles))
+    def __post_init__(self):
+        if not (self.t_r >= 0 and self.reset_rate >= 0 and self.n_cycles >= 0):
+            raise ValueError(f"t_r, reset_rate and n_cycles must be "
+                             f"nonnegative, got {self}")
 
 
 # --- serialization ----------------------------------------------------------

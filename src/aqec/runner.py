@@ -106,15 +106,14 @@ def _pool_map(fn, items, workers: int):
 class _ModelKind:
     """What the commands take from one model kind."""
 
-    t1_rates: tuple[str, ...]      # model parameters a T1 point sets to 1/T1
+    t1_rates: tuple[str, ...]      # primary rates a T1 point sets to 1/T1
     protected: Callable            # model -> the state the cycles protect
     observables: Callable          # model -> {name: operator or state}
 
 
 _MODEL_KINDS = {
-    # the single qubit's pulse-phase lossy rate tracks the primary
     "single_qubit": _ModelKind(
-        ("gamma_q", "gamma_r"),
+        ("gamma_q",),
         lambda m: basis_state(m.space, (1, 0)),
         lambda m: {"fid_target": basis_state(m.space, (1, 0)),
                    "pop_leak": basis_state(m.space, (2, 1))}),
@@ -138,12 +137,6 @@ def _with_t1(cfg: ExperimentConfig, t1_ns: float) -> ExperimentConfig:
     params.update(dict.fromkeys(_MODEL_KINDS[cfg.model_kind].t1_rates,
                                 1.0 / t1_ns))
     return with_overrides(cfg, model_params=tuple(sorted(params.items())))
-
-
-def _schedule(cfg: ExperimentConfig, terms: mo.ModelTerms, t_r: float,
-              n_cycles: int) -> CycleSchedule:
-    rate_p, rate_r = mo.pulse_reset_rates(terms, cfg.reset_rate)
-    return CycleSchedule(cfg.t_p, t_r, rate_p, rate_r, n_cycles)
 
 
 # --- optimize ----------------------------------------------------------------
@@ -188,9 +181,15 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir) -> op.OptimizeResult:
 
 
 def _ensure_pulse(ctx: RunContext) -> PulseShape:
-    if ctx.cfg.pulse_file:
-        return load_pulse(ctx.cfg.pulse_file)
-    return _optimize_core(ctx).pulse
+    """The pulse file's pulse, which must last ``[pulse] t_p``, or else a
+    freshly optimized one."""
+    if not ctx.cfg.pulse_file:
+        return _optimize_core(ctx).pulse
+    pulse = load_pulse(ctx.cfg.pulse_file)
+    if abs(pulse.t_p - ctx.cfg.t_p) > 1e-12:
+        raise ValueError(f"the pulse file lasts {pulse.t_p} ns, not the "
+                         f"configured t_p = {ctx.cfg.t_p} ns")
+    return pulse
 
 
 # --- evolve ------------------------------------------------------------------
@@ -203,7 +202,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir) -> dy.Trajectory:
     kind = _MODEL_KINDS[cfg.model_kind]
     terms = mo.build(model)
     t_r = cfg.t_r if cfg.t_r is not None else cfg.t_r_grid[0]
-    schedule = _schedule(cfg, terms, t_r, cfg.n_cycles)
+    schedule = CycleSchedule(t_r, cfg.reset_rate, cfg.n_cycles)
     traj = dy.evolve_cycles(terms, pulse, schedule, kind.protected(model),
                             observables=kind.observables(model))
     dy.trajectory_to_csv(traj, ctx.path("trajectory.csv"))
@@ -271,7 +270,7 @@ def _residual_point(cfg: ExperimentConfig, t1_ns: float,
 def _vslq_working_point(t1_us: float):
     """The VSLQ_FIXED_TABLE row at T1 and its (Omega, gamma_s, Omega_s)."""
     key = int(round(t1_us))
-    if key not in VSLQ_FIXED_TABLE:
+    if key not in VSLQ_FIXED_TABLE or abs(t1_us - key) > 1e-9 * key:
         raise ValueError(f"no tabulated working point for T1={t1_us} us")
     row = VSLQ_FIXED_TABLE[key]
     return row, (2 * np.pi * row[0] * 1e-3, row[1] * 1e-3,
@@ -305,7 +304,7 @@ def _select_vslq_t_r(cfg: ExperimentConfig, pulse: PulseShape) -> float:
     state = mo.vslq_pauli_eigenstate(model, "X", +1)
     best = None
     for t_r in cfg.t_r_grid:
-        schedule = _schedule(cfg, terms, t_r, T_R_PROBE_CYCLES)
+        schedule = CycleSchedule(t_r, cfg.reset_rate, T_R_PROBE_CYCLES)
         traj = dy.evolve_cycles(terms, pulse, schedule, state,
                                 observables={"x": ops["X"]})
         # per-time decay rate: cycle lengths differ across grid points
@@ -322,8 +321,9 @@ def _cycle_end_series(cfg: ExperimentConfig, terms: mo.ModelTerms,
         raise ValueError("cycle lifetime extraction needs t_r > 0")
     n_cycles = int(min(LIFETIME_WINDOW_CYCLES,
                        LIFETIME_WINDOW_NS // (cfg.t_p + t_r)))
-    traj = dy.evolve_cycles(terms, pulse, _schedule(cfg, terms, t_r, n_cycles),
-                            state, observables={"obs": obs})
+    schedule = CycleSchedule(t_r, cfg.reset_rate, n_cycles)
+    traj = dy.evolve_cycles(terms, pulse, schedule, state,
+                            observables={"obs": obs})
     return traj.times[2::2] / 1e3, traj.observables["obs"][2::2]
 
 
@@ -373,7 +373,7 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
     ops_fix = mo.vslq_logical_operators(m_fix)
     t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg, pulse)
     n_cycles = int(SHORT_WINDOW_NS // (cfg.t_p + t_r))
-    schedule = _schedule(cfg, terms, t_r, n_cycles)
+    schedule = CycleSchedule(t_r, cfg.reset_rate, n_cycles)
     row = {"t1_us": t1_us, "t_r_ns": t_r}
     curves = []
     for which in ("X", "Y"):

@@ -287,6 +287,24 @@ mode = lifetimes
             runner.cmd_sweep(cfg, tmp_path)
         assert not (tmp_path / "pulse.json").exists()
 
+    @pytest.mark.parametrize("mode", ["fixed_lifetimes", "lifetimes"])
+    def test_t1_off_a_tabulated_point_exits_2(self, mode, tmp_path):
+        # 30.4 us rounds to the 30 us row but is not its T1
+        from aqec import cli
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(VSLQ + f"""
+[optimizer]
+max_iters = 0
+
+[sweep]
+t1 = 30.4 us
+mode = {mode}
+""")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg_file),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode,model", [("residual", VSLQ),
                                             ("fixed_lifetimes", MINIMAL)])
     def test_model_kind_mismatch_exits_2_before_any_work(self, mode, model,
@@ -350,6 +368,40 @@ mode = {sweep_mode}
         with pytest.raises(_PoolCalled) as handed:
             runner.cmd_reproduce("fig4", tmp_path / "fig4", workers=2)
         assert handed.value.args == (2,), "fig4"
+
+
+class TestPulseFileDuration:
+    @pytest.mark.parametrize("command,model,sweep", [
+        ("evolve", MINIMAL, ""),
+        ("scan-reset", MINIMAL, "[sweep]\nt1 = 10 us\n"),
+        ("sweep", VSLQ, "[sweep]\nt1 = 30 us\nmode = lifetimes\n")],
+        ids=["evolve", "scan-reset", "lifetimes"])
+    def test_mismatched_t_p_exits_2_before_any_work(self, command, model,
+                                                    sweep, tmp_path,
+                                                    monkeypatch):
+        from aqec import cli, dynamics, runner
+        from aqec.pulse import PulseShape, save_pulse
+
+        def reached(*args, **kwargs):
+            raise AssertionError("a mismatched pulse reached the simulation")
+
+        monkeypatch.setattr(runner, "_pool_map", reached)
+        monkeypatch.setattr(dynamics, "evolve_cycles", reached)
+        pulse_file = tmp_path / "pulse.json"
+        save_pulse(PulseShape([0.01, 0.0], [0.0, 0.0], 39.0), pulse_file)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(model + f"""
+{sweep}
+[pulse]
+t_p = 40 ns
+
+[run]
+pulse_file = {pulse_file}
+""")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg_file),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestFitCommand:

@@ -273,9 +273,9 @@ def _vslq_fixed_point():
 
 def _vslq_reset():
     terms, _ = _vslq_terms()
-    _, rate_r = mo.pulse_reset_rates(terms, reset_rate=0.035)
     return (terms.h_static.matrix,
-            [(c.op.matrix, rate_r[c.label]) for c in terms.channels], 60.0)
+            [(op.matrix, rate) for op, rate in mo.phase_channels(terms, 0.035)],
+            60.0)
 
 
 # the omega = 0 and gamma_r = 0 cases share d with sq-constant but not its
@@ -392,8 +392,8 @@ def _pulse_phase(terms, initial):
     # pulse-phase rates of a 35 per_us reset
     seed = seed_pulse(8, 40.0, TWO_PI * 0.01)
     pulse = PulseShape(seed.cx, [0.0, TWO_PI * 0.002] + [0.0] * 6, 40.0)
-    rate_p, _ = mo.pulse_reset_rates(terms, reset_rate=0.035)
-    channels = tuple((c.op, rate_p[c.label]) for c in terms.channels)
+    primary_rate = next(c.rate for c in terms.channels if not c.lossy)
+    channels = mo.phase_channels(terms, primary_rate)
     return dy.EvolutionProblem(
         terms.h_static, terms.h_x, terms.h_y, lambda t: evaluate(pulse, t),
         channels, (0.0, 40.0), initial)
@@ -547,9 +547,8 @@ def rk_reset_cycles(terms, pulse, sched, initial):
     phase is evolve_cycles' own (one cycle with t_r = 0), each reset phase
     the integrated reset-phase problem.
     """
-    pulse_only = CycleSchedule(sched.t_p, 0.0, sched.rate_pulse,
-                               sched.rate_reset, 1)
-    reset_channels = [(c.op, sched.rate_reset[c.label]) for c in terms.channels]
+    pulse_only = CycleSchedule(0.0, sched.reset_rate, 1)
+    reset_channels = mo.phase_channels(terms, sched.reset_rate)
     state = initial
     for _ in range(sched.n_cycles):
         state = dy.evolve_cycles(terms, pulse, pulse_only, state).final
@@ -566,12 +565,11 @@ class TestCycles:
                                     gamma_r=1e-4)
         terms = mo.build_single_qubit(model)
         pulse = seed_pulse(8, 40.0, TWO_PI * 0.02)
-        rate_p, rate_r = mo.pulse_reset_rates(terms, reset_rate=0.03)
-        return model, terms, pulse, rate_p, rate_r
+        return model, terms, pulse
 
     def test_zero_cycles_returns_initial(self, cycle_setup):
-        model, terms, pulse, rate_p, rate_r = cycle_setup
-        sched = CycleSchedule(40.0, 60.0, rate_p, rate_r, 0)
+        model, terms, pulse = cycle_setup
+        sched = CycleSchedule(60.0, 0.03, 0)
         initial = hi.basis_state(model.space, (1, 0))
         traj = dy.evolve_cycles(terms, pulse, sched, initial)
         assert len(traj.states) == 1
@@ -579,25 +577,42 @@ class TestCycles:
 
     def test_identity_dynamics_on_static_eigenstate(self, cycle_setup):
         # zero rates and zero pulse leave a static eigenstate unchanged
-        model, terms, pulse, _, _ = cycle_setup
+        model = mo.SingleQubitModel(delta=TWO_PI * 0.35, gamma_q=0.0,
+                                    gamma_r=0.0)
+        terms = mo.build_single_qubit(model)
         zero_pulse = PulseShape([0.0] * 4, [0.0] * 4, 40.0)
-        rates = {"q": 0.0, "r": 0.0}
-        sched = CycleSchedule(40.0, 60.0, rates, rates, 2)
+        sched = CycleSchedule(60.0, 0.0, 2)
         initial = hi.basis_state(model.space, (1, 0))
         traj = dy.evolve_cycles(terms, zero_pulse, sched, initial)
         assert np.max(np.abs(traj.final.density() - initial.density())) < 1e-8
 
     def test_boundary_records(self, cycle_setup):
-        model, terms, pulse, rate_p, rate_r = cycle_setup
-        sched = CycleSchedule(40.0, 60.0, rate_p, rate_r, 3)
+        model, terms, pulse = cycle_setup
+        sched = CycleSchedule(60.0, 0.03, 3)
         traj = dy.evolve_cycles(terms, pulse, sched,
                                 hi.basis_state(model.space, (1, 0)))
         assert np.allclose(traj.times,
                            [0, 40, 100, 140, 200, 240, 300])
 
+    def test_pulse_phase_holds_lossy_at_primary_rate(self):
+        # the model's own lossy rate reaches no phase: the pulse phase runs
+        # the resonator at gamma_q, not at gamma_r = 0.03
+        model = mo.SingleQubitModel(delta=TWO_PI * 0.35, gamma_q=1e-4,
+                                    gamma_r=0.03)
+        terms = mo.build_single_qubit(model)
+        pulse = seed_pulse(8, 40.0, TWO_PI * 0.02)
+        initial = hi.basis_state(model.space, (1, 1))
+        got = dy.evolve_cycles(terms, pulse, CycleSchedule(0.0, 0.5, 1),
+                               initial).final
+        prob = dy.EvolutionProblem(
+            terms.h_static, terms.h_x, terms.h_y, lambda t: evaluate(pulse, t),
+            mo.phase_channels(terms, 1e-4), (0.0, 40.0), initial)
+        want = dy.evolve_lindblad(prob).final
+        assert np.max(np.abs(got.density() - want.density())) < 1e-9
+
     def test_expm_reset_matches_rk_reset(self, cycle_setup):
-        model, terms, pulse, rate_p, rate_r = cycle_setup
-        sched = CycleSchedule(40.0, 60.0, rate_p, rate_r, 2)
+        model, terms, pulse = cycle_setup
+        sched = CycleSchedule(60.0, 0.03, 2)
         initial = hi.basis_state(model.space, (1, 0))
         a = dy.evolve_cycles(terms, pulse, sched, initial)
         b = rk_reset_cycles(terms, pulse, sched, initial)
@@ -609,23 +624,15 @@ class TestCycles:
                                    gamma_r=0.03)
         terms = mo.build_three_qubit(model)
         pulse = seed_pulse(8, 40.0, TWO_PI * 0.01)
-        rate_p, rate_r = mo.pulse_reset_rates(terms, reset_rate=0.03)
-        sched = CycleSchedule(40.0, 60.0, rate_p, rate_r, 1)
+        sched = CycleSchedule(60.0, 0.03, 1)
         initial = hi.basis_state(model.space, (1, 0, 0, 0, 0, 0))
         a = dy.evolve_cycles(terms, pulse, sched, initial)
         b = rk_reset_cycles(terms, pulse, sched, initial)
         assert np.max(np.abs(a.final.density() - b.density())) < 1e-7
 
-    def test_schedule_pulse_mismatch_rejected(self, cycle_setup):
-        model, terms, pulse, rate_p, rate_r = cycle_setup
-        sched = CycleSchedule(39.0, 60.0, rate_p, rate_r, 1)
-        with pytest.raises(ValueError):
-            dy.evolve_cycles(terms, pulse, sched,
-                             hi.basis_state(model.space, (1, 0)))
-
     def test_step_halving_convergence(self, cycle_setup):
-        model, terms, pulse, rate_p, rate_r = cycle_setup
-        sched = CycleSchedule(40.0, 60.0, rate_p, rate_r, 1)
+        model, terms, pulse = cycle_setup
+        sched = CycleSchedule(60.0, 0.03, 1)
         initial = hi.basis_state(model.space, (1, 0))
         f = []
         for rtol in (1e-9, 5e-10):

@@ -1,6 +1,7 @@
-"""Source hygiene checks: unused imports, environment reads in the package
-and parameter defaults that no caller overrides, read with the standard
-library's ``ast``, and the modules that importing the CLI loads."""
+"""Source hygiene checks: unused imports, environment reads in the package,
+parameter defaults that no caller overrides and module-level names that
+nothing references, read with the standard library's ``ast``, and the
+modules that importing the CLI loads."""
 
 import ast
 import os
@@ -207,3 +208,78 @@ def test_cli_import_loads_no_scipy_beyond_linalg_and_sparse():
                    if m.startswith("scipy.") and m.count(".") == 1
                    and not m.startswith("scipy._") and is_package == "True"}
     assert subpackages == {"scipy.linalg", "scipy.sparse"}
+
+
+def _module_names(tree: ast.Module) -> list[str]:
+    """Names that a module's top-level statements define: functions,
+    classes and assignment targets."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return names
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Every name a module reads, reaches as an attribute, imports, or
+    spells as an identifier string (a lookup through ``globals()``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each top-level definition in ``sources`` (module
+    name -> source) that no module in ``sources`` references.
+
+    References are matched by name alone, so a name read anywhere in the
+    package, for whatever object, keeps every definition of that name.
+    """
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    referenced = set().union(*map(_referenced, trees.values()))
+    return sorted(f"{m}.{n}" for m, tree in trees.items()
+                  for n in _module_names(tree) if n not in referenced)
+
+
+# module-level names that nothing in src/aqec references, and why they stay
+DEAD_ALLOWED = {
+    "analysis.residual_error": "perfbench's census pins "
+                               "aqec.analysis.state_fidelity, and only "
+                               "residual_error reads that binding",
+}
+
+
+def test_every_package_name_is_referenced():
+    # ROADMAP aim 2: nothing in src/ that no command reaches
+    sources = {p.stem: p.read_text()
+               for p in sorted((ROOT / "src" / "aqec").glob("*.py"))}
+    dead = dead_names(sources)
+    assert [n for n in dead if n not in DEAD_ALLOWED] == []
+    assert sorted(set(DEAD_ALLOWED) - set(dead)) == []
+
+
+def test_checker_flags_dead_names():
+    models = ("def phase_channels(terms, rate):\n    return ()\n"
+              "def pulse_reset_rates(terms, rate):\n    return {}, {}\n"
+              "class Kind:\n    pass\n"
+              "LIMIT, _SPARE = 1, 2\n")
+    runner = ("from . import models as mo\n"
+              "def _point(cfg):\n    return mo.phase_channels(cfg, LIMIT)\n"
+              "def _schedule(cfg):\n    return Kind()\n"
+              "def _run(name):\n    return globals()[name](None)\n"
+              "_run('_point')\n")
+    assert dead_names({"models": models, "runner": runner}) == [
+        "models._SPARE", "models.pulse_reset_rates", "runner._schedule"]

@@ -270,10 +270,15 @@ class TestTargetOperation:
         assert all(w == pytest.approx(ws[0]) for w in ws)
 
 
-class TestPulseResetRates:
-    def test_lossy_tracks_primary_in_pulse_phase(self, vslq_model):
-        terms = mo.build_vslq(vslq_model)
-        rate_pulse, rate_reset = mo.pulse_reset_rates(terms, reset_rate=0.035)
-        assert rate_pulse["Sl"] == rate_pulse["l"] == vslq_model.gamma_p
-        assert rate_reset["Sl"] == 0.035
-        assert rate_reset["l"] == vslq_model.gamma_p
+class TestPhaseChannels:
+    @pytest.mark.parametrize("kind", ["sq_model", "tq_model", "vslq_model"])
+    def test_lossy_at_given_rate_primary_at_base(self, kind, request):
+        terms = mo.build(request.getfixturevalue(kind))
+        got = mo.phase_channels(terms, 0.035)
+        assert [op for op, _ in got] == [c.op for c in terms.channels]
+        assert [rate for _, rate in got] == [
+            0.035 if c.lossy else c.rate for c in terms.channels]
+        assert any(c.lossy for c in terms.channels)
+        assert any(not c.lossy for c in terms.channels)
+
+

@@ -341,10 +341,9 @@ class TestResetScan:
 
 
 def _per_t_r_residuals(terms, pulse, grid, target, reset_rate, n_cycles):
-    rate_p, rate_r = mo.pulse_reset_rates(terms, reset_rate)
     out = []
     for t_r in grid:
-        schedule = CycleSchedule(pulse.t_p, t_r, rate_p, rate_r, n_cycles)
+        schedule = CycleSchedule(t_r, reset_rate, n_cycles)
         final = dy.evolve_cycles(terms, pulse, schedule, target).final
         out.append(1.0 - hi.state_fidelity(final, target))
     return np.array(out)

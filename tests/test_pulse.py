@@ -90,9 +90,12 @@ pulse_file = {pulse_file}
 
 
 class TestSchedule:
-    def test_channel_sets_must_match(self):
-        with pytest.raises(ValueError):
-            pu.CycleSchedule(40.0, 10.0, {"q": 1e-4}, {"r": 1e-4}, 1)
+    @pytest.mark.parametrize("field", ["t_r", "reset_rate", "n_cycles"])
+    def test_negative_field_rejected(self, field):
+        args = {"t_r": 60.0, "reset_rate": 0.03, "n_cycles": 2}
+        pu.CycleSchedule(**args)
+        with pytest.raises(ValueError, match="nonnegative"):
+            pu.CycleSchedule(**{**args, field: -1})
 
 
 class TestSerialization:
