@@ -54,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                 workers=True)
 
     rep = sub.add_parser("reproduce", help="reproduce a published figure/table")
-    rep.add_argument("figure", choices=["fig2", "fig3", "fig4", "fig5",
-                                        "fig6", "fig7", "table1"])
+    rep.add_argument("figure", choices=list_presets())
     rep.add_argument("--out", default=None)
     rep.add_argument("--workers", type=_worker_count, default=None,
                      help=WORKERS_HELP)

@@ -25,8 +25,8 @@ stepping through them. Integrating a reset phase (``evolve_lindblad`` on
 the reset-phase problem) is kept only as the test oracle for that
 propagator, and the two agree to integrator tolerance. ``steady_state``
 solves only over the sectors holding the identity's diagonal. Every
-recorded density passes ``_sanitize_density``, which holds it to the
-tolerances of ``hilbert.QuantumState`` or raises IntegrityError.
+recorded state passes ``hilbert.QuantumState``'s own check or raises
+IntegrityError; no state is clipped or otherwise altered to pass it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .hilbert import EIG_FLOOR, TRACE_ATOL, Operator, QuantumState, sector_labels
+from .hilbert import Operator, QuantumState, TensorSpace, sector_labels
 from .models import ModelTerms, phase_channels
 from .pulse import CycleSchedule, PulseShape
 
@@ -47,7 +47,6 @@ UNITARY_RTOL = 1e-10
 LINDBLAD_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 NORM_DRIFT_ATOL = 1e-8   # |norm - 1| a Schrodinger propagation may reach
-EIG_RAISE = -1e-7    # density eigenvalue below this aborts the run
 MAX_STEPS = 5_000_000    # adaptive_rk's step budget per integration
 
 
@@ -335,26 +334,12 @@ def _hermitize(rho: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2
 
 
-def _sanitize_density(rho: np.ndarray) -> np.ndarray:
-    """Hermitize; raise IntegrityError on a trace off by more than
-    TRACE_ATOL or an eigenvalue below EIG_RAISE; clip eigenvalues in
-    [EIG_RAISE, EIG_FLOOR). TRACE_ATOL and EIG_FLOOR are QuantumState's
-    own tolerances, so what passes is a valid state."""
-    rho = _hermitize(rho)
-    drift = abs(np.trace(rho).real - 1.0)
-    if drift > TRACE_ATOL:
-        raise IntegrityError(f"trace drift {drift:.3e} exceeds {TRACE_ATOL}")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < EIG_RAISE:
-        raise IntegrityError(
-            f"density eigenvalue {w[0]:.3e} below {EIG_RAISE}; "
-            "integration tolerance failure")
-    if w[0] < EIG_FLOOR:
-        w_full, v = np.linalg.eigh(rho)
-        w_full = np.clip(w_full, 0.0, None)
-        rho = (v * w_full) @ v.conj().T
-        rho = rho / np.trace(rho).real
-    return rho
+def _checked_state(space: TensorSpace, data: np.ndarray) -> QuantumState:
+    """A recorded state; a failed QuantumState check is an IntegrityError."""
+    try:
+        return QuantumState(space, data)
+    except ValueError as exc:
+        raise IntegrityError(str(exc)) from exc
 
 
 # --- public evolutions ---------------------------------------------------------
@@ -372,12 +357,14 @@ def evolve_unitary(problem: EvolutionProblem,
 
     times, ys = adaptive_rk(rhs, problem.t_span, psi0, rtol=UNITARY_RTOL,
                             record_times=record_times)
-    drift = abs(np.linalg.norm(ys[-1]) - 1.0)
-    if drift > NORM_DRIFT_ATOL:
-        raise IntegrationError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ATOL}")
     space = problem.initial.space
-    states = [QuantumState(space, y / np.linalg.norm(y)) for y in ys]
+    states = []
+    for y in ys:
+        norm = np.linalg.norm(y)
+        if abs(norm - 1.0) > NORM_DRIFT_ATOL:
+            raise IntegrationError(
+                f"norm drift {abs(norm - 1.0):.3e} exceeds {NORM_DRIFT_ATOL}")
+        states.append(QuantumState(space, y / norm))
     return _attach_observables(Trajectory(times, states), observables)
 
 
@@ -392,7 +379,7 @@ def evolve_lindblad(problem: EvolutionProblem,
     (``_sector_rhs``); every other entry of rho is zero and stays exactly
     zero. The state is re-Hermitized after every accepted step, through
     the transpose permutation of those indices, and the full d x d state
-    is rebuilt only at record times, where ``_sanitize_density`` checks it.
+    is rebuilt only at record times, where ``_checked_state`` checks it.
     """
     rho0 = problem.initial.density()
     d = rho0.shape[0]
@@ -419,7 +406,7 @@ def evolve_lindblad(problem: EvolutionProblem,
     for y in ys:
         rho = np.zeros(n, dtype=complex)
         rho[keep] = y
-        states.append(QuantumState(space, _sanitize_density(rho.reshape(d, d))))
+        states.append(_checked_state(space, rho.reshape(d, d)))
     return _attach_observables(Trajectory(times, states), observables)
 
 
@@ -650,9 +637,7 @@ def evolve_constant_lindblad(h: Operator,
     propagators are cached per distinct step, so uniform grids cost one
     matrix exponential regardless of length. Each propagator keeps only
     the blocks that the initial state occupies. That is exact: one
-    constant generator keeps the propagated chain inside them, and the
-    chain never passes through the eigenvalue clip, which acts only on the
-    recorded states.
+    constant generator keeps the propagated chain inside them.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -663,13 +648,14 @@ def evolve_constant_lindblad(h: Operator,
     cache: dict[float, SegmentPropagator] = {}
     rho = rho0 = initial.density()
     space = initial.space
-    states = [QuantumState(space, _sanitize_density(rho))]
+    # a pure state's outer product is Hermitian only to rounding
+    states = [_checked_state(space, _hermitize(rho))]
     for dt in np.diff(times):
         key = round(float(dt), 12)
         if key not in cache:
             cache[key] = segment_propagator(h.matrix, mats, float(dt), rho0)
         rho = apply_propagator(cache[key], rho)
-        states.append(QuantumState(space, _sanitize_density(rho)))
+        states.append(_checked_state(space, rho))
     return _attach_observables(Trajectory(times, states), observables)
 
 
@@ -702,7 +688,7 @@ def steady_state(h: Operator,
     x += np.linalg.lstsq(a, b - a @ x, rcond=None)[0]
     rho = np.zeros(n, dtype=complex)
     rho[keep] = x
-    return QuantumState(h.space, _sanitize_density(rho.reshape(d, d)))
+    return _checked_state(h.space, _hermitize(rho.reshape(d, d)))
 
 
 # --- pulse-reset cycles ----------------------------------------------------------
@@ -721,11 +707,11 @@ def evolve_cycles(terms: ModelTerms,
     from the state recorded at the end of the previous phase, so the
     piecewise-constant rates are never straddled by a step; states are
     recorded at every phase boundary. Reset phases all share one exact
-    propagator of every block, since their input has passed the
-    eigenvalue clip.
+    propagator of every block.
     """
     space = terms.space
-    states = [QuantumState(space, _sanitize_density(initial.density()))]
+    # a pure state's outer product is Hermitian only to rounding
+    states = [_checked_state(space, _hermitize(initial.density()))]
     times = [0.0]
     primary_rate = next(c.rate for c in terms.channels if not c.lossy)
     pulse_channels = phase_channels(terms, primary_rate)
@@ -760,7 +746,7 @@ def evolve_cycles(terms: ModelTerms,
             rho = apply_propagator(reset_prop, final.density())
             t_abs += schedule.t_r
             times.append(t_abs)
-            states.append(QuantumState(space, _sanitize_density(rho)))
+            states.append(_checked_state(space, rho))
     return _attach_observables(Trajectory(np.array(times), states), observables)
 
 

@@ -88,8 +88,8 @@ class Operator:
     def dagger(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T)
 
-    def is_hermitian(self, atol: float = HERM_ATOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= atol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= HERM_ATOL)
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_space(other)
@@ -140,9 +140,10 @@ class QuantumState:
         elif data.ndim == 2:
             if data.shape != (d, d):
                 raise DimensionError(f"density shape {data.shape} != ({d}, {d})")
-            tr = np.trace(data)
-            if abs(tr - 1.0) > TRACE_ATOL:
-                raise ValueError(f"density trace {tr} deviates from 1")
+            drift = abs(np.trace(data) - 1.0)
+            if drift > TRACE_ATOL:
+                raise ValueError(
+                    f"density trace drift {drift:.3e} exceeds {TRACE_ATOL}")
             if np.max(np.abs(data - data.conj().T)) > HERM_ATOL:
                 raise ValueError(f"density matrix is not Hermitian to {HERM_ATOL}")
             if np.min(np.linalg.eigvalsh((data + data.conj().T) / 2)) < EIG_FLOOR:
@@ -252,7 +253,7 @@ def expectation(op: Operator, state: QuantumState) -> float:
         raise DimensionError(
             f"operator space {op.space.dims} != state space {state.space.dims}"
         )
-    if not op.is_hermitian(atol=1e-9):
+    if not op.is_hermitian():
         raise ValueError("expectation requires a Hermitian operator")
     if state.is_pure:
         val = np.vdot(state.data, op.matrix @ state.data)

@@ -111,7 +111,6 @@ Model = SingleQubitModel | ThreeQubitModel | VslqModel
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    label: str
     op: Operator
     rate: float       # 1/ns
     lossy: bool       # True for the engineered-dissipation channel
@@ -159,8 +158,8 @@ def build_single_qubit(m: SingleQubitModel) -> ModelTerms:
     h_x = lower + raise_
     h_y = 1j * (raise_ - lower)
     channels = (
-        LindbladChannel("q", a_q, m.gamma_q, lossy=False),
-        LindbladChannel("r", a_r, m.gamma_r, lossy=True),
+        LindbladChannel(a_q, m.gamma_q, lossy=False),
+        LindbladChannel(a_r, m.gamma_r, lossy=True),
     )
     return ModelTerms(sp, h_static, h_x, h_y, channels)
 
@@ -180,11 +179,10 @@ def build_three_qubit(m: ThreeQubitModel) -> ModelTerms:
     h_y = sx_p[0] @ sy_r[0] + sx_p[1] @ sy_r[1] + sx_p[2] @ sy_r[2]
 
     channels = tuple(
-        LindbladChannel(f"P{i + 1}", embed(SIGMA_X, i, sp), m.gamma_p, lossy=False)
+        LindbladChannel(embed(SIGMA_X, i, sp), m.gamma_p, lossy=False)
         for i in range(3)
     ) + tuple(
-        LindbladChannel(f"R{i + 1}", embed(SIGMA_MINUS, 3 + i, sp), m.gamma_r,
-                        lossy=True)
+        LindbladChannel(embed(SIGMA_MINUS, 3 + i, sp), m.gamma_r, lossy=True)
         for i in range(3)
     )
     return ModelTerms(sp, h_p + h_r, h_x, h_y, channels)
@@ -216,10 +214,10 @@ def build_vslq(m: VslqModel) -> ModelTerms:
     h_y = 1j * (raise_both - lower_both)
 
     channels = (
-        LindbladChannel("Sl", a_sl, m.gamma_s, lossy=True),
-        LindbladChannel("l", a_l, m.gamma_p, lossy=False),
-        LindbladChannel("r", a_r, m.gamma_p, lossy=False),
-        LindbladChannel("Sr", a_sr, m.gamma_s, lossy=True),
+        LindbladChannel(a_sl, m.gamma_s, lossy=True),
+        LindbladChannel(a_l, m.gamma_p, lossy=False),
+        LindbladChannel(a_r, m.gamma_p, lossy=False),
+        LindbladChannel(a_sr, m.gamma_s, lossy=True),
     )
     return ModelTerms(sp, h_static, h_x, h_y, channels)
 

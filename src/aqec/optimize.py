@@ -309,7 +309,7 @@ def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
     integrated once; each t_r applies its exact reset to that state, and
     further cycles continue from there. These are the operations of one
     ``evolve_cycles`` run per t_r, in the same order, so the residuals are
-    bit-identical to such runs (unless an eigenvalue clip fires).
+    bit-identical to such runs.
     """
     t_r_grid = list(t_r_grid)
     if not t_r_grid:

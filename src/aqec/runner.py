@@ -28,7 +28,8 @@ from . import optimize as op
 from . import spectral as spc
 from .config import ExperimentConfig, config_hash, with_overrides, write_config
 from .hilbert import Operator, basis_state
-from .presets import PAPER_VALUES, VSLQ_FIXED_TABLE, preset_config
+from .presets import (PAPER_VALUES, VSLQ_FIXED_TABLE, list_presets,
+                      preset_config)
 from .pulse import (
     CycleSchedule,
     PulseShape,
@@ -571,9 +572,8 @@ def _fit_exponent(fit: dict | None) -> float | None:
 def cmd_reproduce(figure_id: str, out_dir, workers: int | None = None) -> dict:
     """Run the full pipeline for a named figure or table preset; ``workers``,
     if given, overrides the preset's."""
-    known = {"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table1"}
-    if figure_id not in known:
-        raise ValueError(f"unknown figure id {figure_id!r}; known: {sorted(known)}")
+    if figure_id not in list_presets():
+        raise ValueError(f"unknown figure id {figure_id!r}; known: {list_presets()}")
     cfg = preset_config(figure_id)
     if workers is not None:
         cfg = with_overrides(cfg, workers=workers)

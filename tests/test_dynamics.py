@@ -12,6 +12,10 @@ from aqec.pulse import CycleSchedule, PulseShape, evaluate, seed_pulse
 TWO_PI = 2 * np.pi
 
 
+# trace 1 and Hermitian, with an eigenvalue of -1e-8
+DIPPED = np.diag([1.0 + 1e-8, -1e-8]).astype(complex)
+
+
 def two_level_decay_problem(gamma, t_end):
     sp = hi.TensorSpace((2,))
     h0 = hi.Operator(sp, np.zeros((2, 2)))
@@ -84,6 +88,23 @@ class TestUnitary:
         for k in range(81):
             assert np.allclose(traj.states[k].vector(), oracle[k], atol=1e-7)
             assert abs(traj.states[k].vector()[i_leak]) ** 2 < bound
+
+    def test_norm_gate_checks_every_record_time(self, monkeypatch):
+        # a drifted middle record must raise, not be renormalized away
+        real = dy.adaptive_rk
+
+        def drifted(*args, **kwargs):
+            times, ys = real(*args, **kwargs)
+            ys[1] = ys[1] * (1.0 + 1e-6)
+            return times, ys
+
+        monkeypatch.setattr(dy, "adaptive_rk", drifted)
+        sp = hi.TensorSpace((2,))
+        h0 = hi.Operator(sp, np.array([[0.0, 0.1], [0.1, 0.0]]))
+        prob = dy.EvolutionProblem(h0, None, None, None, (), (0.0, 10.0),
+                                   hi.basis_state(sp, (0,)))
+        with pytest.raises(dy.IntegrationError, match="norm drift"):
+            dy.evolve_unitary(prob, record_times=[0.0, 5.0, 10.0])
 
     def test_record_times(self):
         sp = hi.TensorSpace((2,))
@@ -188,6 +209,46 @@ class TestLindblad:
             dy.evolve_constant_lindblad(h0, ((a, 0.01),),
                                         hi.basis_state(sp, (1,)),
                                         [0.0, 50.0, 100.0])
+
+    # the decay from |1> occupies only the populations, vec(rho)[[0, 3]];
+    # -1e-8 lies below EIG_FLOOR, and the gate raises instead of clipping
+    def test_negative_eigenvalue_raises_on_integrated_records(self,
+                                                               monkeypatch):
+        real = dy.adaptive_rk
+
+        def dipped(*args, **kwargs):
+            times, ys = real(*args, **kwargs)
+            ys[-1] = DIPPED.reshape(-1)[[0, 3]]
+            return times, ys
+
+        monkeypatch.setattr(dy, "adaptive_rk", dipped)
+        with pytest.raises(dy.IntegrityError, match="eigenvalue below"):
+            dy.evolve_lindblad(two_level_decay_problem(0.01, 100.0))
+
+    def test_negative_eigenvalue_raises_on_propagated_states(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(dy, "apply_propagator",
+                            lambda prop, rho: DIPPED.copy())
+        sp = hi.TensorSpace((2,))
+        a = hi.Operator(sp, hi.ladder(2))
+        h0 = hi.Operator(sp, np.zeros((2, 2)))
+        with pytest.raises(dy.IntegrityError, match="eigenvalue below"):
+            dy.evolve_constant_lindblad(h0, ((a, 0.01),),
+                                        hi.basis_state(sp, (1,)),
+                                        [0.0, 50.0, 100.0])
+
+    def test_each_sample_is_diagonalized_once(self, monkeypatch):
+        # work counter: k + 1 recorded densities, k + 1 eigvalsh calls
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(1) or eigvalsh(a))
+        sp = hi.TensorSpace((2,))
+        a = hi.Operator(sp, hi.ladder(2))
+        h0 = hi.Operator(sp, np.zeros((2, 2)))
+        dy.evolve_constant_lindblad(h0, ((a, 0.01),), hi.basis_state(sp, (1,)),
+                                    10.0 * np.arange(5))
+        assert len(calls) == 5
 
 
 class TestConstantPropagator:
@@ -465,7 +526,7 @@ class TestOccupiedSectors:
         monkeypatch.setattr(dy, "adaptive_rk", lambda f, *args, **kwargs:
                             integrate(_counted(f, calls), *args, **kwargs))
         got = dy.evolve_lindblad(prob).final.density()
-        assert np.max(np.abs(got - dy._sanitize_density(ys[-1]))) <= 1e-12
+        assert np.max(np.abs(got - dy._hermitize(ys[-1]))) <= 1e-12
         assert len(calls) == len(full_calls)
 
     @pytest.mark.parametrize("name", list(CONSTANT_STARTS))
@@ -478,7 +539,7 @@ class TestOccupiedSectors:
                                            dt * np.arange(4))
         for state in traj.states[1:]:
             rho = dy.apply_propagator(prop, rho)
-            want = dy._sanitize_density(rho)
+            want = dy._hermitize(rho)
             assert np.max(np.abs(state.density() - want)) <= 1e-12
 
     def test_full_density_occupies_every_index(self):
@@ -535,7 +596,7 @@ class TestOccupiedSectors:
         b[-1] = 1.0
         x, *_ = np.linalg.lstsq(a, b, rcond=None)
         x += np.linalg.lstsq(a, b - a @ x, rcond=None)[0]
-        want = dy._sanitize_density(x.reshape(d, d))
+        want = dy._hermitize(x.reshape(d, d))
         got = dy.steady_state(h, channels).density()
         assert np.max(np.abs(got - want)) < 1e-12
 

@@ -162,6 +162,13 @@ class TestExpectation:
         with pytest.raises(ValueError):
             hi.expectation(op, hi.basis_state(sp, (0,)))
 
+    def test_hermiticity_tolerance_is_herm_atol(self):
+        # 1e-10 off Hermitian is outside HERM_ATOL, the one tolerance
+        sp = hi.TensorSpace((2,))
+        op = hi.Operator(sp, np.array([[0, 1e-10], [0, 0]]))
+        with pytest.raises(ValueError):
+            hi.expectation(op, hi.basis_state(sp, (0,)))
+
 
 class TestTildeOperators:
     def test_x_tilde_unit_flip(self):

@@ -210,13 +210,24 @@ def test_cli_import_loads_no_scipy_beyond_linalg_and_sparse():
     assert subpackages == {"scipy.linalg", "scipy.sparse"}
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_dotted(d.func if isinstance(d, ast.Call) else d)
+               in ("dataclass", "dataclasses.dataclass")
+               for d in node.decorator_list)
+
+
 def _module_names(tree: ast.Module) -> list[str]:
     """Names that a module's top-level statements define: functions,
-    classes and assignment targets."""
+    classes, assignment targets, and the annotated fields of each
+    ``@dataclass`` class as "Class.field"."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                names += [f"{node.name}.{s.target.id}" for s in node.body
+                          if isinstance(s, ast.AnnAssign)
+                          and isinstance(s.target, ast.Name)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t)
@@ -242,16 +253,20 @@ def _referenced(tree: ast.AST) -> set[str]:
 
 
 def dead_names(sources: dict[str, str]) -> list[str]:
-    """"module.name" of each top-level definition in ``sources`` (module
-    name -> source) that no module in ``sources`` references.
+    """"module.name" of each top-level definition or dataclass field
+    ("module.Class.field") in ``sources`` (module name -> source) that no
+    module in ``sources`` references.
 
     References are matched by name alone, so a name read anywhere in the
-    package, for whatever object, keeps every definition of that name.
+    package, for whatever object, keeps every definition of that name. A
+    field that is only passed to the constructor is never read, so it is
+    dead.
     """
     trees = {m: ast.parse(s) for m, s in sources.items()}
     referenced = set().union(*map(_referenced, trees.values()))
     return sorted(f"{m}.{n}" for m, tree in trees.items()
-                  for n in _module_names(tree) if n not in referenced)
+                  for n in _module_names(tree)
+                  if n.rsplit(".", 1)[-1] not in referenced)
 
 
 # module-level names that nothing in src/aqec references, and why they stay
@@ -275,11 +290,16 @@ def test_checker_flags_dead_names():
     models = ("def phase_channels(terms, rate):\n    return ()\n"
               "def pulse_reset_rates(terms, rate):\n    return {}, {}\n"
               "class Kind:\n    pass\n"
+              "@dataclass(frozen=True)\n"
+              "class Channel:\n    label: str\n    op: int\n"
+              "class Plain:\n    spare: int\n"
               "LIMIT, _SPARE = 1, 2\n")
     runner = ("from . import models as mo\n"
               "def _point(cfg):\n    return mo.phase_channels(cfg, LIMIT)\n"
               "def _schedule(cfg):\n    return Kind()\n"
               "def _run(name):\n    return globals()[name](None)\n"
-              "_run('_point')\n")
+              "def _ops():\n    return mo.Channel('q', 1).op, mo.Plain\n"
+              "_run('_point')\n_run('_ops')\n")
     assert dead_names({"models": models, "runner": runner}) == [
-        "models._SPARE", "models.pulse_reset_rates", "runner._schedule"]
+        "models.Channel.label", "models._SPARE", "models.pulse_reset_rates",
+        "runner._schedule"]
