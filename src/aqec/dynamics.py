@@ -19,14 +19,16 @@ control of the full vector; the VSLQ |0_L> occupies 324 of 1296 entries.
 Constant segments use the exact propagator exp(S * t), built and applied
 block by block with no approximation beyond that of the matrix
 exponential; a constant evolution builds only the blocks its initial
-state occupies. Reset phases share one cached
-propagator of every block, which is orders of magnitude faster than
-stepping through them. Integrating a reset phase (``evolve_lindblad`` on
+state occupies, and ``constant_lindblad_batch`` builds them for a batch of
+generators affine in their coefficients in one stack. Reset phases share
+one cached propagator of every block, which is orders of magnitude faster
+than stepping through them. Integrating a reset phase (``evolve_lindblad`` on
 the reset-phase problem) is kept only as the test oracle for that
 propagator, and the two agree to integrator tolerance. ``steady_state``
 solves only over the sectors holding the identity's diagonal. Every
-recorded state passes ``hilbert.QuantumState``'s own check or raises
-IntegrityError; no state is clipped or otherwise altered to pass it.
+recorded or batched density passes ``hilbert.check_densities``, the check
+``QuantumState`` makes, or raises IntegrityError; no state is clipped or
+otherwise altered to pass it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .hilbert import Operator, QuantumState, TensorSpace, sector_labels
+from .hilbert import (Operator, QuantumState, TensorSpace, check_densities,
+                      sector_labels)
 from .models import ModelTerms, phase_channels
 from .pulse import CycleSchedule, PulseShape
 
@@ -331,7 +334,7 @@ def _hamiltonian_fn(problem: EvolutionProblem) -> Callable[[float], np.ndarray]:
 
 
 def _hermitize(rho: np.ndarray) -> np.ndarray:
-    return (rho + rho.conj().T) / 2
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
 def _checked_state(space: TensorSpace, data: np.ndarray) -> QuantumState:
@@ -495,7 +498,7 @@ def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
         blocks += [_generator_triplets(zero if op is None else op.matrix, ())
                    for op in (problem.h_x, problem.h_y)]
     rows, cols, vals = (np.concatenate(p) for p in zip(*blocks))
-    keep = _occupied(_block_layout(n, rows.tobytes(), cols.tobytes())[0], rho)
+    keep = _occupied(_block_layout(n, rows, cols)[0], rho)
     m = keep.size
     pos = _positions(n, keep)
     block = np.repeat(np.arange(len(blocks)), [len(r) for r, _, _ in blocks])
@@ -519,25 +522,34 @@ class SegmentPropagator:
     """exp(S dt) of a block-diagonal generator, stored block by block.
 
     The blocks are packed into zero-padded slots of m indices, and
-    ``exps[k]`` is the (block-diagonal) exponential of slot k. The
-    propagator covers the row-major vec indices ``vec`` (all of them,
+    ``exps[..., k, :, :]`` is the (block-diagonal) exponential of slot k;
+    leading axes, if any, hold a batch of generators over the same slots.
+    The propagator covers the row-major vec indices ``vec`` (all of them,
     unless it was built for the sectors of one state); ``vec[j]`` sits at
     ``index[j]`` of the flattened slots, i.e. in slot ``index[j] // m``.
     """
 
     vec: np.ndarray     # (n_covered,)
     index: np.ndarray   # (n_covered,)
-    exps: np.ndarray    # (n_slots, m, m)
+    exps: np.ndarray    # (..., n_slots, m, m)
+
+
+def _block_layout(n: int, rows: np.ndarray, cols: np.ndarray):
+    """(labels, index, n_slots, m) of the pattern of the triplet positions
+    ``(rows, cols)``: ``labels`` is the sector of each vec index, which
+    sits at ``index`` of the flattened (n_slots, m, m) stack.
+
+    Memoised per pattern: the key is the sorted distinct positions, so
+    generators that share a pattern share a layout, whatever the order or
+    the repeats of their triplets.
+    """
+    return _pattern_layout(n, np.unique(rows * n + cols).tobytes())
 
 
 @functools.lru_cache(maxsize=16)
-def _block_layout(n: int, rows: bytes, cols: bytes):
-    """(labels, index, flat, n_slots, m) of the pattern given as the bytes
-    of the intp triplet ``rows`` and ``cols``: ``labels`` is the sector of
-    each vec index, which sits at ``index`` of the flattened
-    (n_slots, m, m) stack, and ``flat`` places each triplet in it."""
-    rows, cols = (np.frombuffer(b, dtype=np.intp) for b in (rows, cols))
-    block = sector_labels(rows, cols, n)
+def _pattern_layout(n: int, positions: bytes):
+    positions = np.frombuffer(positions, dtype=np.intp)
+    block = sector_labels(positions // n, positions % n, n)
     sizes = np.bincount(block)
     m = int(sizes.max())
     # packing keeps padding below 2x the indices and cuts expm's per-slice
@@ -555,9 +567,36 @@ def _block_layout(n: int, rows: bytes, cols: bytes):
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n) - np.repeat(np.cumsum(fills) - fills, fills)
     index = slot * m + pos
-    flat = index[rows] * m + pos[cols]
-    block.flags.writeable = index.flags.writeable = flat.flags.writeable = False
-    return block, index, flat, fills.size, m
+    block.flags.writeable = index.flags.writeable = False
+    return block, index, fills.size, m
+
+
+def _kept_slots(n: int, rows: np.ndarray, cols: np.ndarray,
+                rho: np.ndarray | None):
+    """(vec, index, flat, sel, n_kept, m) of the slots of the pattern
+    ``(rows, cols)`` that hold a sector ``rho`` occupies (all if rho is
+    None), renumbered as an (n_kept, m, m) stack: vec index ``vec[j]`` sits
+    at ``index[j]`` of the flattened stack, triplet ``sel`` at ``flat``."""
+    labels, index, n_slots, m = _block_layout(n, rows, cols)
+    slot = index // m
+    kept = np.zeros(n_slots, dtype=bool)
+    kept[slot if rho is None else slot[_occupied(labels, rho)]] = True
+    index = (np.cumsum(kept) - 1)[slot] * m + index % m
+    vec = np.flatnonzero(kept[slot])
+    sel = kept[slot[rows]]
+    flat = index[rows[sel]] * m + index[cols[sel]] % m
+    return vec, index[vec], flat, sel, int(kept.sum()), m
+
+
+def _slot_expm(flat: np.ndarray, vals: np.ndarray, scale,
+               n_slots: int, m: int) -> np.ndarray:
+    """scipy.linalg.expm of the (n_slots, m, m) stack whose entries are
+    the sums of ``vals * scale`` at the ``flat`` positions; one call, which
+    takes each slot on its own."""
+    size = n_slots * m * m
+    gen = (np.bincount(flat, vals.real * scale, size)
+           + 1j * np.bincount(flat, vals.imag * scale, size))
+    return scipy.linalg.expm(gen.reshape(n_slots, m, m))
 
 
 def segment_propagator(h: np.ndarray,
@@ -581,32 +620,19 @@ def segment_propagator(h: np.ndarray,
     each slot on its own. No entry of a kept block is dropped, so the
     result is exp(S dt) on the covered indices to the accuracy of expm
     itself. The labelling and packing depend only on the nonzero pattern,
-    so they are memoised per exact pattern; the values and expm are not.
+    so they are memoised per pattern; the values and expm are not.
     """
     n = h.shape[0] ** 2
     rows, cols, vals = _generator_triplets(h, channels)
-    labels, index, flat, n_slots, m = _block_layout(n, rows.tobytes(),
-                                                    cols.tobytes())
-    slot = index // m
-    kept = np.zeros(n_slots, dtype=bool)
-    kept[slot if rho is None else slot[_occupied(labels, rho)]] = True
-    renumber = np.cumsum(kept) - 1
-    vec = np.flatnonzero(kept[slot])
-    triplet_slot = flat // (m * m)
-    sel = kept[triplet_slot]
-    flat = renumber[triplet_slot[sel]] * (m * m) + flat[sel] % (m * m)
-    n_kept = int(kept.sum())
-    size = n_kept * m * m
-    gen = (np.bincount(flat, vals[sel].real * dt, size)
-           + 1j * np.bincount(flat, vals[sel].imag * dt, size))
-    exps = scipy.linalg.expm(gen.reshape(n_kept, m, m))
-    return SegmentPropagator(vec, renumber[slot[vec]] * m + index[vec] % m,
-                             exps)
+    vec, index, flat, sel, n_kept, m = _kept_slots(n, rows, cols, rho)
+    return SegmentPropagator(vec, index,
+                             _slot_expm(flat, vals[sel], dt, n_kept, m))
 
 
 def apply_propagator(prop: SegmentPropagator, rho: np.ndarray) -> np.ndarray:
     """exp(S dt) vec(rho): gather the covered indices into the slots,
-    multiply, scatter back.
+    multiply, scatter back; one (..., d, d) result per generator of a
+    batched propagator.
 
     Raises ValueError if rho has a nonzero entry outside the covered
     indices; no weight is dropped. The result is hermitized exactly.
@@ -616,13 +642,55 @@ def apply_propagator(prop: SegmentPropagator, rho: np.ndarray) -> np.ndarray:
     covered = flat[prop.vec]
     if np.count_nonzero(covered) != np.count_nonzero(flat):
         raise ValueError("rho has weight outside the propagator's blocks")
-    n_slots, m, _ = prop.exps.shape
+    *batch, n_slots, m, _ = prop.exps.shape
     x = np.zeros(n_slots * m, dtype=complex)
     x[prop.index] = covered
-    y = np.matmul(prop.exps, x.reshape(n_slots, m, 1)).reshape(-1)
-    out = np.zeros(d * d, dtype=complex)
-    out[prop.vec] = y[prop.index]
-    return _hermitize(out.reshape(d, d))
+    y = np.matmul(prop.exps, x.reshape(n_slots, m, 1)).reshape(*batch, -1)
+    out = np.zeros((*batch, d * d), dtype=complex)
+    out[..., prop.vec] = y[..., prop.index]
+    return _hermitize(out.reshape(*batch, d, d))
+
+
+def constant_lindblad_batch(parts: Sequence[tuple[Operator, Sequence]],
+                            initial: QuantumState, t: float
+                            ) -> Callable[[np.ndarray], np.ndarray]:
+    """exp(S(c) t) rho0 for batches of coefficient rows c, where
+    S(c) = sum_j c_j S_j and S_j is the generator of parts[j] = (h_j,
+    channels_j).
+
+    The triplets of every S_j and their layout are built once, here. The
+    returned function maps a (K, J) array of rows to the K final densities
+    (K, d, d), exact like ``evolve_constant_lindblad`` over [0, t]: one
+    stack of the K generators on the slots that rho0 occupies, one
+    ``scipy.linalg.expm`` call, one batched ``apply_propagator``. Every
+    density passes ``hilbert.check_densities`` or raises IntegrityError.
+    """
+    rho0 = initial.density()
+    d = rho0.shape[0]
+    triplets = [_generator_triplets(h.matrix, [(op.matrix, float(rate))
+                                               for op, rate in channels])
+                for h, channels in parts]
+    rows, cols, vals = (np.concatenate(p) for p in zip(*triplets))
+    part = np.repeat(np.arange(len(parts)), [len(r) for r, _, _ in triplets])
+    vec, index, flat, sel, n_kept, m = _kept_slots(d * d, rows, cols, rho0)
+    vals, part = vals[sel], part[sel]
+    size = n_kept * m * m
+
+    def final(coeffs: np.ndarray) -> np.ndarray:
+        coeffs = np.asarray(coeffs, dtype=float)
+        k = len(coeffs)
+        exps = _slot_expm((flat + size * np.arange(k)[:, None]).reshape(-1),
+                          np.tile(vals, k), (coeffs[:, part] * t).reshape(-1),
+                          k * n_kept, m)
+        prop = SegmentPropagator(vec, index, exps.reshape(k, n_kept, m, m))
+        rhos = apply_propagator(prop, rho0)
+        try:
+            check_densities(rhos)
+        except ValueError as exc:
+            raise IntegrityError(str(exc)) from exc
+        return rhos
+
+    return final
 
 
 def evolve_constant_lindblad(h: Operator,
@@ -673,7 +741,7 @@ def steady_state(h: Operator,
     n = d * d
     rows, cols, vals = _generator_triplets(h.matrix, mats)
     eye = np.eye(d, dtype=complex)
-    keep = _occupied(_block_layout(n, rows.tobytes(), cols.tobytes())[0], eye)
+    keep = _occupied(_block_layout(n, rows, cols)[0], eye)
     pos = _positions(n, keep)
     sel = pos[rows] >= 0
     a = np.zeros((keep.size + 1, keep.size), dtype=complex)

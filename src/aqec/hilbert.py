@@ -64,6 +64,29 @@ class TensorSpace:
         return idx
 
 
+def check_densities(rhos: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the (K, d, d) stack is a
+    density: unit trace to TRACE_ATOL, Hermitian to HERM_ATOL, and no
+    eigenvalue of its Hermitian part below EIG_FLOOR. ``QuantumState``
+    checks its density as a stack of one. A failure names the first
+    matrix that fails.
+    """
+    def fail(bad, message):
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = f" (matrix {k} of {len(rhos)})" if len(rhos) > 1 else ""
+            raise ValueError(message(k) + where)
+
+    adjoint = rhos.conj().swapaxes(-1, -2)
+    drift = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
+    fail(drift > TRACE_ATOL,
+         lambda k: f"density trace drift {drift[k]:.3e} exceeds {TRACE_ATOL}")
+    fail(np.abs(rhos - adjoint).max(axis=(-2, -1)) > HERM_ATOL,
+         lambda k: f"density matrix is not Hermitian to {HERM_ATOL}")
+    fail(np.linalg.eigvalsh((rhos + adjoint) / 2).min(axis=-1) < EIG_FLOOR,
+         lambda k: f"density matrix has eigenvalue below {EIG_FLOOR}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=complex)
     a.setflags(write=False)
@@ -140,14 +163,7 @@ class QuantumState:
         elif data.ndim == 2:
             if data.shape != (d, d):
                 raise DimensionError(f"density shape {data.shape} != ({d}, {d})")
-            drift = abs(np.trace(data) - 1.0)
-            if drift > TRACE_ATOL:
-                raise ValueError(
-                    f"density trace drift {drift:.3e} exceeds {TRACE_ATOL}")
-            if np.max(np.abs(data - data.conj().T)) > HERM_ATOL:
-                raise ValueError(f"density matrix is not Hermitian to {HERM_ATOL}")
-            if np.min(np.linalg.eigvalsh((data + data.conj().T) / 2)) < EIG_FLOOR:
-                raise ValueError(f"density matrix has eigenvalue below {EIG_FLOOR}")
+            check_densities(data[None])
             pure = False
         else:
             raise DimensionError("state must be a vector or a square matrix")

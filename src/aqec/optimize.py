@@ -35,6 +35,7 @@ from .dynamics import (
     UNITARY_RTOL,
     IntegrationError,
     adaptive_rk,
+    constant_lindblad_batch,
     evolve_constant_lindblad,
     evolve_cycles,
 )
@@ -52,6 +53,13 @@ from .pulse import CycleSchedule, PulseShape, seed_pulse
 
 CC_WINDOW_US = 5.0        # settling window of the constant-coupling residual
 CC_MAX_ITERS = 80         # descent iterations of the constant-coupling search
+CC_GRID_OMEGA_MHZ = (0.5, 1, 2, 4, 8, 16)        # its seed grid, Omega / 2 pi
+CC_GRID_GAMMA_PER_US = (1, 3, 10, 30, 100, 300)  # by Gamma_r;
+CC_FD_STEP = 0.02         # its central-difference step in log-parameters,
+CC_STEP = 0.25            # initial descent step,
+CC_STEP_GROWTH = 1.5      # the step's growth after an accepted step,
+CC_STEP_MAX = 0.5         # its cap,
+CC_STEP_FLOOR = 1e-4      # and the step at or below which halving stops
 FIXED_WINDOW_US = 40.0    # fixed-parameter lifetime: evolution window,
 FIXED_SAMPLES = 81        # the samples taken over it,
 FIXED_SKIP_US = 4.0       # and the initial transient left out of the fit
@@ -345,23 +353,6 @@ class ConstantCouplingPoint:
     residual_steady: float  # 1 - F of the t -> infinity steady state
 
 
-def _sq_settled_residual(terms: ModelTerms, target: QuantumState,
-                         omega: float, gamma_r: float, window_ns: float) -> float:
-    # through hilbert's own binding: perfbench's tests expect sweep-sq to
-    # reach aqec.hilbert.state_fidelity
-    from .hilbert import state_fidelity
-
-    h = terms.h_static + omega * terms.h_x
-    channels = phase_channels(terms, gamma_r)
-    if np.isinf(window_ns):
-        from .dynamics import steady_state
-        rho = steady_state(h, channels)
-    else:
-        traj = evolve_constant_lindblad(h, channels, target, [0.0, window_ns])
-        rho = traj.final
-    return 1.0 - state_fidelity(rho, target)
-
-
 def optimize_constant_coupling(delta: float, t1_us: float
                                ) -> ConstantCouplingPoint:
     """Best constant-coupling working point (Omega, Gamma_r) at fixed T1.
@@ -370,61 +361,73 @@ def optimize_constant_coupling(delta: float, t1_us: float
     at the end of a settling window of ``CC_WINDOW_US`` (leakage populations
     equilibrate on a T1 timescale, so the window choice matters at long
     T1). A coarse logarithmic grid seeds a finite-difference descent in
-    log-parameter space of at most ``CC_MAX_ITERS`` steps. The
-    t -> infinity steady-state residual at the optimum is reported
-    alongside.
+    log-parameter space of at most ``CC_MAX_ITERS`` steps; each step tries
+    the step length, then its halves while they exceed ``CC_STEP_FLOOR``,
+    and takes the first that lowers the residual. The t -> infinity
+    steady-state residual at the optimum is reported alongside.
+
+    The generator S0 + Omega S_x + Gamma_r S_r is affine in the
+    parameters, so ``constant_lindblad_batch`` evaluates the grid, each
+    step's four-point stencil and each step's whole halving ladder in one
+    call apiece. Taking the ladder's first improving entry keeps the path
+    of trying one step length at a time.
     """
     from .hilbert import basis_state
     from .models import SingleQubitModel, build_single_qubit
 
-    # only Omega and Gamma_r change between cost calls: the model is built
-    # once, and Gamma_r replaces the lossy channel's rate
     model = SingleQubitModel(delta=delta, gamma_q=1.0 / (t1_us * 1e3),
                              gamma_r=0.0)
     terms = build_single_qubit(model)
     target = basis_state(model.space, (1, 0))
-    window_ns = CC_WINDOW_US * 1e3
+    psi = target.vector()
+    primary = [(c.op, c.rate) for c in terms.channels if not c.lossy]
+    lossy = [(c.op, 1.0) for c in terms.channels if c.lossy]
+    final = constant_lindblad_batch(
+        [(terms.h_static, primary), (terms.h_x, ()),
+         (0.0 * terms.h_static, lossy)], target, CC_WINDOW_US * 1e3)
 
-    def cost(logx) -> float:
-        return _sq_settled_residual(terms, target, np.exp(logx[0]),
-                                    np.exp(logx[1]), window_ns)
+    def residuals(logx: np.ndarray) -> np.ndarray:
+        """1 - F after the window for each row (log Omega, log Gamma_r)."""
+        coeffs = np.hstack([np.ones((len(logx), 1)), np.exp(logx)])
+        return 1.0 - np.einsum("i,kij,j->k", psi.conj(), final(coeffs),
+                               psi).real
 
-    grid_omega = np.log(2 * np.pi * 1e-3 * np.array([0.5, 1, 2, 4, 8, 16]))
-    grid_gamma = np.log(1e-3 * np.array([1, 3, 10, 30, 100, 300]))
-    best = None
-    for lo in grid_omega:
-        for lg in grid_gamma:
-            r = cost([lo, lg])
-            if best is None or r < best[0]:
-                best = (r, lo, lg)
-    x = np.array([best[1], best[2]])
-    f_cur = best[0]
-    step = 0.25
-    h_rel = 0.02
+    log_omega = np.log(2 * np.pi * 1e-3 * np.array(CC_GRID_OMEGA_MHZ))
+    log_gamma = np.log(1e-3 * np.array(CC_GRID_GAMMA_PER_US))
+    grid = np.array([(lo, lg) for lo in log_omega for lg in log_gamma])
+    r = residuals(grid)
+    k = int(np.argmin(r))
+    x, f_cur = grid[k], r[k]
+    step = CC_STEP
+    stencil = CC_FD_STEP * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
     for _ in range(CC_MAX_ITERS):
-        g = np.zeros(2)
-        for i in range(2):
-            dx = np.zeros(2)
-            dx[i] = h_rel
-            g[i] = (cost(x + dx) - cost(x - dx)) / (2 * h_rel)
+        r = residuals(x + stencil)
+        g = (r[0::2] - r[1::2]) / (2 * CC_FD_STEP)
         norm = np.linalg.norm(g)
         if norm == 0:
             break
-        moved = False
-        while step > 1e-4:
-            x_try = x - step * g / norm
-            f_try = cost(x_try)
-            if f_try < f_cur:
-                x, f_cur = x_try, f_try
-                moved = True
-                step = min(step * 1.5, 0.5)
-                break
+        ladder = []
+        while step > CC_STEP_FLOOR:
+            ladder.append(step)
             step *= 0.5
-        if not moved:
+        x_try = x - np.array(ladder)[:, None] * g / norm
+        r = residuals(x_try)
+        better = np.flatnonzero(r < f_cur)
+        if better.size == 0:
             break
+        k = better[0]
+        x, f_cur = x_try[k], r[k]
+        step = min(ladder[k] * CC_STEP_GROWTH, CC_STEP_MAX)
     omega, gamma_r = float(np.exp(x[0])), float(np.exp(x[1]))
-    r_steady = _sq_settled_residual(terms, target, omega, gamma_r, np.inf)
-    return ConstantCouplingPoint(omega, gamma_r, float(f_cur), float(r_steady))
+    # through dynamics' and hilbert's own bindings: perfbench's tests expect
+    # sweep-sq to reach aqec.dynamics.steady_state and
+    # aqec.hilbert.state_fidelity
+    from .dynamics import steady_state
+    from .hilbert import state_fidelity
+    rho = steady_state(terms.h_static + omega * terms.h_x,
+                       phase_channels(terms, gamma_r))
+    return ConstantCouplingPoint(omega, gamma_r, float(f_cur),
+                                 1.0 - state_fidelity(rho, target))
 
 
 # --- fixed-parameter benchmark (lifetime at a given working point) ---------------

@@ -211,7 +211,10 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir) -> dy.Trajectory:
     ctx.write_json("evolve_summary.json", {
         "n_cycles": cfg.n_cycles, "t_r_ns": t_r,
         "final_time_ns": float(traj.times[-1]),
-        "observables": {k: float(v[-1]) for k, v in traj.observables.items()},
+        # at trajectory.csv's 12 significant digits, which unlike the full
+        # floats do not depend on the BLAS thread count
+        "observables": {k: float(f"{v[-1]:.12g}")
+                        for k, v in traj.observables.items()},
     })
     ctx.finish()
     return traj

@@ -84,3 +84,45 @@ pulse_file = {pulse_file}
 """)
     assert cli.main(["evolve", "--config", str(cfg_file),
                      "--out", str(tmp_path / "out")]) == 4
+
+
+def test_constant_coupling_integrity_failure_exits_4(tmp_path, monkeypatch,
+                                                     capsys):
+    # a trace broken in the search's batched expm (the 36-point grid; the
+    # scan's reset propagators stack at most 4 slots at d = 6) fails the
+    # integrity gate of the residual sweep's constant-coupling baseline
+    import scipy.linalg
+
+    from aqec import cli
+    from aqec.pulse import PulseShape, save_pulse
+
+    real = scipy.linalg.expm
+
+    def broken(a):
+        return real(a) * (1.0 + 1e-6) if len(a) > 4 else real(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", broken)
+    pulse_file = tmp_path / "pulse.json"
+    save_pulse(PulseShape([0.01, 0.0], [0.0, 0.0], 40.0), pulse_file)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"""\
+[model]
+kind = single_qubit
+delta = 350 MHz
+gamma_q = 0.2 per_us
+gamma_r = 0.2 per_us
+
+[schedule]
+t_r_grid = 60 ns
+
+[sweep]
+t1 = 20 us
+mode = residual
+
+[run]
+pulse_file = {pulse_file}
+""")
+    assert cli.main(["sweep", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "trace drift" in err and "of 36)" in err

@@ -201,6 +201,26 @@ class TestRunnerOutputs:
         assert (out / "exponents.json").read_bytes() == \
             (out3 / "exponents.json").read_bytes()
 
+    def test_evolve_summary_observables_are_the_csv_last_row(self, tmp_path):
+        # both at 12 significant digits, so the summary is as reproducible
+        # across BLAS thread counts as the CSV
+        from aqec import runner
+        from aqec.pulse import PulseShape, save_pulse
+        pulse_file = tmp_path / "pulse.json"
+        save_pulse(PulseShape([0.0123456789, 0.0], [0.0, 0.00234567], 40.0),
+                   pulse_file)
+        cfg = cf.with_overrides(cf.parse_config(MINIMAL), t_r=60.0,
+                                n_cycles=2, pulse_file=str(pulse_file))
+        runner.cmd_evolve(cfg, tmp_path / "out")
+        header, *_, last = (tmp_path / "out" / "trajectory.csv"
+                            ).read_text().splitlines()
+        row = dict(zip(header.split(","), map(float, last.split(","))))
+        summary = json.loads(
+            (tmp_path / "out" / "evolve_summary.json").read_text())
+        assert summary["observables"] == {k: v for k, v in row.items()
+                                          if k != "time_ns"}
+        assert summary["final_time_ns"] == row["time_ns"]
+
     def test_short_sweep_marks_exponents_not_fitted(self, tiny_run):
         _, out, result = tiny_run
         exps = json.loads((out / "exponents.json").read_text())

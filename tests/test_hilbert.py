@@ -130,6 +130,25 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             hi.QuantumState(qubit_pair, rho)
 
+    @pytest.mark.parametrize("corrupt,match", [
+        (lambda r: r * (1 + 2 * hi.TRACE_ATOL), "trace drift"),
+        (lambda r: r + np.triu(np.full_like(r, 2 * hi.HERM_ATOL), 1),
+         "not Hermitian"),
+        (lambda r: r + np.diag([-2 * hi.EIG_FLOOR, 0, 2 * hi.EIG_FLOOR, 0]),
+         "eigenvalue below"),
+    ], ids=["trace", "hermitian", "eigenvalue"])
+    def test_density_bounds_are_check_densities_bounds(self, qubit_pair,
+                                                       corrupt, match):
+        # just past each bound, the state and the stack check fail alike,
+        # and the stack check names the failing matrix
+        rho = corrupt(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+        with pytest.raises(ValueError, match=match):
+            hi.QuantumState(qubit_pair, rho)
+        good = np.diag([0.25] * 4).astype(complex)
+        with pytest.raises(ValueError, match=rf"{match}.*\(matrix 1 of 3\)"):
+            hi.check_densities(np.stack([good, rho, good]))
+        hi.check_densities(np.stack([good, good]))
+
     def test_density_of_pure(self, qubit_pair):
         s = hi.basis_state(qubit_pair, (1, 0))
         rho = s.density()

@@ -383,6 +383,107 @@ class TestConstantCoupling:
         assert len(calls) <= 1
 
 
+def _cc_problem(t1_us):
+    model = mo.SingleQubitModel(delta=TWO_PI * 0.35,
+                                gamma_q=1.0 / (t1_us * 1e3), gamma_r=0.0)
+    terms = mo.build_single_qubit(model)
+    return terms, hi.basis_state(model.space, (1, 0))
+
+
+def _cc_residual(terms, target, omega, gamma_r):
+    """1 - F after the settling window, by one exact constant evolution."""
+    final = dy.evolve_constant_lindblad(
+        terms.h_static + omega * terms.h_x, mo.phase_channels(terms, gamma_r),
+        target, [0.0, op.CC_WINDOW_US * 1e3]).final
+    return 1.0 - hi.state_fidelity(final, target)
+
+
+def _sequential_constant_coupling(t1_us):
+    """The one-point-at-a-time search that the batched one replaces."""
+    terms, target = _cc_problem(t1_us)
+
+    def cost(logx):
+        return _cc_residual(terms, target, np.exp(logx[0]), np.exp(logx[1]))
+
+    grid_omega = np.log(TWO_PI * 1e-3 * np.array([0.5, 1, 2, 4, 8, 16]))
+    grid_gamma = np.log(1e-3 * np.array([1, 3, 10, 30, 100, 300]))
+    best = None
+    for lo in grid_omega:
+        for lg in grid_gamma:
+            r = cost([lo, lg])
+            if best is None or r < best[0]:
+                best = (r, lo, lg)
+    x = np.array([best[1], best[2]])
+    f_cur = best[0]
+    step = 0.25
+    h_rel = 0.02
+    for _ in range(op.CC_MAX_ITERS):
+        g = np.zeros(2)
+        for i in range(2):
+            dx = np.zeros(2)
+            dx[i] = h_rel
+            g[i] = (cost(x + dx) - cost(x - dx)) / (2 * h_rel)
+        norm = np.linalg.norm(g)
+        if norm == 0:
+            break
+        moved = False
+        while step > 1e-4:
+            x_try = x - step * g / norm
+            f_try = cost(x_try)
+            if f_try < f_cur:
+                x, f_cur = x_try, f_try
+                moved = True
+                step = min(step * 1.5, 0.5)
+                break
+            step *= 0.5
+        if not moved:
+            break
+    omega, gamma_r = float(np.exp(x[0])), float(np.exp(x[1]))
+    rho = dy.steady_state(terms.h_static + omega * terms.h_x,
+                          mo.phase_channels(terms, gamma_r))
+    return omega, gamma_r, f_cur, 1.0 - hi.state_fidelity(rho, target)
+
+
+class TestConstantCouplingBatch:
+    """The batched search against the per-point evolutions it replaces."""
+
+    @pytest.mark.parametrize("t1_us", [5.0, 60.0])
+    def test_batch_matches_constant_evolution(self, t1_us):
+        terms, target = _cc_problem(t1_us)
+        primary = [(c.op, c.rate) for c in terms.channels if not c.lossy]
+        lossy = [(c.op, 1.0) for c in terms.channels if c.lossy]
+        final = dy.constant_lindblad_batch(
+            [(terms.h_static, primary), (terms.h_x, ()),
+             (0.0 * terms.h_static, lossy)], target, op.CC_WINDOW_US * 1e3)
+        omegas = TWO_PI * 1e-3 * np.array(op.CC_GRID_OMEGA_MHZ)
+        gammas = 1e-3 * np.array(op.CC_GRID_GAMMA_PER_US)
+        rng = np.random.default_rng(int(t1_us))
+        points = [(w, g) for w in omegas[[0, -1]] for g in gammas[[0, -1]]]
+        points += list(zip(np.exp(rng.uniform(*np.log(omegas[[0, -1]]), 3)),
+                           np.exp(rng.uniform(*np.log(gammas[[0, -1]]), 3))))
+        rhos = final(np.array([(1.0, w, g) for w, g in points]))
+        for (w, g), rho in zip(points, rhos):
+            want = dy.evolve_constant_lindblad(
+                terms.h_static + w * terms.h_x, mo.phase_channels(terms, g),
+                target, [0.0, op.CC_WINDOW_US * 1e3]).final.data
+            assert np.max(np.abs(rho - want)) <= 1e-12
+
+    @pytest.mark.parametrize("t1_us", [5.0, 20.0])
+    def test_descent_matches_sequential_search(self, t1_us):
+        got = op.optimize_constant_coupling(TWO_PI * 0.35, t1_us)
+        want = _sequential_constant_coupling(t1_us)
+        assert (got.omega, got.gamma_r, got.residual,
+                got.residual_steady) == pytest.approx(want, rel=1e-6)
+
+    def test_integrity_gate_on_every_evaluated_density(self, monkeypatch):
+        import scipy.linalg
+        real = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a: real(a) * (1.0 + 1e-6))
+        with pytest.raises(dy.IntegrityError, match="trace drift"):
+            op.optimize_constant_coupling(TWO_PI * 0.35, 20.0)
+
+
 @pytest.mark.slow
 class TestFixedParameters:
     def test_lifetime_at_tabulated_point(self):
