@@ -3,32 +3,34 @@ master-equation propagation for lossy pulse-reset cycles.
 
 The workhorse is an adaptive Dormand-Prince 8(5,3) integrator (DOP853)
 operating on complex arrays of any shape; its twelve stages live in one
-preallocated array, so each stage input, the update and the error
-estimate are one matrix product each. Evolutions are split at every phase
-boundary of a cycle schedule so a discontinuous rate change is never
-straddled by a step. All Lindblad flow uses one definition of the
-vectorized generator S, built from the exact nonzeros of the d x d
-factors. S is never formed densely: its nonzeros split the vec indices
-into decoupled sectors (weakly connected components of the pattern, here
-excitation-difference sectors), and a state occupies only some of them. One rule, exact zeros
-of rho and rho^T, names the occupied sectors, and only those are
-propagated. A pulse phase integrates the occupied entries of vec(rho)
-through the stacked sparse blocks of S (static part and the two coupling
-quadratures), one sparse matvec per right-hand side, with the step
-control of the full vector; the VSLQ |0_L> occupies 324 of 1296 entries.
+preallocated array, so each stage input, the update and the error estimate
+are one matrix product each. Evolutions are split at every phase boundary
+of a cycle schedule so a discontinuous rate change is never straddled by a
+step. All Lindblad flow uses one definition of the vectorized generator S,
+built from the exact nonzeros of the d x d factors. S is never formed
+densely: its nonzeros split the vec indices into decoupled sectors (weakly
+connected components of the pattern, here excitation-difference sectors),
+and a state occupies only some of them. One rule, exact zeros of rho and
+rho^T, names the occupied sectors, and only those are propagated. A pulse
+phase integrates the occupied entries of vec(rho) through the stacked
+sparse blocks of S (static part and the two coupling quadratures), one
+sparse matvec per right-hand side, with the step control of the full
+vector; the VSLQ |0_L> occupies 324 of 1296 entries. Nothing projects the
+integrated state, so a pulse phase is an exactly linear map of the kept
+entries; it stays Hermitian to rounding because the Lindblad flow does.
 Constant segments use the exact propagator exp(S * t), built and applied
-block by block with no approximation beyond that of the matrix
-exponential; a constant evolution builds only the blocks its initial
-state occupies, and ``constant_lindblad_batch`` builds them for a batch of
-generators affine in their coefficients in one stack. Reset phases share
-one cached propagator of every block, which is orders of magnitude faster
-than stepping through them. Integrating a reset phase (``evolve_lindblad`` on
-the reset-phase problem) is kept only as the test oracle for that
-propagator, and the two agree to integrator tolerance. ``steady_state``
-solves only over the sectors holding the identity's diagonal. Every
-recorded or batched density passes ``hilbert.check_densities``, the check
-``QuantumState`` makes, or raises IntegrityError; no state is clipped or
-otherwise altered to pass it.
+block by block with no approximation beyond that of the matrix exponential;
+a constant evolution builds only the blocks its initial state occupies, and
+``constant_lindblad_batch`` builds them, through the same builder, for a
+batch of generators affine in their coefficients in one stack. Reset phases
+share one cached propagator of every block, which is orders of magnitude
+faster than stepping through them. Integrating a reset phase
+(``evolve_lindblad`` on the reset-phase problem) is kept only as the test
+oracle for that propagator, and the two agree to integrator tolerance.
+``steady_state`` solves only over the sectors holding the identity's
+diagonal. Every recorded or batched density passes
+``hilbert.check_densities``, the check ``QuantumState`` makes, or raises
+IntegrityError; no state is clipped or otherwise altered to pass it.
 """
 
 from __future__ import annotations
@@ -135,19 +137,16 @@ def adaptive_rk(
     rtol: float,
     atol: float = DEFAULT_ATOL,
     record_times: Sequence[float] | None = None,
-    post_step: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Integrate y' = f(t, y) with the embedded Dormand-Prince 8(5,3) pair.
 
     Steps are clamped to land exactly on every entry of ``record_times``
-    (plus the endpoint), where the state is recorded. ``post_step`` is
-    applied to the state after every accepted step (used to re-Hermitize
-    density matrices). The twelve stages are the rows of one preallocated
-    array; each stage input, the update and the pair of error estimates is
-    one product of tableau rows with them. The first stage of a step is
-    f at its start, evaluated once however often the step is retried: it
-    is the last stage of the accepted step before ("first same as last"),
-    at the state that ``post_step`` left. The error norm is Hairer's
+    (plus the endpoint), where the state is recorded. The twelve stages
+    are the rows of one preallocated array; each stage input, the update
+    and the pair of error estimates is one product of tableau rows with
+    them. The first stage of a step is f at its start, evaluated once
+    however often the step is retried: it is the last stage of the
+    accepted step before ("first same as last"). The error norm is Hairer's
     combination of the 5th- and 3rd-order estimates,
     h n5 / sqrt((n5 + 0.01 n3) N), where n5 and n3 are the squared sums of
     the estimates over the scale atol + rtol |y| and N is the size of y,
@@ -208,8 +207,7 @@ def adaptive_rk(
             h_trial * n5 / np.sqrt((n5 + 0.01 * n3) * sc.size))
         steps += 1
         if err_norm <= 1.0:
-            t = t + h_trial
-            y = y_new if post_step is None else post_step(y_new)
+            t, y = t + h_trial, y_new
             first_valid = False
             if next_record < len(record) and abs(t - record[next_record]) <= 1e-12 * max(1.0, abs(t)):
                 out_t.append(record[next_record])
@@ -380,15 +378,13 @@ def evolve_lindblad(problem: EvolutionProblem,
     Pure initial states are promoted to projectors. Only the vec indices of
     the generator sectors that the initial state occupies are integrated
     (``_sector_rhs``); every other entry of rho is zero and stays exactly
-    zero. The state is re-Hermitized after every accepted step, through
-    the transpose permutation of those indices, and the full d x d state
-    is rebuilt only at record times, where ``_checked_state`` checks it.
+    zero. The full d x d state is rebuilt only at record times, where
+    ``_checked_state`` checks it.
     """
     rho0 = problem.initial.density()
     d = rho0.shape[0]
     n = d * d
     rhs, keep = _sector_rhs(problem, rho0)
-    swap = _positions(n, keep)[(keep % d) * d + keep // d]
     # The step control is that of the full d^2 entries. There, the entries
     # outside keep are zero in y and in both error estimates, so they add
     # to the count N = d^2 of the error norm but not to its sums: with
@@ -402,8 +398,7 @@ def evolve_lindblad(problem: EvolutionProblem,
     c = np.sqrt(n / keep.size)
     times, ys = adaptive_rk(rhs, problem.t_span, rho0.reshape(n)[keep],
                             rtol=c * rtol, atol=c * DEFAULT_ATOL,
-                            record_times=record_times,
-                            post_step=lambda y: (y + y[swap].conj()) / 2)
+                            record_times=record_times)
     space = problem.initial.space
     states = []
     for y in ys:
@@ -449,13 +444,25 @@ def _generator_triplets(h: np.ndarray,
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
+def _stack(parts: Sequence[tuple[np.ndarray, Sequence]]):
+    """(rows, cols, values, part) of the generators S_j of parts[j] =
+    (h_j, channels_j), concatenated in order: triplet i belongs to
+    S_part[i]. Every generator comes from ``_generator_triplets``."""
+    triplets = [_generator_triplets(h, channels) for h, channels in parts]
+    rows, cols, vals = (np.concatenate(p) for p in zip(*triplets))
+    part = np.repeat(np.arange(len(parts)), [len(r) for r, _, _ in triplets])
+    return rows, cols, vals, part
+
+
 def _occupied(labels: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Sorted vec indices of every sector that holds a nonzero entry of rho
     or of rho^T, for the sector ``labels`` of a generator pattern.
 
     The test is for exact zeros. A Lindblad generator maps the transpose of
     a sector onto a sector, so taking rho^T too closes the set under
-    transposition, which hermitizing needs.
+    transposition: rho_ij and rho_ji, which the flow keeps conjugate, are
+    propagated together even where a state Hermitian only to rounding has
+    an exact zero on one side alone.
     """
     nonzero = (rho != 0) | (rho.T != 0)
     hit = np.zeros(labels.max() + 1, dtype=bool)
@@ -463,11 +470,17 @@ def _occupied(labels: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.flatnonzero(hit[labels])
 
 
-def _positions(n: int, keep: np.ndarray) -> np.ndarray:
-    """Position of each of ``n`` vec indices within ``keep``; -1 if absent."""
+def _restrict(n: int, rows: np.ndarray, cols: np.ndarray, rho: np.ndarray):
+    """(keep, sel, at_rows, at_cols): the sorted vec indices ``keep`` of the
+    sectors that ``rho`` occupies under the pattern ``(rows, cols)``, the
+    mask ``sel`` of the triplets with a row in keep, and their rows and
+    columns as positions within keep. A sector maps into itself, so the
+    column of a selected triplet lies in keep too."""
+    keep = _occupied(_block_layout(n, rows, cols)[0], rho)
     pos = np.full(n, -1, dtype=np.intp)
     pos[keep] = np.arange(keep.size)
-    return pos
+    sel = pos[rows] >= 0
+    return keep, sel, pos[rows[sel]], pos[cols[sel]]
 
 
 def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
@@ -477,42 +490,39 @@ def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
     In row-major vec form rho' = sum_j w_j(t) G_j rho over the generator
     blocks G = [S(h_static, channels); S(h_x); S(h_y)], with weights
     w = [1, Omega_x(t), Omega_y(t)]; the coupling blocks are present only
-    with a coupling. All blocks come from ``_generator_triplets``, the
-    definition the segment propagators and ``steady_state`` use. ``keep`` holds the vec indices of the sectors
-    that ``rho`` occupies under the union pattern of all blocks, so every
-    block maps them into themselves and the entries outside stay exactly
-    zero. The triplets with a row in ``keep`` are stacked, in their
-    original order, into one CSR matrix, so a call is one sparse matvec,
-    each entry of which is bit-identical to that of the full-space matvec,
-    and one weighted sum of its blocks.
+    with a coupling. The blocks are stacked by ``_stack``, the definition
+    the segment propagators and ``steady_state`` use. ``keep`` holds the
+    vec indices of the sectors that ``rho`` occupies under the union
+    pattern of all blocks (``_restrict``), so every block maps them into
+    themselves and the entries outside stay exactly zero. The triplets
+    with a row in ``keep`` are stacked, in their original order, into one
+    CSR matrix, so a call is one sparse matvec, each entry of which is
+    bit-identical to that of the full-space matvec, and one weighted sum
+    of its blocks.
     """
     d = problem.h_static.matrix.shape[0]
-    n = d * d
     for _, rate in problem.channels:
         if rate < 0:
             raise ValueError(f"negative channel rate {rate}")
     channels = [(op.matrix, float(rate)) for op, rate in problem.channels]
-    blocks = [_generator_triplets(problem.h_static.matrix, channels)]
+    parts = [(problem.h_static.matrix, channels)]
     if problem.coupling is not None:
         zero = np.zeros((d, d))
-        blocks += [_generator_triplets(zero if op is None else op.matrix, ())
-                   for op in (problem.h_x, problem.h_y)]
-    rows, cols, vals = (np.concatenate(p) for p in zip(*blocks))
-    keep = _occupied(_block_layout(n, rows, cols)[0], rho)
+        parts += [(zero if op is None else op.matrix, ())
+                  for op in (problem.h_x, problem.h_y)]
+    rows, cols, vals, part = _stack(parts)
+    keep, sel, at_rows, at_cols = _restrict(d * d, rows, cols, rho)
     m = keep.size
-    pos = _positions(n, keep)
-    block = np.repeat(np.arange(len(blocks)), [len(r) for r, _, _ in blocks])
-    sel = pos[rows] >= 0
     stack = scipy.sparse.csr_matrix(
-        (vals[sel], (pos[rows[sel]] + block[sel] * m, pos[cols[sel]])),
-        shape=(len(blocks) * m, m))
-    weights = np.ones(len(blocks), dtype=complex)
+        (vals[sel], (at_rows + part[sel] * m, at_cols)),
+        shape=(len(parts) * m, m))
+    weights = np.ones(len(parts), dtype=complex)
     coupling = problem.coupling
 
     def rhs(t, x):
         if coupling is not None:
             weights[1:3] = coupling(t)
-        return weights @ (stack @ x).reshape(len(blocks), m)
+        return weights @ (stack @ x).reshape(len(parts), m)
 
     return rhs, keep
 
@@ -571,13 +581,17 @@ def _pattern_layout(n: int, positions: bytes):
     return block, index, fills.size, m
 
 
-def _kept_slots(n: int, rows: np.ndarray, cols: np.ndarray,
-                rho: np.ndarray | None):
-    """(vec, index, flat, sel, n_kept, m) of the slots of the pattern
-    ``(rows, cols)`` that hold a sector ``rho`` occupies (all if rho is
-    None), renumbered as an (n_kept, m, m) stack: vec index ``vec[j]`` sits
-    at ``index[j]`` of the flattened stack, triplet ``sel`` at ``flat``."""
-    labels, index, n_slots, m = _block_layout(n, rows, cols)
+def _propagators(parts: Sequence[tuple[np.ndarray, Sequence]],
+                 rho: np.ndarray | None):
+    """build(c): exp(sum_j c[k, j] S_j) for every row k of a (K, J) array
+    c, over the generators S_j of ``parts``, as one SegmentPropagator.
+
+    The triplets, their layout and the slots kept (those holding a sector
+    that ``rho`` occupies, all if rho is None) are fixed here, once. A
+    build makes one ``scipy.linalg.expm`` call on the (K * n_slots, m, m)
+    stack of the K generators, which takes each slot on its own."""
+    rows, cols, vals, part = _stack(parts)
+    labels, index, n_slots, m = _block_layout(parts[0][0].size, rows, cols)
     slot = index // m
     kept = np.zeros(n_slots, dtype=bool)
     kept[slot if rho is None else slot[_occupied(labels, rho)]] = True
@@ -585,18 +599,21 @@ def _kept_slots(n: int, rows: np.ndarray, cols: np.ndarray,
     vec = np.flatnonzero(kept[slot])
     sel = kept[slot[rows]]
     flat = index[rows[sel]] * m + index[cols[sel]] % m
-    return vec, index[vec], flat, sel, int(kept.sum()), m
+    vals, part = vals[sel], part[sel]
+    n_kept = int(kept.sum())
+    size = n_kept * m * m
 
+    def build(coeffs: np.ndarray) -> SegmentPropagator:
+        k = len(coeffs)
+        at = (flat + size * np.arange(k)[:, None]).reshape(-1)
+        stacked, scale = np.tile(vals, k), coeffs[:, part].reshape(-1)
+        gen = (np.bincount(at, stacked.real * scale, k * size)
+               + 1j * np.bincount(at, stacked.imag * scale, k * size))
+        exps = scipy.linalg.expm(gen.reshape(k * n_kept, m, m))
+        return SegmentPropagator(vec, index[vec],
+                                 exps.reshape(k, n_kept, m, m))
 
-def _slot_expm(flat: np.ndarray, vals: np.ndarray, scale,
-               n_slots: int, m: int) -> np.ndarray:
-    """scipy.linalg.expm of the (n_slots, m, m) stack whose entries are
-    the sums of ``vals * scale`` at the ``flat`` positions; one call, which
-    takes each slot on its own."""
-    size = n_slots * m * m
-    gen = (np.bincount(flat, vals.real * scale, size)
-           + 1j * np.bincount(flat, vals.imag * scale, size))
-    return scipy.linalg.expm(gen.reshape(n_slots, m, m))
+    return build
 
 
 def segment_propagator(h: np.ndarray,
@@ -614,19 +631,15 @@ def segment_propagator(h: np.ndarray,
     most 52, against 1296 in all. Blocks are packed, largest first, into
     slots the size m of the largest block (a slot takes the next block
     while it fits). Given a density ``rho``, only the slots holding a
-    sector that rho occupies are kept: the VSLQ fixed point from
-    |+X_L> needs 2 of its 8. The kept slots are exponentiated in one
-    ``scipy.linalg.expm`` call on their (n_slots, m, m) stack, which takes
-    each slot on its own. No entry of a kept block is dropped, so the
-    result is exp(S dt) on the covered indices to the accuracy of expm
-    itself. The labelling and packing depend only on the nonzero pattern,
-    so they are memoised per pattern; the values and expm are not.
+    sector that rho occupies are kept: the VSLQ fixed point from |+X_L>
+    needs 2 of its 8. This is the one-part, one-row case ``[[dt]]`` of
+    ``_propagators``. No entry of a kept block is dropped, so the result is
+    exp(S dt) on the covered indices to the accuracy of expm itself. The
+    labelling and packing depend only on the nonzero pattern, so they are
+    memoised per pattern; the values and expm are not.
     """
-    n = h.shape[0] ** 2
-    rows, cols, vals = _generator_triplets(h, channels)
-    vec, index, flat, sel, n_kept, m = _kept_slots(n, rows, cols, rho)
-    return SegmentPropagator(vec, index,
-                             _slot_expm(flat, vals[sel], dt, n_kept, m))
+    prop = _propagators([(h, channels)], rho)(np.array([[float(dt)]]))
+    return SegmentPropagator(prop.vec, prop.index, prop.exps[0])
 
 
 def apply_propagator(prop: SegmentPropagator, rho: np.ndarray) -> np.ndarray:
@@ -666,24 +679,13 @@ def constant_lindblad_batch(parts: Sequence[tuple[Operator, Sequence]],
     density passes ``hilbert.check_densities`` or raises IntegrityError.
     """
     rho0 = initial.density()
-    d = rho0.shape[0]
-    triplets = [_generator_triplets(h.matrix, [(op.matrix, float(rate))
-                                               for op, rate in channels])
-                for h, channels in parts]
-    rows, cols, vals = (np.concatenate(p) for p in zip(*triplets))
-    part = np.repeat(np.arange(len(parts)), [len(r) for r, _, _ in triplets])
-    vec, index, flat, sel, n_kept, m = _kept_slots(d * d, rows, cols, rho0)
-    vals, part = vals[sel], part[sel]
-    size = n_kept * m * m
+    build = _propagators([(h.matrix, [(op.matrix, float(rate))
+                                      for op, rate in channels])
+                          for h, channels in parts], rho0)
 
     def final(coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        k = len(coeffs)
-        exps = _slot_expm((flat + size * np.arange(k)[:, None]).reshape(-1),
-                          np.tile(vals, k), (coeffs[:, part] * t).reshape(-1),
-                          k * n_kept, m)
-        prop = SegmentPropagator(vec, index, exps.reshape(k, n_kept, m, m))
-        rhos = apply_propagator(prop, rho0)
+        rhos = apply_propagator(build(np.asarray(coeffs, dtype=float) * t),
+                                rho0)
         try:
             check_densities(rhos)
         except ValueError as exc:
@@ -739,13 +741,11 @@ def steady_state(h: Operator,
     mats = [(op.matrix, float(rate)) for op, rate in channels]
     d = h.matrix.shape[0]
     n = d * d
-    rows, cols, vals = _generator_triplets(h.matrix, mats)
+    rows, cols, vals, _ = _stack([(h.matrix, mats)])
     eye = np.eye(d, dtype=complex)
-    keep = _occupied(_block_layout(n, rows, cols)[0], eye)
-    pos = _positions(n, keep)
-    sel = pos[rows] >= 0
+    keep, sel, at_rows, at_cols = _restrict(n, rows, cols, eye)
     a = np.zeros((keep.size + 1, keep.size), dtype=complex)
-    np.add.at(a, (pos[rows[sel]], pos[cols[sel]]), vals[sel])
+    np.add.at(a, (at_rows, at_cols), vals[sel])
     a[-1] = eye.reshape(n)[keep]
     b = np.zeros(keep.size + 1, dtype=complex)
     b[-1] = 1.0

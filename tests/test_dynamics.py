@@ -520,13 +520,12 @@ class TestOccupiedSectors:
         full_calls, calls = [], []
         _, ys = dy.adaptive_rk(_counted(full_lindblad_rhs(prob), full_calls),
                                prob.t_span, prob.initial.density(),
-                               rtol=dy.LINDBLAD_RTOL, atol=dy.DEFAULT_ATOL,
-                               post_step=dy._hermitize)
+                               rtol=dy.LINDBLAD_RTOL, atol=dy.DEFAULT_ATOL)
         integrate = dy.adaptive_rk
         monkeypatch.setattr(dy, "adaptive_rk", lambda f, *args, **kwargs:
                             integrate(_counted(f, calls), *args, **kwargs))
         got = dy.evolve_lindblad(prob).final.density()
-        assert np.max(np.abs(got - dy._hermitize(ys[-1]))) <= 1e-12
+        assert np.max(np.abs(got - ys[-1])) <= 1e-12
         assert len(calls) == len(full_calls)
 
     @pytest.mark.parametrize("name", list(CONSTANT_STARTS))
@@ -619,6 +618,27 @@ def rk_reset_cycles(terms, pulse, sched, initial):
     return state
 
 
+def _sq_chain(t_r):
+    terms = mo.build_single_qubit(mo.SingleQubitModel(
+        delta=TWO_PI * 0.35, gamma_q=1e-4, gamma_r=1e-4))
+    return (terms, seed_pulse(8, 40.0, TWO_PI * 0.02),
+            CycleSchedule(t_r, 0.03, 20), hi.basis_state(terms.space, (1, 0)))
+
+
+def _vslq_chain():
+    # the cycles workload's VSLQ at T1 = 30 us, from |0_L>
+    model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                         gamma_p=1 / 30000, gamma_s=0.035)
+    return (mo.build_vslq(model), seed_pulse(8, 40.0, TWO_PI * 0.01),
+            CycleSchedule(60.0, 0.035, 10),
+            mo.vslq_logical_states(model)["0L"])
+
+
+UNPROJECTED_CHAINS = {"sq": lambda: _sq_chain(60.0),
+                      "sq-no-reset": lambda: _sq_chain(0.0),
+                      "vslq": _vslq_chain}
+
+
 class TestCycles:
     @pytest.fixture
     def cycle_setup(self):
@@ -690,6 +710,16 @@ class TestCycles:
         a = dy.evolve_cycles(terms, pulse, sched, initial)
         b = rk_reset_cycles(terms, pulse, sched, initial)
         assert np.max(np.abs(a.final.density() - b.density())) < 1e-7
+
+    @pytest.mark.parametrize("name", list(UNPROJECTED_CHAINS))
+    def test_records_stay_hermitian_unprojected(self, name):
+        # nothing projects a pulse phase: its end state is Hermitian to
+        # rounding because the Lindblad flow is, and with t_r = 0 no
+        # reset propagator hermitizes the chain between phases either
+        terms, pulse, sched, initial = UNPROJECTED_CHAINS[name]()
+        for state in dy.evolve_cycles(terms, pulse, sched, initial).states:
+            rho = state.density()
+            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14
 
     def test_step_halving_convergence(self, cycle_setup):
         model, terms, pulse = cycle_setup

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from aqec import dynamics as dy
 from aqec import hilbert as hi
@@ -8,6 +9,7 @@ from aqec import optimize as op
 from aqec.config import FD_EPSILON, with_overrides
 from aqec.presets import VSLQ_FIXED_TABLE, preset_config
 from aqec.pulse import CycleSchedule, PulseShape, seed_pulse
+from test_dynamics import lindblad_superoperator
 
 TWO_PI = 2 * np.pi
 
@@ -462,11 +464,19 @@ class TestConstantCouplingBatch:
         points += list(zip(np.exp(rng.uniform(*np.log(omegas[[0, -1]]), 3)),
                            np.exp(rng.uniform(*np.log(gammas[[0, -1]]), 3))))
         rhos = final(np.array([(1.0, w, g) for w, g in points]))
+        t = op.CC_WINDOW_US * 1e3
         for (w, g), rho in zip(points, rhos):
-            want = dy.evolve_constant_lindblad(
-                terms.h_static + w * terms.h_x, mo.phase_channels(terms, g),
-                target, [0.0, op.CC_WINDOW_US * 1e3]).final.data
+            h = terms.h_static + w * terms.h_x
+            channels = mo.phase_channels(terms, g)
+            want = dy.evolve_constant_lindblad(h, channels, target,
+                                               [0.0, t]).final.data
             assert np.max(np.abs(rho - want)) <= 1e-12
+            # the batch and evolve_constant_lindblad share one propagator
+            # builder: the dense d^2 x d^2 expm shares none of it
+            s = lindblad_superoperator(
+                h.matrix, [(c.matrix, r) for c, r in channels])
+            want = scipy.linalg.expm(s * t) @ target.density().reshape(-1)
+            assert np.max(np.abs(rho.reshape(-1) - want)) <= 1e-12
 
     @pytest.mark.parametrize("t1_us", [5.0, 20.0])
     def test_descent_matches_sequential_search(self, t1_us):
@@ -476,7 +486,6 @@ class TestConstantCouplingBatch:
                 got.residual_steady) == pytest.approx(want, rel=1e-6)
 
     def test_integrity_gate_on_every_evaluated_density(self, monkeypatch):
-        import scipy.linalg
         real = scipy.linalg.expm
         monkeypatch.setattr(scipy.linalg, "expm",
                             lambda a: real(a) * (1.0 + 1e-6))
