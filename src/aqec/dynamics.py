@@ -28,7 +28,8 @@ faster than stepping through them. Integrating a reset phase
 (``evolve_lindblad`` on the reset-phase problem) is kept only as the test
 oracle for that propagator, and the two agree to integrator tolerance.
 ``steady_state`` solves only over the sectors holding the identity's
-diagonal. Every recorded or batched density passes
+diagonal. Evolutions return states alone; callers read observables off them
+with ``Trajectory.expect``. Every recorded or batched density passes
 ``hilbert.check_densities``, the check ``QuantumState`` makes, or raises
 IntegrityError; no state is clipped or otherwise altered to pass it.
 """
@@ -36,7 +37,7 @@ IntegrityError; no state is clipped or otherwise altered to pass it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -270,11 +271,11 @@ class EvolutionProblem:
 
 @dataclass
 class Trajectory:
-    """Recorded evolution: strictly increasing times plus states."""
+    """Recorded evolution: strictly increasing times plus states, off
+    which ``expect`` reads observables."""
 
     times: np.ndarray
     states: list[QuantumState]
-    observables: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -289,24 +290,20 @@ class Trajectory:
             raise ValueError("empty trajectory")
         return self.states[-1]
 
+    def expect(self, obs: Operator | QuantumState) -> np.ndarray:
+        """<obs> at every record for an Operator, the fidelity with it
+        for a target QuantumState."""
+        return np.array([_eval_observable(obs, s) for s in self.states])
 
-Observable = Operator | QuantumState
 
-
-def _eval_observable(obs: Observable, state: QuantumState) -> float:
+def _eval_observable(obs: Operator | QuantumState,
+                     state: QuantumState) -> float:
+    # imported here: module-level names would add aqec.dynamics aliases of
+    # the hilbert observables, which perfbench's tracer would wrap
     from .hilbert import expectation, state_fidelity
     if isinstance(obs, Operator):
         return expectation(obs, state)
     return state_fidelity(state, obs)
-
-
-def _attach_observables(traj: Trajectory,
-                        observables: Mapping[str, Observable] | None) -> Trajectory:
-    if observables:
-        for name, obs in observables.items():
-            traj.observables[name] = np.array(
-                [_eval_observable(obs, s) for s in traj.states])
-    return traj
 
 
 # --- Hamiltonian/Lindblad right-hand sides ----------------------------------------
@@ -346,9 +343,7 @@ def _checked_state(space: TensorSpace, data: np.ndarray) -> QuantumState:
 # --- public evolutions ---------------------------------------------------------
 
 def evolve_unitary(problem: EvolutionProblem,
-                   record_times: Sequence[float] | None = None,
-                   observables: Mapping[str, Observable] | None = None
-                   ) -> Trajectory:
+                   record_times: Sequence[float] | None = None) -> Trajectory:
     """Integrate i psi' = H(t) psi (hbar = 1) for a pure initial state."""
     psi0 = problem.initial.vector()
     h_of_t = _hamiltonian_fn(problem)
@@ -366,12 +361,11 @@ def evolve_unitary(problem: EvolutionProblem,
             raise IntegrationError(
                 f"norm drift {abs(norm - 1.0):.3e} exceeds {NORM_DRIFT_ATOL}")
         states.append(QuantumState(space, y / norm))
-    return _attach_observables(Trajectory(times, states), observables)
+    return Trajectory(times, states)
 
 
 def evolve_lindblad(problem: EvolutionProblem,
                     record_times: Sequence[float] | None = None,
-                    observables: Mapping[str, Observable] | None = None,
                     rtol: float = LINDBLAD_RTOL) -> Trajectory:
     """Integrate the Lindblad master equation with a time-dependent coupling.
 
@@ -405,7 +399,7 @@ def evolve_lindblad(problem: EvolutionProblem,
         rho = np.zeros(n, dtype=complex)
         rho[keep] = y
         states.append(_checked_state(space, rho.reshape(d, d)))
-    return _attach_observables(Trajectory(times, states), observables)
+    return Trajectory(times, states)
 
 
 # --- vectorized generator, exact segment propagation --------------------------------
@@ -698,9 +692,7 @@ def constant_lindblad_batch(parts: Sequence[tuple[Operator, Sequence]],
 def evolve_constant_lindblad(h: Operator,
                              channels: Sequence[tuple[Operator, float]],
                              initial: QuantumState,
-                             times: Sequence[float],
-                             observables: Mapping[str, Observable] | None = None
-                             ) -> Trajectory:
+                             times: Sequence[float]) -> Trajectory:
     """Exact expm-stepped evolution for constant H and rates.
 
     ``times`` must be increasing and start at the initial time (offset 0);
@@ -726,7 +718,7 @@ def evolve_constant_lindblad(h: Operator,
             cache[key] = segment_propagator(h.matrix, mats, float(dt), rho0)
         rho = apply_propagator(cache[key], rho)
         states.append(_checked_state(space, rho))
-    return _attach_observables(Trajectory(times, states), observables)
+    return Trajectory(times, states)
 
 
 def steady_state(h: Operator,
@@ -765,7 +757,6 @@ def evolve_cycles(terms: ModelTerms,
                   pulse: PulseShape,
                   schedule: CycleSchedule,
                   initial: QuantumState,
-                  observables: Mapping[str, Observable] | None = None,
                   rtol: float = LINDBLAD_RTOL) -> Trajectory:
     """Alternate pulse and reset phases of the schedule under Lindblad flow.
 
@@ -815,18 +806,21 @@ def evolve_cycles(terms: ModelTerms,
             t_abs += schedule.t_r
             times.append(t_abs)
             states.append(_checked_state(space, rho))
-    return _attach_observables(Trajectory(np.array(times), states), observables)
+    return Trajectory(np.array(times), states)
 
 
 # --- exports ---------------------------------------------------------------------
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """time_ns plus one column per observable, 12 significant digits."""
-    names = sorted(traj.observables)
+def trajectory_to_csv(traj: Trajectory, values: Mapping[str, np.ndarray],
+                      path) -> None:
+    """time_ns plus one column per named series of ``values`` (one value
+    per record, as ``Trajectory.expect`` gives), in name order, at 12
+    significant digits."""
+    names = sorted(values)
     with open(path, "w") as f:
         f.write(",".join(["time_ns"] + names) + "\n")
         for i, t in enumerate(traj.times):
-            row = [f"{t:.12g}"] + [f"{traj.observables[n][i]:.12g}" for n in names]
+            row = [f"{t:.12g}"] + [f"{values[n][i]:.12g}" for n in names]
             f.write(",".join(row) + "\n")
 
 

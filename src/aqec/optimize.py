@@ -96,8 +96,6 @@ class Objective:
     are zero and stay decoupled during propagation.
     """
 
-    terms: ModelTerms
-    target: TargetOperation
     h0: np.ndarray       # (P, d, d)
     hx: np.ndarray
     hy: np.ndarray
@@ -131,7 +129,7 @@ def make_objective(terms: ModelTerms, target: TargetOperation) -> Objective:
         psi0[k, :n] = v0
         psif[k, :n] = vf
         weights[k] = w
-    return Objective(terms, target, h0, hx, hy, psi0, psif, weights)
+    return Objective(h0, hx, hy, psi0, psif, weights)
 
 
 def coeff_batch_rhs(obj: Objective, cx: np.ndarray, cy: np.ndarray,
@@ -432,10 +430,9 @@ def optimize_constant_coupling(delta: float, t1_us: float
 
 # --- fixed-parameter benchmark (lifetime at a given working point) ---------------
 
-def vslq_fixed_lifetime(w: float, delta: float, gamma_p: float,
-                        omega: float, gamma_s: float, omega_s: float,
-                        which: str = "X") -> float:
-    """Logical lifetime (us) under constant coupling and rates.
+def vslq_fixed_lifetime(model: VslqModel, omega: float, which: str) -> float:
+    """Logical lifetime (us) of ``model`` under the constant coupling
+    ``omega`` (rad/ns) on its x quadrature.
 
     Evolves the +1 eigenstate of the chosen logical operator for
     ``FIXED_WINDOW_US``, then fits exp(-t/T) to its expectation after
@@ -450,18 +447,15 @@ def vslq_fixed_lifetime(w: float, delta: float, gamma_p: float,
     # which perfbench's tracer would wrap and its tests do not classify
     from .analysis import fit_lifetime
 
-    model = VslqModel(w=w, delta=delta, gamma_p=gamma_p, gamma_s=gamma_s,
-                      omega_s=omega_s)
     terms = build_vslq(model)
     h = terms.h_static + omega * terms.h_x
     channels = tuple((c.op, c.rate) for c in terms.channels)
     state = vslq_pauli_eigenstate(model, which, +1)
     op = vslq_logical_operators(model)[which]
     times_ns = np.linspace(0.0, FIXED_WINDOW_US * 1e3, FIXED_SAMPLES)
-    traj = evolve_constant_lindblad(h, channels, state, times_ns,
-                                    observables={"obs": op})
+    traj = evolve_constant_lindblad(h, channels, state, times_ns)
     t_us = traj.times / 1e3
-    vals = traj.observables["obs"]
+    vals = traj.expect(op)
     keep = t_us >= FIXED_SKIP_US
     fit = fit_lifetime(t_us[keep], vals[keep], model="exp")
     return fit.lifetime

@@ -204,17 +204,17 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir) -> dy.Trajectory:
     terms = mo.build(model)
     t_r = cfg.t_r if cfg.t_r is not None else cfg.t_r_grid[0]
     schedule = CycleSchedule(t_r, cfg.reset_rate, cfg.n_cycles)
-    traj = dy.evolve_cycles(terms, pulse, schedule, kind.protected(model),
-                            observables=kind.observables(model))
-    dy.trajectory_to_csv(traj, ctx.path("trajectory.csv"))
+    traj = dy.evolve_cycles(terms, pulse, schedule, kind.protected(model))
+    values = {name: traj.expect(obs)
+              for name, obs in kind.observables(model).items()}
+    dy.trajectory_to_csv(traj, values, ctx.path("trajectory.csv"))
     dy.dump_states(traj, ctx.path("states.json"))
     ctx.write_json("evolve_summary.json", {
         "n_cycles": cfg.n_cycles, "t_r_ns": t_r,
         "final_time_ns": float(traj.times[-1]),
         # at trajectory.csv's 12 significant digits, which unlike the full
         # floats do not depend on the BLAS thread count
-        "observables": {k: float(f"{v[-1]:.12g}")
-                        for k, v in traj.observables.items()},
+        "observables": {k: float(f"{v[-1]:.12g}") for k, v in values.items()},
     })
     ctx.finish()
     return traj
@@ -271,23 +271,27 @@ def _residual_point(cfg: ExperimentConfig, t1_ns: float,
     }
 
 
-def _vslq_working_point(t1_us: float):
-    """The VSLQ_FIXED_TABLE row at T1 and its (Omega, gamma_s, Omega_s)."""
+def _vslq_working_point(cfg: ExperimentConfig, t1_ns: float):
+    """(row, model, Omega): the VSLQ_FIXED_TABLE row at T1, the VSLQ at its
+    fixed gamma_s and Omega_s with cfg's W and delta and gamma_p = 1/T1,
+    and the row's constant coupling Omega (rad/ns)."""
+    t1_us = t1_ns / 1e3
     key = int(round(t1_us))
     if key not in VSLQ_FIXED_TABLE or abs(t1_us - key) > 1e-9 * key:
         raise ValueError(f"no tabulated working point for T1={t1_us} us")
     row = VSLQ_FIXED_TABLE[key]
-    return row, (2 * np.pi * row[0] * 1e-3, row[1] * 1e-3,
-                 2 * np.pi * row[2] * 1e-3)
+    p = dict(cfg.model_params)
+    model = mo.VslqModel(w=p["w"], delta=p["delta"], gamma_p=1.0 / t1_ns,
+                         gamma_s=row[1] * 1e-3,
+                         omega_s=2 * np.pi * row[2] * 1e-3)
+    return row, model, 2 * np.pi * row[0] * 1e-3
 
 
 def _vslq_fixed_point(cfg: ExperimentConfig, t1_ns: float, pulse) -> dict:
     """VSLQ lifetimes at the tabulated fixed working point (no pulse)."""
-    p = dict(cfg.model_params)
     t1_us = t1_ns / 1e3
-    row, (omega, gamma_s, omega_s) = _vslq_working_point(t1_us)
-    t_x, t_y = (op.vslq_fixed_lifetime(p["w"], p["delta"], 1.0 / t1_ns, omega,
-                                       gamma_s, omega_s, which=which)
+    row, model, omega = _vslq_working_point(cfg, t1_ns)
+    t_x, t_y = (op.vslq_fixed_lifetime(model, omega, which)
                 for which in ("X", "Y"))
     return {
         "t1_us": t1_us,
@@ -309,10 +313,9 @@ def _select_vslq_t_r(cfg: ExperimentConfig, pulse: PulseShape) -> float:
     best = None
     for t_r in cfg.t_r_grid:
         schedule = CycleSchedule(t_r, cfg.reset_rate, T_R_PROBE_CYCLES)
-        traj = dy.evolve_cycles(terms, pulse, schedule, state,
-                                observables={"x": ops["X"]})
+        traj = dy.evolve_cycles(terms, pulse, schedule, state)
         # per-time decay rate: cycle lengths differ across grid points
-        rate = -np.log(max(traj.observables["x"][-1], 1e-12)) / traj.times[-1]
+        rate = -np.log(max(traj.expect(ops["X"])[-1], 1e-12)) / traj.times[-1]
         if best is None or rate < best[0]:
             best = (rate, float(t_r))
     return best[1]
@@ -326,9 +329,8 @@ def _cycle_end_series(cfg: ExperimentConfig, terms: mo.ModelTerms,
     n_cycles = int(min(LIFETIME_WINDOW_CYCLES,
                        LIFETIME_WINDOW_NS // (cfg.t_p + t_r)))
     schedule = CycleSchedule(t_r, cfg.reset_rate, n_cycles)
-    traj = dy.evolve_cycles(terms, pulse, schedule, state,
-                            observables={"obs": obs})
-    return traj.times[2::2] / 1e3, traj.observables["obs"][2::2]
+    traj = dy.evolve_cycles(terms, pulse, schedule, state)
+    return traj.times[2::2] / 1e3, traj.expect(obs)[2::2]
 
 
 def _vslq_cycle_point(cfg: ExperimentConfig, t1_ns: float,
@@ -367,10 +369,7 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
     terms = mo.build(model)
     ops = mo.vslq_logical_operators(model)
     t1_us = t1_ns / 1e3
-    _, (omega, gamma_s, omega_s) = _vslq_working_point(t1_us)
-    p = dict(cfg.model_params)
-    m_fix = mo.VslqModel(w=p["w"], delta=p["delta"], gamma_p=1.0 / t1_ns,
-                         gamma_s=gamma_s, omega_s=omega_s)
+    _, m_fix, omega = _vslq_working_point(cfg, t1_ns)
     terms_fix = mo.build_vslq(m_fix)
     h_fix = terms_fix.h_static + omega * terms_fix.h_x
     ch_fix = tuple((c.op, c.rate) for c in terms_fix.channels)
@@ -382,19 +381,20 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
     curves = []
     for which in ("X", "Y"):
         state = mo.vslq_pauli_eigenstate(model, which, +1)
-        traj = dy.evolve_cycles(terms, pulse, schedule, state,
-                                observables={"o": ops[which]})
+        traj = dy.evolve_cycles(terms, pulse, schedule, state)
+        vals = traj.expect(ops[which])
         t_end = float(traj.times[-1])
         state_fix = mo.vslq_pauli_eigenstate(m_fix, which, +1)
         traj_fix = dy.evolve_constant_lindblad(
-            h_fix, ch_fix, state_fix, np.linspace(0.0, t_end, n_cycles + 1),
-            observables={"o": ops_fix[which]})
-        row[f"{which.lower()}_pulse_reset"] = float(traj.observables["o"][-1])
-        row[f"{which.lower()}_fixed"] = float(traj_fix.observables["o"][-1])
+            h_fix, ch_fix, state_fix, np.linspace(0.0, t_end, n_cycles + 1))
+        vals_fix = traj_fix.expect(ops_fix[which])
+        row[f"{which.lower()}_pulse_reset"] = float(vals[-1])
+        row[f"{which.lower()}_fixed"] = float(vals_fix[-1])
         row[f"window_ns_{which.lower()}"] = t_end
-        for protocol, tr in (("pulse_reset", traj), ("fixed", traj_fix)):
-            curves += [(t1_us, which, protocol, t, v)
-                       for t, v in zip(tr.times, tr.observables["o"])]
+        for protocol, tr, v in (("pulse_reset", traj, vals),
+                                ("fixed", traj_fix, vals_fix)):
+            curves += [(t1_us, which, protocol, t, x)
+                       for t, x in zip(tr.times, v)]
     row["curves"] = curves
     return row
 
@@ -483,10 +483,10 @@ def _write_exponents(ctx: RunContext, rows: list[dict]) -> dict:
 
     The file maps ``pulse_reset``, ``pulse_reset_with_offset`` and
     ``constant`` to the fields of their power-law ``ScalingFit`` over T1.
-    A sweep with fewer than ``analysis.MIN_POWER_LAW_POINTS`` T1 points
-    cannot be fitted: the three keys are then ``null`` and one more key,
-    ``not_fitted``, gives the reason and the point count. With enough
-    points there is no ``not_fitted`` key.
+    A sweep with fewer than ``analysis.MIN_POWER_LAW_POINTS`` distinct T1
+    values cannot be fitted: the three keys are then ``null`` and one more
+    key, ``not_fitted``, gives the reason and the distinct count. With
+    enough values there is no ``not_fitted`` key.
     """
     x = np.array([r["t1_us"] for r in rows])
     y_pr = np.array([r["pulse_reset_residual"] for r in rows])
@@ -497,12 +497,13 @@ def _write_exponents(ctx: RunContext, rows: list[dict]) -> dict:
             lambda: an.fit_power_law(x, y_pr, with_offset=True),
         "constant": lambda: an.fit_power_law(x, y_cc),
     }
-    fitted = len(rows) >= an.MIN_POWER_LAW_POINTS
+    distinct = np.unique(x).size
+    fitted = distinct >= an.MIN_POWER_LAW_POINTS
     exponents = {k: asdict(fit()) if fitted else None for k, fit in fits.items()}
     if not fitted:
         exponents["not_fitted"] = (
-            f"{len(rows)} T1 points; the power-law fit needs at least "
-            f"{an.MIN_POWER_LAW_POINTS}")
+            f"{distinct} T1 points with distinct values; the power-law fit "
+            f"needs at least {an.MIN_POWER_LAW_POINTS}")
     ctx.write_json("exponents.json", exponents)
     return {
         "exponents": exponents,
@@ -544,7 +545,7 @@ def _sweep_core(ctx: RunContext) -> dict:
                          f"not {cfg.model_kind}")
     if kind == "vslq":
         for t1_ns in cfg.sweep_t1:
-            _vslq_working_point(t1_ns / 1e3)
+            _vslq_working_point(cfg, t1_ns)
     pulse = None if mode == "fixed_lifetimes" else _ensure_pulse(ctx)
     rows = _map_points(cfg, point, cfg.sweep_t1, pulse)
     result = {"rows": rows, **(post(ctx, rows) if post else {})}

@@ -80,5 +80,5 @@ def max_leakage(terms: mo.ModelTerms, pulse: PulseShape) -> float:
         h_static=terms.h_static, h_x=terms.h_x, h_y=terms.h_y,
         coupling=lambda t: evaluate(pulse, t), channels=(),
         t_span=(0.0, pulse.t_p), initial=initial)
-    traj = evolve_unitary(prob, record_times=record, observables={"leak": leak})
-    return float(np.max(traj.observables["leak"]))
+    traj = evolve_unitary(prob, record_times=record)
+    return float(np.max(traj.expect(leak)))

@@ -181,6 +181,7 @@ class TestFitLifetimeOracle:
         assert _ssr(t, y, fit) <= ssr * (1 + 1e-12)
 
     def test_vslq_fixed_point_window_matches_curve_fit(self, monkeypatch):
+        from aqec import models as mo
         from aqec import optimize as op
         from aqec.presets import VSLQ_FIXED_TABLE
 
@@ -194,9 +195,10 @@ class TestFitLifetimeOracle:
         monkeypatch.setattr(an, "fit_lifetime", recording)
         omega, gamma_s, omega_s = VSLQ_FIXED_TABLE[30][:3]
         two_pi = 2 * np.pi
-        lifetime = op.vslq_fixed_lifetime(
-            two_pi * 0.035, two_pi * 0.35, 1.0 / 30e3, two_pi * omega * 1e-3,
-            gamma_s * 1e-3, two_pi * omega_s * 1e-3, which="X")
+        model = mo.VslqModel(w=two_pi * 0.035, delta=two_pi * 0.35,
+                             gamma_p=1.0 / 30e3, gamma_s=gamma_s * 1e-3,
+                             omega_s=two_pi * omega_s * 1e-3)
+        lifetime = op.vslq_fixed_lifetime(model, two_pi * omega * 1e-3, "X")
         (t, y), = windows
         assert lifetime == pytest.approx(_curve_fit_lifetime(t, y, "exp")[0],
                                          rel=1e-7)

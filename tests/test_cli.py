@@ -126,3 +126,43 @@ pulse_file = {pulse_file}
                      "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert "trace drift" in err and "of 36)" in err
+
+
+def test_degenerate_t1_axis_writes_not_fitted(tmp_path):
+    # four equal T1 values are one distinct point: the power-law fits are
+    # skipped with a not_fitted marker instead of crashing the sweep
+    import json
+    from pathlib import Path
+
+    from aqec import cli
+
+    pulse_file = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                  / "fig2_pulse.json")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"""\
+[model]
+kind = single_qubit
+delta = 350 MHz
+gamma_q = 0.2 per_us
+gamma_r = 0.2 per_us
+
+[schedule]
+t_r_grid = 40 ns
+
+[sweep]
+t1 = 20 20 20 20 us
+mode = residual
+
+[run]
+pulse_file = {pulse_file}
+""")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_file),
+                     "--out", str(out)]) == 0
+    header, *rows = (out / "residuals.csv").read_text().splitlines()
+    assert header.startswith("t1_us,") and len(rows) == 4
+    assert all(r.startswith("20,") for r in rows)
+    exps = json.loads((out / "exponents.json").read_text())
+    assert all(exps[k] is None
+               for k in ("pulse_reset", "pulse_reset_with_offset", "constant"))
+    assert exps["not_fitted"].startswith("1 T1 points")

@@ -140,8 +140,8 @@ class TestLindblad:
         gamma = 0.002
         prob = dy.EvolutionProblem(h0, None, None, None, ((sx, gamma),),
                                    (0.0, 400.0), hi.basis_state(sp, (0,)))
-        traj = dy.evolve_lindblad(prob, observables={"sz": sz})
-        assert traj.observables["sz"][-1] == pytest.approx(
+        traj = dy.evolve_lindblad(prob)
+        assert traj.expect(sz)[-1] == pytest.approx(
             np.exp(-2 * gamma * 400.0), rel=1e-6)
 
     def test_trace_and_hermiticity_preserved(self, sq_terms):
@@ -736,13 +736,72 @@ class TestTrajectoryExports:
     def test_csv_round_trip(self, tmp_path):
         traj = dy.Trajectory(
             np.array([0.0, 1.0]),
-            [hi.basis_state(hi.TensorSpace((2,)), (0,))] * 2,
-            {"pop": np.array([1.0, 0.5])})
+            [hi.basis_state(hi.TensorSpace((2,)), (0,))] * 2)
         path = tmp_path / "t.csv"
-        dy.trajectory_to_csv(traj, path)
+        dy.trajectory_to_csv(traj, {"pop": np.array([1.0, 0.5])}, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "time_ns,pop"
         assert lines[2].startswith("1,0.5")
+
+    def test_expect_reads_operators_and_target_states(self):
+        sp = hi.TensorSpace((2,))
+        plus = hi.QuantumState(sp, np.array([1.0, 1.0]) / np.sqrt(2))
+        states = [hi.basis_state(sp, (0,)), plus]
+        traj = dy.Trajectory(np.array([0.0, 1.0]), states)
+        sz = hi.Operator(sp, hi.SIGMA_Z)
+        target = hi.basis_state(sp, (0,))
+        assert np.allclose(traj.expect(sz), [1.0, 0.0], atol=1e-15)
+        assert np.allclose(traj.expect(target), [1.0, 0.5], atol=1e-15)
+        assert traj.expect(sz).tolist() == [hi.expectation(sz, s)
+                                            for s in states]
+        assert traj.expect(target).tolist() == [hi.state_fidelity(s, target)
+                                                for s in states]
+
+    def test_evolve_csv_matches_observables_of_recorded_states(self, tmp_path):
+        # oracle for the read path: every trajectory.csv column of a 1-cycle
+        # sq `aqec evolve` equals, at its 12 digits, the fidelity this test
+        # computes on each state recorded in states.json
+        import json
+
+        from aqec import cli
+        from aqec import config as cf
+        from aqec.pulse import save_pulse
+
+        pulse_file = tmp_path / "pulse.json"
+        save_pulse(PulseShape([0.0123, 0.0], [0.0, 0.00234], 40.0), pulse_file)
+        text = f"""\
+[model]
+kind = single_qubit
+delta = 350 MHz
+gamma_q = 0.2 per_us
+gamma_r = 0.2 per_us
+
+[schedule]
+t_r = 60 ns
+n_cycles = 1
+
+[run]
+pulse_file = {pulse_file}
+"""
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["evolve", "--config", str(cfg_file),
+                         "--out", str(out)]) == 0
+        space = cf.parse_config(text).model().space
+        targets = {"fid_target": hi.basis_state(space, (1, 0)),
+                   "pop_leak": hi.basis_state(space, (2, 1))}
+        records = json.loads((out / "states.json").read_text())
+        states = [hi.QuantumState(space,
+                                  np.array(r["re"]) + 1j * np.array(r["im"]))
+                  for r in records]
+        header, *rows = (out / "trajectory.csv").read_text().splitlines()
+        assert header.split(",") == ["time_ns", "fid_target", "pop_leak"]
+        assert len(rows) == len(states) == 3
+        for row, state in zip(rows, states):
+            _, *vals = row.split(",")
+            assert vals == [f"{hi.state_fidelity(state, targets[n]):.12g}"
+                            for n in header.split(",")[1:]]
 
     def test_state_dump(self, tmp_path):
         import json

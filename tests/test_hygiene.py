@@ -167,8 +167,6 @@ UNSET_ALLOWED = {
                  "the CLI in-process",
     "evolve_lindblad.record_times": "the oracle tests compare intermediate "
                                     "records with exact propagators",
-    "evolve_lindblad.observables": "the tests read observables off a single "
-                                   "Lindblad evolution",
     "evolve_cycles.rtol": "the step-halving convergence test tightens it",
 }
 
@@ -235,21 +233,25 @@ def _module_names(tree: ast.Module) -> list[str]:
     return names
 
 
-def _referenced(tree: ast.AST) -> set[str]:
-    """Every name a module reads, reaches as an attribute, imports, or
-    spells as an identifier string (a lookup through ``globals()``)."""
-    out = set()
+def _referenced(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(names, members): every name a module reads as a variable or
+    imports, and every name it reaches as an attribute, passes as a
+    keyword, or spells as an identifier string (a lookup through
+    ``globals()`` or ``getattr``)."""
+    names, members = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            names.add(node.id)
         elif isinstance(node, ast.alias):
-            out.add(node.name)
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            members.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            members.add(node.arg)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            out.add(node.value)
-    return out
+            members.add(node.value)
+    return names, members
 
 
 def dead_names(sources: dict[str, str]) -> list[str]:
@@ -257,16 +259,20 @@ def dead_names(sources: dict[str, str]) -> list[str]:
     ("module.Class.field") in ``sources`` (module name -> source) that no
     module in ``sources`` references.
 
-    References are matched by name alone, so a name read anywhere in the
-    package, for whatever object, keeps every definition of that name. A
-    field that is only passed to the constructor is never read, so it is
-    dead.
+    References are matched by name alone, so a name referenced anywhere in
+    the package, for whatever object, keeps every definition of that name.
+    A field counts as read only as an attribute, a keyword or a string: a
+    local variable of the same name does not read it, and a field that is
+    only passed positionally to the constructor is dead.
     """
     trees = {m: ast.parse(s) for m, s in sources.items()}
-    referenced = set().union(*map(_referenced, trees.values()))
+    refs = [_referenced(tree) for tree in trees.values()]
+    members = set().union(*(m for _, m in refs))
+    referenced = members.union(*(n for n, _ in refs))
     return sorted(f"{m}.{n}" for m, tree in trees.items()
                   for n in _module_names(tree)
-                  if n.rsplit(".", 1)[-1] not in referenced)
+                  if n.rsplit(".", 1)[-1] not in
+                  (members if "." in n else referenced))
 
 
 # module-level names that nothing in src/aqec references, and why they stay
@@ -291,15 +297,17 @@ def test_checker_flags_dead_names():
               "def pulse_reset_rates(terms, rate):\n    return {}, {}\n"
               "class Kind:\n    pass\n"
               "@dataclass(frozen=True)\n"
-              "class Channel:\n    label: str\n    op: int\n"
+              "class Channel:\n    label: str\n    op: int\n    rate: float\n"
               "class Plain:\n    spare: int\n"
               "LIMIT, _SPARE = 1, 2\n")
     runner = ("from . import models as mo\n"
               "def _point(cfg):\n    return mo.phase_channels(cfg, LIMIT)\n"
               "def _schedule(cfg):\n    return Kind()\n"
               "def _run(name):\n    return globals()[name](None)\n"
-              "def _ops():\n    return mo.Channel('q', 1).op, mo.Plain\n"
-              "_run('_point')\n_run('_ops')\n")
+              "def _ops():\n    return mo.Channel('q', 1, 0.0).op, mo.Plain\n"
+              "def _rate(rate):\n    return rate\n"
+              "_run('_point')\n_run('_ops')\n_run('_rate')\n")
+    # a local variable named like a field does not read it
     assert dead_names({"models": models, "runner": runner}) == [
-        "models.Channel.label", "models._SPARE", "models.pulse_reset_rates",
-        "runner._schedule"]
+        "models.Channel.label", "models.Channel.rate", "models._SPARE",
+        "models.pulse_reset_rates", "runner._schedule"]

@@ -64,7 +64,8 @@ class TestReachableIndices:
         model, terms, obj = sq_objective
         pulse = seed_pulse(6, 40.0, TWO_PI * 0.015)
         fids = op.pair_fidelities(obj, pulse)
-        for k, (initial, final, _) in enumerate(obj.target.pairs):
+        for k, (initial, final, _) in enumerate(
+                mo.target_operation(model).pairs):
             prob = dy.EvolutionProblem(
                 terms.h_static, terms.h_x, terms.h_y,
                 lambda t: __import__("aqec.pulse", fromlist=["evaluate"]
@@ -105,7 +106,7 @@ class TestFidelity:
             assert 0.0 <= f <= 1.0
         # global phase on a target state leaves the fidelity unchanged
         pairs = [(i, hi.QuantumState(f.space, np.exp(1.3j) * f.data), w)
-                 for i, f, w in obj.target.pairs]
+                 for i, f, w in mo.target_operation(model).pairs]
         obj_phase = op.make_objective(terms, mo.TargetOperation(pairs))
         pulse = seed_pulse(6, 40.0, TWO_PI * 0.01)
         assert op.fidelity(obj_phase, pulse) == pytest.approx(
@@ -497,9 +498,9 @@ class TestConstantCouplingBatch:
 class TestFixedParameters:
     def test_lifetime_at_tabulated_point(self):
         w, delta = TWO_PI * 0.035, TWO_PI * 0.35
-        t_x = op.vslq_fixed_lifetime(w, delta, 1.0 / 5000.0,
-                                     TWO_PI * 2.94e-3, 24.66e-3,
-                                     TWO_PI * 0.20975, which="X")
+        model = mo.VslqModel(w=w, delta=delta, gamma_p=1.0 / 5000.0,
+                             gamma_s=24.66e-3, omega_s=TWO_PI * 0.20975)
+        t_x = op.vslq_fixed_lifetime(model, TWO_PI * 2.94e-3, which="X")
         assert t_x == pytest.approx(117.0, rel=0.15)
 
 
@@ -508,8 +509,10 @@ class TestFixedParameters:
 def test_table1_fixed_point_lifetimes(t1_us):
     # every Table 1 row within the 5 % band the benchmark checks against
     omega, gamma_s, omega_s, t_x_paper, t_y_paper = VSLQ_FIXED_TABLE[t1_us]
-    args = (TWO_PI * 0.035, TWO_PI * 0.35, 1.0 / (t1_us * 1e3),
-            TWO_PI * omega * 1e-3, gamma_s * 1e-3, TWO_PI * omega_s * 1e-3)
+    model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                         gamma_p=1.0 / (t1_us * 1e3), gamma_s=gamma_s * 1e-3,
+                         omega_s=TWO_PI * omega_s * 1e-3)
+    args = (model, TWO_PI * omega * 1e-3)
     assert op.vslq_fixed_lifetime(*args, which="X") == pytest.approx(
         t_x_paper, rel=0.05)
     assert op.vslq_fixed_lifetime(*args, which="Y") == pytest.approx(
