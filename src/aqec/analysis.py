@@ -193,9 +193,8 @@ def fit_power_law(x, y, with_offset: bool = False) -> ScalingFit:
     return ScalingFit(exponent=b, prefactor=a, offset=c, residual=r)
 
 
-def improvement_factor(logical, physical_time: float) -> float:
+def improvement_factor(logical_time: float, physical_time: float) -> float:
     """T_L / T_E (or T_L / T_1): logical over physical lifetime."""
-    t_l = logical.lifetime if isinstance(logical, DecayFit) else float(logical)
-    if not (t_l > 0 and physical_time > 0):
+    if not (logical_time > 0 and physical_time > 0):
         raise ValueError("lifetimes must be positive")
-    return t_l / physical_time
+    return logical_time / physical_time

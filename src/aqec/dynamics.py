@@ -6,8 +6,11 @@ operating on complex arrays of any shape; its twelve stages live in one
 preallocated array, so each stage input, the update and the error estimate
 are one matrix product each. Evolutions are split at every phase boundary
 of a cycle schedule so a discontinuous rate change is never straddled by a
-step. All Lindblad flow uses one definition of the vectorized generator S,
-built from the exact nonzeros of the d x d factors. S is never formed
+step. Every integrated evolution has one shape, an ``EvolutionProblem``
+with H(t) = h_static + Omega_x(t) h_x + Omega_y(t) h_y, checked once when
+it is built; a static problem passes zero amplitudes. All Lindblad flow
+uses one definition of the vectorized generator S, built from the exact
+nonzeros of the d x d factors. S is never formed
 densely: its nonzeros split the vec indices into decoupled sectors (weakly
 connected components of the pattern, here excitation-difference sectors),
 and a state occupies only some of them. One rule, exact zeros of rho and
@@ -37,6 +40,7 @@ IntegrityError; no state is clipped or otherwise altered to pass it.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -232,41 +236,36 @@ Coupling = Callable[[float], tuple[float, float]]
 
 @dataclass(frozen=True)
 class EvolutionProblem:
-    """One evolution: Hamiltonian terms, coupling, channels, window, state.
+    """One evolution under H(t) = h_static + Omega_x(t) h_x + Omega_y(t) h_y.
 
-    ``coupling`` maps t (ns) to the two quadrature amplitudes; None means
-    the static Hamiltonian alone. Channel rates are constant over the
-    window and must be nonnegative.
+    ``coupling`` maps t (ns) to the two quadrature amplitudes
+    (Omega_x, Omega_y); a static problem passes zero amplitudes. Channel
+    rates are constant over the window. The whole problem is checked here,
+    once: every part lives on one space, ``t_span`` is ordered and every
+    rate is nonnegative.
     """
 
     h_static: Operator
-    h_x: Operator | None
-    h_y: Operator | None
-    coupling: Coupling | None
+    h_x: Operator
+    h_y: Operator
+    coupling: Coupling
     channels: tuple[tuple[Operator, float], ...]
     t_span: tuple[float, float]
     initial: QuantumState
 
-    def __init__(self, h_static, h_x, h_y, coupling, channels, t_span, initial):
-        dims = h_static.space.dims
-        for op in (h_x, h_y):
-            if op is not None and op.space.dims != dims:
-                raise ValueError("coupling operators live on a different space")
-        if initial.space.dims != dims:
-            raise ValueError("initial state lives on a different space")
-        channels = tuple((op, rate) for op, rate in channels)
-        for op, _ in channels:
-            if op.space.dims != dims:
-                raise ValueError("channel operator lives on a different space")
-        if not float(t_span[1]) >= float(t_span[0]):
+    def __post_init__(self):
+        channels = tuple((op, rate) for op, rate in self.channels)
+        parts = [self.h_x, self.h_y, self.initial] + [op for op, _ in channels]
+        if any(p.space.dims != self.h_static.space.dims for p in parts):
+            raise ValueError("the problem's parts live on different spaces")
+        t0, t1 = float(self.t_span[0]), float(self.t_span[1])
+        if not t1 >= t0:
             raise ValueError("t_span must be ordered")
-        object.__setattr__(self, "h_static", h_static)
-        object.__setattr__(self, "h_x", h_x)
-        object.__setattr__(self, "h_y", h_y)
-        object.__setattr__(self, "coupling", coupling)
+        for _, rate in channels:
+            if not rate >= 0:
+                raise ValueError(f"channel rates must be nonnegative, got {rate}")
         object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "t_span", (float(t_span[0]), float(t_span[1])))
-        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "t_span", (t0, t1))
 
 
 @dataclass
@@ -306,28 +305,6 @@ def _eval_observable(obs: Operator | QuantumState,
     return state_fidelity(state, obs)
 
 
-# --- Hamiltonian/Lindblad right-hand sides ----------------------------------------
-
-def _hamiltonian_fn(problem: EvolutionProblem) -> Callable[[float], np.ndarray]:
-    h0 = problem.h_static.matrix
-    if problem.coupling is None:
-        return lambda t: h0
-    hx = problem.h_x.matrix if problem.h_x is not None else None
-    hy = problem.h_y.matrix if problem.h_y is not None else None
-    coupling = problem.coupling
-
-    def h_of_t(t: float) -> np.ndarray:
-        ox, oy = coupling(t)
-        h = h0
-        if hx is not None and ox != 0.0:
-            h = h + ox * hx
-        if hy is not None and oy != 0.0:
-            h = h + oy * hy
-        return h
-
-    return h_of_t
-
-
 def _hermitize(rho: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
@@ -346,10 +323,13 @@ def evolve_unitary(problem: EvolutionProblem,
                    record_times: Sequence[float] | None = None) -> Trajectory:
     """Integrate i psi' = H(t) psi (hbar = 1) for a pure initial state."""
     psi0 = problem.initial.vector()
-    h_of_t = _hamiltonian_fn(problem)
+    h0, hx, hy = (op.matrix for op in (problem.h_static, problem.h_x,
+                                       problem.h_y))
+    coupling = problem.coupling
 
     def rhs(t, psi):
-        return -1j * (h_of_t(t) @ psi)
+        ox, oy = coupling(t)
+        return -1j * ((h0 + ox * hx + oy * hy) @ psi)
 
     times, ys = adaptive_rk(rhs, problem.t_span, psi0, rtol=UNITARY_RTOL,
                             record_times=record_times)
@@ -483,40 +463,31 @@ def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
 
     In row-major vec form rho' = sum_j w_j(t) G_j rho over the generator
     blocks G = [S(h_static, channels); S(h_x); S(h_y)], with weights
-    w = [1, Omega_x(t), Omega_y(t)]; the coupling blocks are present only
-    with a coupling. The blocks are stacked by ``_stack``, the definition
-    the segment propagators and ``steady_state`` use. ``keep`` holds the
-    vec indices of the sectors that ``rho`` occupies under the union
-    pattern of all blocks (``_restrict``), so every block maps them into
-    themselves and the entries outside stay exactly zero. The triplets
-    with a row in ``keep`` are stacked, in their original order, into one
-    CSR matrix, so a call is one sparse matvec, each entry of which is
-    bit-identical to that of the full-space matvec, and one weighted sum
-    of its blocks.
+    w = [1, Omega_x(t), Omega_y(t)]; a zero h_x or h_y adds no triplets.
+    The blocks are stacked by ``_stack``, the definition the segment
+    propagators and ``steady_state`` use. ``keep`` holds the vec indices
+    of the sectors that ``rho`` occupies under the union pattern of all
+    blocks (``_restrict``), so every block maps them into themselves and
+    the entries outside stay exactly zero. The triplets with a row in
+    ``keep`` are stacked, in their original order, into one CSR matrix, so
+    a call is one sparse matvec, each entry of which is bit-identical to
+    that of the full-space matvec, and one weighted sum of its blocks.
     """
     d = problem.h_static.matrix.shape[0]
-    for _, rate in problem.channels:
-        if rate < 0:
-            raise ValueError(f"negative channel rate {rate}")
     channels = [(op.matrix, float(rate)) for op, rate in problem.channels]
-    parts = [(problem.h_static.matrix, channels)]
-    if problem.coupling is not None:
-        zero = np.zeros((d, d))
-        parts += [(zero if op is None else op.matrix, ())
-                  for op in (problem.h_x, problem.h_y)]
-    rows, cols, vals, part = _stack(parts)
+    rows, cols, vals, part = _stack([(problem.h_static.matrix, channels),
+                                     (problem.h_x.matrix, ()),
+                                     (problem.h_y.matrix, ())])
     keep, sel, at_rows, at_cols = _restrict(d * d, rows, cols, rho)
     m = keep.size
     stack = scipy.sparse.csr_matrix(
-        (vals[sel], (at_rows + part[sel] * m, at_cols)),
-        shape=(len(parts) * m, m))
-    weights = np.ones(len(parts), dtype=complex)
+        (vals[sel], (at_rows + part[sel] * m, at_cols)), shape=(3 * m, m))
+    weights = np.ones(3, dtype=complex)
     coupling = problem.coupling
 
     def rhs(t, x):
-        if coupling is not None:
-            weights[1:3] = coupling(t)
-        return weights @ (stack @ x).reshape(len(parts), m)
+        weights[1:3] = coupling(t)
+        return weights @ (stack @ x).reshape(3, m)
 
     return rhs, keep
 
@@ -826,7 +797,6 @@ def trajectory_to_csv(traj: Trajectory, values: Mapping[str, np.ndarray],
 
 def dump_states(traj: Trajectory, path) -> None:
     """Full-state JSON dump (debugging aid, not a compact format)."""
-    import json
     recs = []
     for t, s in zip(traj.times, traj.states):
         recs.append({

@@ -11,6 +11,7 @@ outputs do not depend on the worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import datetime
 import hashlib
 import json
@@ -234,9 +235,15 @@ def _run_point(item) -> dict:
 
 def _map_points(cfg: ExperimentConfig, point: str, t1_axis,
                 pulse: PulseShape | None) -> list[dict]:
-    """Rows of the named point function over the T1 axis, sorted by T1."""
-    items = [(point, _with_t1(cfg, t1), t1, pulse) for t1 in sorted(t1_axis)]
-    return _pool_map(_run_point, items, cfg.workers)
+    """Rows of the named point function over the T1 axis, sorted by T1.
+
+    Each distinct T1 is computed once; every entry of the axis gets its own
+    copy of that row, so a post-step may edit one without touching another.
+    """
+    distinct = sorted(set(t1_axis))
+    items = [(point, _with_t1(cfg, t1), t1, pulse) for t1 in distinct]
+    rows = dict(zip(distinct, _pool_map(_run_point, items, cfg.workers)))
+    return [dict(rows[t1]) for t1 in sorted(t1_axis)]
 
 
 def _write_rows(ctx: RunContext, name: str, rows: list[dict]) -> None:
@@ -363,8 +370,15 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
     """Short-window <X_L>, <Y_L>: pulse-reset cycles vs fixed parameters.
 
     The row's ``curves`` entry holds both protocols' time series; the
-    post-step moves them into ``short_time_curves.csv``.
+    post-step moves them into ``short_time_curves.csv``. Raises
+    ValueError if the window holds no whole cycle.
     """
+    t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg, pulse)
+    n_cycles = int(SHORT_WINDOW_NS // (cfg.t_p + t_r))
+    if n_cycles < 1:
+        raise ValueError(
+            f"the short-time window of {SHORT_WINDOW_NS:g} ns is shorter "
+            f"than one cycle of t_p + t_r = {cfg.t_p + t_r:g} ns")
     model = cfg.model()
     terms = mo.build(model)
     ops = mo.vslq_logical_operators(model)
@@ -374,8 +388,6 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
     h_fix = terms_fix.h_static + omega * terms_fix.h_x
     ch_fix = tuple((c.op, c.rate) for c in terms_fix.channels)
     ops_fix = mo.vslq_logical_operators(m_fix)
-    t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg, pulse)
-    n_cycles = int(SHORT_WINDOW_NS // (cfg.t_p + t_r))
     schedule = CycleSchedule(t_r, cfg.reset_rate, n_cycles)
     row = {"t1_us": t1_us, "t_r_ns": t_r}
     curves = []
@@ -640,9 +652,8 @@ def cmd_reproduce(figure_id: str, out_dir, workers: int | None = None) -> dict:
 
 def cmd_fit(csv_path, x_col: str, y_col: str, kind: str, out_dir) -> dict:
     """Fit a decay or power law to two columns of a CSV file."""
-    import csv as _csv
     with open(csv_path) as f:
-        records = list(_csv.DictReader(f))
+        records = list(csv.DictReader(f))
     x = np.array([float(rec[x_col]) for rec in records])
     y = np.array([float(rec[y_col]) for rec in records])
     if kind in ("exp", "exp_with_offset"):

@@ -4,6 +4,7 @@ import pytest
 from aqec import analysis as an
 from aqec import dynamics as dy
 from aqec import hilbert as hi
+from test_dynamics import static_problem
 
 
 class TestResidualError:
@@ -26,8 +27,7 @@ class TestResidualError:
         h0 = hi.Operator(sp, np.zeros((2, 2)))
         target = hi.basis_state(sp, (1,))
         gamma, tau = 5e-4, 140.0
-        prob = dy.EvolutionProblem(h0, None, None, None, ((a, gamma),),
-                                   (0.0, tau), target)
+        prob = static_problem(h0, ((a, gamma),), (0.0, tau), target)
         traj = dy.evolve_lindblad(prob)
         assert an.residual_error(traj, target) == pytest.approx(
             1.0 - np.exp(-gamma * tau), abs=1e-6)
@@ -128,7 +128,7 @@ class TestImprovementFactor:
     def test_equal_lifetimes(self):
         fit = an.DecayFit(lifetime=12.0, amplitude=1.0, offset=0.0,
                           r_squared=1.0)
-        assert an.improvement_factor(fit, 12.0) == pytest.approx(1.0)
+        assert an.improvement_factor(fit.lifetime, 12.0) == pytest.approx(1.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -128,13 +128,19 @@ pulse_file = {pulse_file}
     assert "trace drift" in err and "of 36)" in err
 
 
-def test_degenerate_t1_axis_writes_not_fitted(tmp_path):
-    # four equal T1 values are one distinct point: the power-law fits are
-    # skipped with a not_fitted marker instead of crashing the sweep
+def test_degenerate_t1_axis_writes_not_fitted(tmp_path, monkeypatch):
+    # four equal T1 values are one distinct point: it is computed once, and
+    # the power-law fits are skipped with a not_fitted marker instead of
+    # crashing the sweep
     import json
     from pathlib import Path
 
-    from aqec import cli
+    from aqec import cli, runner
+
+    calls = []
+    real = runner._residual_point
+    monkeypatch.setattr(runner, "_residual_point",
+                        lambda *args: calls.append(args[1]) or real(*args))
 
     pulse_file = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
                   / "fig2_pulse.json")
@@ -166,3 +172,43 @@ pulse_file = {pulse_file}
     assert all(exps[k] is None
                for k in ("pulse_reset", "pulse_reset_with_offset", "constant"))
     assert exps["not_fitted"].startswith("1 T1 points")
+    assert calls == [20_000.0]
+
+
+def test_short_time_window_without_a_cycle_exits_2(tmp_path, capsys):
+    # t_p + t_r = 2040 ns leaves no whole cycle in the 2000 ns window, which
+    # must not be reported as an empty comparison
+    from aqec import cli
+    from aqec.pulse import PulseShape, save_pulse
+
+    pulse_file = tmp_path / "pulse.json"
+    save_pulse(PulseShape([0.06, 0.0], [0.0, 0.0], 40.0), pulse_file)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"""\
+[model]
+kind = vslq
+w = 35 MHz
+delta = 350 MHz
+gamma_p = 0.033333333333333333 per_us
+gamma_s = 35 per_us
+
+[pulse]
+t_p = 40 ns
+
+[schedule]
+t_r = 2000 ns
+reset_rate = 35 per_us
+
+[sweep]
+t1 = 30 us
+mode = short_time
+
+[run]
+pulse_file = {pulse_file}
+""")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_file),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "2000 ns" in err and "2040 ns" in err
+    assert not (out / "short_time.csv").exists()

@@ -16,12 +16,19 @@ TWO_PI = 2 * np.pi
 DIPPED = np.diag([1.0 + 1e-8, -1e-8]).astype(complex)
 
 
+def static_problem(h0, channels, t_span, initial):
+    """A problem under h0 alone: zero quadratures, held at zero amplitude."""
+    zero = hi.Operator(h0.space, np.zeros(h0.matrix.shape))
+    return dy.EvolutionProblem(h0, zero, zero, lambda t: (0.0, 0.0), channels,
+                               t_span, initial)
+
+
 def two_level_decay_problem(gamma, t_end):
     sp = hi.TensorSpace((2,))
     h0 = hi.Operator(sp, np.zeros((2, 2)))
     a = hi.Operator(sp, hi.ladder(2))
-    return dy.EvolutionProblem(h0, None, None, None, ((a, gamma),),
-                               (0.0, t_end), hi.basis_state(sp, (1,)))
+    return static_problem(h0, ((a, gamma),), (0.0, t_end),
+                          hi.basis_state(sp, (1,)))
 
 
 @pytest.fixture
@@ -35,7 +42,7 @@ class TestUnitary:
         sp = hi.TensorSpace((3, 2))
         h0 = hi.Operator(sp, np.zeros((6, 6)))
         psi = hi.normalized_state(sp, np.arange(1.0, 7.0) + 0.5j)
-        prob = dy.EvolutionProblem(h0, None, None, None, (), (0.0, 1000.0), psi)
+        prob = static_problem(h0, (), (0.0, 1000.0), psi)
         traj = dy.evolve_unitary(prob)
         assert np.allclose(traj.final.vector(), psi.vector(), atol=1e-9)
 
@@ -101,16 +108,14 @@ class TestUnitary:
         monkeypatch.setattr(dy, "adaptive_rk", drifted)
         sp = hi.TensorSpace((2,))
         h0 = hi.Operator(sp, np.array([[0.0, 0.1], [0.1, 0.0]]))
-        prob = dy.EvolutionProblem(h0, None, None, None, (), (0.0, 10.0),
-                                   hi.basis_state(sp, (0,)))
+        prob = static_problem(h0, (), (0.0, 10.0), hi.basis_state(sp, (0,)))
         with pytest.raises(dy.IntegrationError, match="norm drift"):
             dy.evolve_unitary(prob, record_times=[0.0, 5.0, 10.0])
 
     def test_record_times(self):
         sp = hi.TensorSpace((2,))
         h0 = hi.Operator(sp, np.array([[0.0, 0.1], [0.1, 0.0]]))
-        prob = dy.EvolutionProblem(h0, None, None, None, (), (0.0, 10.0),
-                                   hi.basis_state(sp, (0,)))
+        prob = static_problem(h0, (), (0.0, 10.0), hi.basis_state(sp, (0,)))
         traj = dy.evolve_unitary(prob, record_times=[0.0, 2.5, 5.0, 10.0])
         assert np.allclose(traj.times, [0.0, 2.5, 5.0, 10.0])
 
@@ -126,8 +131,7 @@ class TestLindblad:
         sp = hi.TensorSpace((2, 2))
         h0 = hi.Operator(sp, np.zeros((4, 4)))
         rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        prob = dy.EvolutionProblem(h0, None, None, None, (), (0.0, 500.0),
-                                   hi.QuantumState(sp, rho0))
+        prob = static_problem(h0, (), (0.0, 500.0), hi.QuantumState(sp, rho0))
         traj = dy.evolve_lindblad(prob)
         assert np.allclose(traj.final.density(), rho0, atol=1e-9)
 
@@ -138,8 +142,8 @@ class TestLindblad:
         sx = hi.Operator(sp, hi.SIGMA_X)
         sz = hi.Operator(sp, hi.SIGMA_Z)
         gamma = 0.002
-        prob = dy.EvolutionProblem(h0, None, None, None, ((sx, gamma),),
-                                   (0.0, 400.0), hi.basis_state(sp, (0,)))
+        prob = static_problem(h0, ((sx, gamma),), (0.0, 400.0),
+                              hi.basis_state(sp, (0,)))
         traj = dy.evolve_lindblad(prob)
         assert traj.expect(sz)[-1] == pytest.approx(
             np.exp(-2 * gamma * 400.0), rel=1e-6)
@@ -175,9 +179,8 @@ class TestLindblad:
         assert np.max(np.abs(rho_l - np.outer(psi, psi.conj()))) < 1e-7
 
     def test_negative_rate_rejected(self):
-        prob = two_level_decay_problem(-0.01, 10.0)
         with pytest.raises(ValueError):
-            dy.evolve_lindblad(prob)
+            two_level_decay_problem(-0.01, 10.0)
 
     # 1e-9 is inside the old 1e-8 loop but outside QuantumState's
     # TRACE_ATOL, where it used to surface as a ValueError
@@ -260,8 +263,7 @@ class TestConstantPropagator:
         initial = hi.basis_state(terms.space, (1, 0))
         traj_e = dy.evolve_constant_lindblad(h, channels, initial,
                                              [0.0, 250.0, 500.0])
-        prob = dy.EvolutionProblem(h, None, None, None, channels,
-                                   (0.0, 500.0), initial)
+        prob = static_problem(h, channels, (0.0, 500.0), initial)
         traj_rk = dy.evolve_lindblad(prob, record_times=[0.0, 250.0, 500.0])
         for a, b in zip(traj_e.states, traj_rk.states):
             assert np.max(np.abs(a.density() - b.density())) < 1e-7
@@ -612,8 +614,8 @@ def rk_reset_cycles(terms, pulse, sched, initial):
     state = initial
     for _ in range(sched.n_cycles):
         state = dy.evolve_cycles(terms, pulse, pulse_only, state).final
-        prob = dy.EvolutionProblem(terms.h_static, None, None, None,
-                                   reset_channels, (0.0, sched.t_r), state)
+        prob = static_problem(terms.h_static, reset_channels,
+                              (0.0, sched.t_r), state)
         state = dy.evolve_lindblad(prob).final
     return state
 
