@@ -120,13 +120,13 @@ _E53 = np.array([_E5, _E3], dtype=complex)
 _STAGES = len(_C)
 
 
-def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
+def _initial_step(f, t0, y0, f0, rtol, atol, span):
     sc = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean(np.abs(y0 / sc) ** 2))
     d1 = np.sqrt(np.mean(np.abs(f0 / sc) ** 2))
     h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = f(t0 + h0 * direction, y1)
+    y1 = y0 + h0 * f0
+    f1 = f(t0 + h0, y1)
     d2 = np.sqrt(np.mean(np.abs((f1 - f0) / sc) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * span, h0 * 1e-3)
@@ -150,8 +150,9 @@ def adaptive_rk(
     are the rows of one preallocated array; each stage input, the update
     and the pair of error estimates is one product of tableau rows with
     them. The first stage of a step is f at its start, evaluated once
-    however often the step is retried: it is the last stage of the
-    accepted step before ("first same as last"). The error norm is Hairer's
+    however often the step is retried. It is evaluated afresh after each
+    accepted step: this tableau's last stage sits at t + h but not at the
+    new y, so it cannot stand in for it. The error norm is Hairer's
     combination of the 5th- and 3rd-order estimates,
     h n5 / sqrt((n5 + 0.01 n3) N), where n5 and n3 are the squared sums of
     the estimates over the scale atol + rtol |y| and N is the size of y,
@@ -184,7 +185,7 @@ def adaptive_rk(
     ks = np.empty((_STAGES,) + shape, dtype=complex)
     stages = ks.reshape(_STAGES, -1)
     ks[0] = f(t, y)
-    h = _initial_step(f, t, y, ks[0], 1.0, rtol, atol, span)
+    h = _initial_step(f, t, y, ks[0], rtol, atol, span)
     h_min = 1e-14 * span
     first_valid = True
     next_record = 0

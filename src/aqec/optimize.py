@@ -39,10 +39,9 @@ from .dynamics import (
     evolve_constant_lindblad,
     evolve_cycles,
 )
-from .hilbert import QuantumState, basis_state, sector_labels, state_fidelity
+from .hilbert import QuantumState, sector_labels, state_fidelity
 from .models import (
     ModelTerms,
-    SingleQubitModel,
     TargetOperation,
     VslqModel,
     build_vslq,
@@ -350,11 +349,14 @@ class ConstantCouplingPoint:
     residual_steady: float  # 1 - F of the t -> infinity steady state
 
 
-def optimize_constant_coupling(delta: float, t1_us: float
+def optimize_constant_coupling(terms: ModelTerms, target: QuantumState
                                ) -> ConstantCouplingPoint:
-    """Best constant-coupling working point (Omega, Gamma_r) at fixed T1.
+    """Best constant-coupling working point (Omega, Gamma_r) for holding
+    ``target`` under ``terms``: the primary channels keep the rates of
+    ``terms``, which carry T1, and the lossy ones run at Gamma_r, whatever
+    rate ``terms`` gives them.
 
-    Minimizes the residual error of holding the stabilized state, measured
+    Minimizes the residual error of holding ``target``, measured
     at the end of a settling window of ``CC_WINDOW_US`` (leakage populations
     equilibrate on a T1 timescale, so the window choice matters at long
     T1). A coarse logarithmic grid seeds a finite-difference descent in
@@ -369,14 +371,6 @@ def optimize_constant_coupling(delta: float, t1_us: float
     call apiece. Taking the ladder's first improving entry keeps the path
     of trying one step length at a time.
     """
-    # imported here: a module-level import would add an aqec.optimize alias
-    # of a census binding, which perfbench's tracer would wrap
-    from .models import build_single_qubit
-
-    model = SingleQubitModel(delta=delta, gamma_q=1.0 / (t1_us * 1e3),
-                             gamma_r=0.0)
-    terms = build_single_qubit(model)
-    target = basis_state(model.space, (1, 0))
     psi = target.vector()
     primary = [(c.op, c.rate) for c in terms.channels if not c.lossy]
     lossy = [(c.op, 1.0) for c in terms.channels if c.lossy]
@@ -430,32 +424,43 @@ def optimize_constant_coupling(delta: float, t1_us: float
 
 # --- fixed-parameter benchmark (lifetime at a given working point) ---------------
 
+def vslq_fixed_evolution(model: VslqModel, omega: float, which: str,
+                         times_ns: Sequence[float]
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Times (ns) and values of <which_L> from the +1 eigenstate of the
+    logical operator ``which``, under ``model``'s channels at their rates
+    and the constant coupling ``omega`` (rad/ns) on its x quadrature.
+
+    ``times_ns`` starts at 0. The generator is time independent, so every
+    sample step applies one exact segment propagator; at the VSLQ fixed
+    point the generator splits into 8 decoupled blocks of 160-164 vec
+    indices, of which the X and Y eigenstates occupy 2, so only those 2
+    are exponentiated, once per distinct step, and applied.
+    """
+    terms = build_vslq(model)
+    h = terms.h_static + omega * terms.h_x
+    channels = tuple((c.op, c.rate) for c in terms.channels)
+    state = vslq_pauli_eigenstate(model, which, +1)
+    traj = evolve_constant_lindblad(h, channels, state, times_ns)
+    return traj.times, traj.expect(vslq_logical_operators(model)[which])
+
+
 def vslq_fixed_lifetime(model: VslqModel, omega: float, which: str) -> float:
     """Logical lifetime (us) of ``model`` under the constant coupling
     ``omega`` (rad/ns) on its x quadrature.
 
     Evolves the +1 eigenstate of the chosen logical operator for
-    ``FIXED_WINDOW_US``, then fits exp(-t/T) to its expectation after
-    discarding the first ``FIXED_SKIP_US`` of transient. The generator is
-    time independent, so every sample step applies one exact segment
-    propagator; at the VSLQ fixed point the
-    generator splits into 8 decoupled blocks of 160-164 vec indices, of
-    which the X and Y eigenstates occupy 2, so only those 2 are
-    exponentiated, once, and applied.
+    ``FIXED_WINDOW_US`` by ``vslq_fixed_evolution``, then fits exp(-t/T)
+    to its expectation after discarding the first ``FIXED_SKIP_US`` of
+    transient.
     """
     # imported here: a module-level import would add an aqec.optimize alias,
     # which perfbench's tracer would wrap and its tests do not classify
     from .analysis import fit_lifetime
 
-    terms = build_vslq(model)
-    h = terms.h_static + omega * terms.h_x
-    channels = tuple((c.op, c.rate) for c in terms.channels)
-    state = vslq_pauli_eigenstate(model, which, +1)
-    op = vslq_logical_operators(model)[which]
-    times_ns = np.linspace(0.0, FIXED_WINDOW_US * 1e3, FIXED_SAMPLES)
-    traj = evolve_constant_lindblad(h, channels, state, times_ns)
-    t_us = traj.times / 1e3
-    vals = traj.expect(op)
+    times_ns, vals = vslq_fixed_evolution(
+        model, omega, which,
+        np.linspace(0.0, FIXED_WINDOW_US * 1e3, FIXED_SAMPLES))
+    t_us = times_ns / 1e3
     keep = t_us >= FIXED_SKIP_US
-    fit = fit_lifetime(t_us[keep], vals[keep], model="exp")
-    return fit.lifetime
+    return fit_lifetime(t_us[keep], vals[keep], model="exp").lifetime

@@ -37,16 +37,17 @@ PAPER_VALUES = {
     "counterterm_deltas_mhz": (100.0, 200.0, 350.0),
 }
 
-# Single-qubit pulse design: t_p = 20 ns makes the standard seed
-# c1x = 2 pi x 20 MHz an exact pi/2 transfer and lets the N = 20 sine basis
-# reach 500 MHz, covering the counterterm frequencies up to delta. The
-# scaling study uses t_p = 40 ns, where the optimized pulse's small
-# hold-error floor (~5e-4) reproduces the published residual-error scaling.
+# Pulse designs. Sine mode n of a pulse lasting t_p oscillates at
+# n / (2 t_p). fig2 and fig3 run at t_p = 40 ns, where the optimized
+# pulse's small hold-error floor (~5e-4) reproduces the published
+# residual-error scaling. fig4 runs at t_p = 22 ns, so that the N = 20 sine
+# basis reaches 455 MHz, above every counterterm frequency it looks for.
+# Each figure pair that runs on one model and one pulse (fig2 and fig3,
+# fig6 and fig7) declares them once, in one shared text.
 
 _PRESETS: dict[str, str] = {}
 
-_PRESETS["fig2"] = """\
-# single-qubit stabilization pulse
+_SINGLE_QUBIT = """\
 [model]
 kind = single_qubit
 delta = 350 MHz
@@ -65,25 +66,11 @@ max_iters = 400
 target_fidelity = 0.9997
 """
 
+_PRESETS["fig2"] = "# single-qubit stabilization pulse\n" + _SINGLE_QUBIT
+
 _PRESETS["fig3"] = """\
 # residual-error scaling: pulse-reset cycles vs constant coupling
-[model]
-kind = single_qubit
-delta = 350 MHz
-gamma_q = 0.2 per_us
-gamma_r = 0.2 per_us
-
-[pulse]
-n_modes = 20
-t_p = 40 ns
-seed_c1x = 20 MHz
-
-[optimizer]
-epsilon = 0.01 MHz
-learning_rate = 0.02
-max_iters = 400
-target_fidelity = 0.9997
-
+""" + _SINGLE_QUBIT + """
 [schedule]
 t_r_grid = 20 40 60 80 100 140 180 240 320 400 ns
 reset_rate = 30 per_us
@@ -142,8 +129,7 @@ t1 = 5 10 20 us
 mode = improvement
 """
 
-_PRESETS["fig6"] = """\
-# VSLQ target operation and logical lifetimes
+_VSLQ = """\
 [model]
 kind = vslq
 w = 35 MHz
@@ -165,7 +151,11 @@ target_fidelity = 0.9999
 [schedule]
 t_r_grid = 40 60 80 100 ns
 reset_rate = 35 per_us
+"""
 
+_PRESETS["fig6"] = """\
+# VSLQ target operation and logical lifetimes
+""" + _VSLQ + """
 [sweep]
 t1 = 5 30 60 us
 mode = lifetimes
@@ -173,28 +163,7 @@ mode = lifetimes
 
 _PRESETS["fig7"] = """\
 # VSLQ short-time evolution: pulse-reset vs fixed parameters
-[model]
-kind = vslq
-w = 35 MHz
-delta = 350 MHz
-gamma_p = 0.033333333333333333 per_us
-gamma_s = 35 per_us
-
-[pulse]
-n_modes = 20
-t_p = 40 ns
-seed_c1x = 10 MHz
-
-[optimizer]
-epsilon = 0.01 MHz
-learning_rate = 0.02
-max_iters = 400
-target_fidelity = 0.9999
-
-[schedule]
-t_r_grid = 40 60 80 100 ns
-reset_rate = 35 per_us
-
+""" + _VSLQ + """
 [sweep]
 t1 = 30 60 us
 mode = short_time

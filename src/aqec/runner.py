@@ -16,7 +16,7 @@ import datetime
 import hashlib
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,24 +108,24 @@ def _pool_map(fn, items, workers: int):
 class _ModelKind:
     """What the commands take from one model kind."""
 
-    t1_rates: tuple[str, ...]      # primary rates a T1 point sets to 1/T1
+    t1_rate: str                   # the primary rate a T1 point sets to 1/T1
     protected: Callable            # model -> the state the cycles protect
     observables: Callable          # model -> {name: operator or state}
 
 
 _MODEL_KINDS = {
     "single_qubit": _ModelKind(
-        ("gamma_q",),
+        "gamma_q",
         lambda m: basis_state(m.space, (1, 0)),
         lambda m: {"fid_target": basis_state(m.space, (1, 0)),
                    "pop_leak": basis_state(m.space, (2, 1))}),
     "three_qubit": _ModelKind(
-        ("gamma_p",),
+        "gamma_p",
         lambda m: mo.three_qubit_code_states(m)["0L"],
         lambda m: {f"fid_{k}": s
                    for k, s in mo.three_qubit_code_states(m).items()}),
     "vslq": _ModelKind(
-        ("gamma_p",),
+        "gamma_p",
         lambda m: mo.vslq_logical_states(m)["0L"],
         lambda m: {"exp_XL": mo.vslq_logical_operators(m)["X"],
                    "exp_YL": mo.vslq_logical_operators(m)["Y"],
@@ -134,10 +134,9 @@ _MODEL_KINDS = {
 
 
 def _with_t1(cfg: ExperimentConfig, t1_ns: float) -> ExperimentConfig:
-    """Rebuild the config with the rates that T1 sets at 1/t1."""
+    """Rebuild the config with the kind's T1 rate at 1/t1."""
     params = dict(cfg.model_params)
-    params.update(dict.fromkeys(_MODEL_KINDS[cfg.model_kind].t1_rates,
-                                1.0 / t1_ns))
+    params[_MODEL_KINDS[cfg.model_kind].t1_rate] = 1.0 / t1_ns
     return with_overrides(cfg, model_params=tuple(sorted(params.items())))
 
 
@@ -263,10 +262,14 @@ def _scan_point(cfg: ExperimentConfig, t1_ns: float, pulse: PulseShape) -> dict:
 
 def _residual_point(cfg: ExperimentConfig, t1_ns: float,
                     pulse: PulseShape) -> dict:
-    """Best pulse-reset residual against the constant-coupling optimum."""
-    scan = _scan_point(cfg, t1_ns, pulse)["scan"]
-    delta = dict(cfg.model_params)["delta"]
-    cc = op.optimize_constant_coupling(delta, t1_ns / 1e3)
+    """Best pulse-reset residual against the constant-coupling optimum,
+    both on the point's one model: cfg's, at gamma_q = 1/T1."""
+    model = cfg.model()
+    terms = mo.build(model)
+    target = _MODEL_KINDS[cfg.model_kind].protected(model)
+    scan = op.scan_reset_time(terms, pulse, cfg.t_r_grid, target,
+                              cfg.reset_rate, n_cycles=cfg.n_cycles)
+    cc = op.optimize_constant_coupling(terms, target)
     return {
         "t1_us": t1_ns / 1e3,
         "pulse_reset_residual": scan.best_residual,
@@ -279,18 +282,16 @@ def _residual_point(cfg: ExperimentConfig, t1_ns: float,
 
 
 def _vslq_working_point(cfg: ExperimentConfig, t1_ns: float):
-    """(row, model, Omega): the VSLQ_FIXED_TABLE row at T1, the VSLQ at its
-    fixed gamma_s and Omega_s with cfg's W and delta and gamma_p = 1/T1,
-    and the row's constant coupling Omega (rad/ns)."""
+    """(row, model, Omega): the VSLQ_FIXED_TABLE row at T1, cfg's VSLQ with
+    gamma_p = 1/T1 and the row's gamma_s and Omega_s, and the row's
+    constant coupling Omega (rad/ns)."""
     t1_us = t1_ns / 1e3
     key = int(round(t1_us))
     if key not in VSLQ_FIXED_TABLE or abs(t1_us - key) > 1e-9 * key:
         raise ValueError(f"no tabulated working point for T1={t1_us} us")
     row = VSLQ_FIXED_TABLE[key]
-    p = dict(cfg.model_params)
-    model = mo.VslqModel(w=p["w"], delta=p["delta"], gamma_p=1.0 / t1_ns,
-                         gamma_s=row[1] * 1e-3,
-                         omega_s=2 * np.pi * row[2] * 1e-3)
+    model = replace(cfg.model(), gamma_p=1.0 / t1_ns, gamma_s=row[1] * 1e-3,
+                    omega_s=2 * np.pi * row[2] * 1e-3)
     return row, model, 2 * np.pi * row[0] * 1e-3
 
 
@@ -311,10 +312,11 @@ def _vslq_fixed_point(cfg: ExperimentConfig, t1_ns: float, pulse) -> dict:
     }
 
 
-def _select_vslq_t_r(cfg: ExperimentConfig, pulse: PulseShape) -> float:
-    """Reset time with the slowest <X_L> decay over a short probe run."""
-    model = cfg.model()
-    terms = mo.build(model)
+def _select_vslq_t_r(cfg: ExperimentConfig, model: mo.VslqModel,
+                     terms: mo.ModelTerms, pulse: PulseShape) -> float:
+    """The grid t_r whose cycles, with ``terms`` of ``model`` and cfg's
+    reset rate, decay <X_L> slowest per unit time over a probe of
+    ``T_R_PROBE_CYCLES`` cycles from its +1 eigenstate."""
     ops = mo.vslq_logical_operators(model)
     state = mo.vslq_pauli_eigenstate(model, "X", +1)
     best = None
@@ -345,9 +347,10 @@ def _vslq_cycle_point(cfg: ExperimentConfig, t1_ns: float,
     """VSLQ logical lifetimes: pulse-reset cycles vs the tabulated fixed point."""
     t1_us = t1_ns / 1e3
     fixed = _vslq_fixed_point(cfg, t1_ns, pulse)
-    t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg, pulse)
     model = cfg.model()
     terms = mo.build(model)
+    t_r = (cfg.t_r if cfg.t_r is not None
+           else _select_vslq_t_r(cfg, model, terms, pulse))
     ops = mo.vslq_logical_operators(model)
     row = {"t1_us": t1_us, "t_r_ns": t_r}
     for which in ("X", "Y"):
@@ -373,21 +376,18 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
     post-step moves them into ``short_time_curves.csv``. Raises
     ValueError if the window holds no whole cycle.
     """
-    t_r = cfg.t_r if cfg.t_r is not None else _select_vslq_t_r(cfg, pulse)
+    model = cfg.model()
+    terms = mo.build(model)
+    t_r = (cfg.t_r if cfg.t_r is not None
+           else _select_vslq_t_r(cfg, model, terms, pulse))
     n_cycles = int(SHORT_WINDOW_NS // (cfg.t_p + t_r))
     if n_cycles < 1:
         raise ValueError(
             f"the short-time window of {SHORT_WINDOW_NS:g} ns is shorter "
             f"than one cycle of t_p + t_r = {cfg.t_p + t_r:g} ns")
-    model = cfg.model()
-    terms = mo.build(model)
     ops = mo.vslq_logical_operators(model)
     t1_us = t1_ns / 1e3
     _, m_fix, omega = _vslq_working_point(cfg, t1_ns)
-    terms_fix = mo.build_vslq(m_fix)
-    h_fix = terms_fix.h_static + omega * terms_fix.h_x
-    ch_fix = tuple((c.op, c.rate) for c in terms_fix.channels)
-    ops_fix = mo.vslq_logical_operators(m_fix)
     schedule = CycleSchedule(t_r, cfg.reset_rate, n_cycles)
     row = {"t1_us": t1_us, "t_r_ns": t_r}
     curves = []
@@ -396,17 +396,15 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
         traj = dy.evolve_cycles(terms, pulse, schedule, state)
         vals = traj.expect(ops[which])
         t_end = float(traj.times[-1])
-        state_fix = mo.vslq_pauli_eigenstate(m_fix, which, +1)
-        traj_fix = dy.evolve_constant_lindblad(
-            h_fix, ch_fix, state_fix, np.linspace(0.0, t_end, n_cycles + 1))
-        vals_fix = traj_fix.expect(ops_fix[which])
+        times_fix, vals_fix = op.vslq_fixed_evolution(
+            m_fix, omega, which, np.linspace(0.0, t_end, n_cycles + 1))
         row[f"{which.lower()}_pulse_reset"] = float(vals[-1])
         row[f"{which.lower()}_fixed"] = float(vals_fix[-1])
         row[f"window_ns_{which.lower()}"] = t_end
-        for protocol, tr, v in (("pulse_reset", traj, vals),
-                                ("fixed", traj_fix, vals_fix)):
+        for protocol, times, v in (("pulse_reset", traj.times, vals),
+                                   ("fixed", times_fix, vals_fix)):
             curves += [(t1_us, which, protocol, t, x)
-                       for t, x in zip(tr.times, v)]
+                       for t, x in zip(times, v)]
     row["curves"] = curves
     return row
 
@@ -443,9 +441,11 @@ def _three_qubit_point(cfg: ExperimentConfig, t1_ns: float,
 
 
 def _counterterm_point(cfg: ExperimentConfig, delta: float, pulse) -> dict:
-    """The lossless single-qubit pulse optimized at delta (rad/ns) with cfg's
-    settings: its y-quadrature peak, and its leakage with and without y."""
-    model = mo.SingleQubitModel(delta=float(delta), gamma_q=0.0, gamma_r=0.0)
+    """The pulse optimized for cfg's single qubit at delta (rad/ns), with
+    cfg's settings: its y-quadrature peak, and its leakage with and without
+    y. The objective and the leakage probe are lossless: neither reads a
+    channel rate."""
+    model = replace(cfg.model(), delta=float(delta))
     terms = mo.build(model)
     objective = op.make_objective(terms, mo.target_operation(model))
     result = op.optimize_pulse(objective, cfg)
@@ -471,7 +471,7 @@ def cmd_scan_reset(cfg: ExperimentConfig, out_dir) -> dict:
     """
     t1_axis = cfg.sweep_t1
     if not t1_axis:
-        rate = dict(cfg.model_params)[_MODEL_KINDS[cfg.model_kind].t1_rates[0]]
+        rate = dict(cfg.model_params)[_MODEL_KINDS[cfg.model_kind].t1_rate]
         if not rate:
             raise ValueError("model has no finite primary rate; set [sweep] t1")
         t1_axis = (1.0 / rate,)

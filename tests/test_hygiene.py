@@ -1,7 +1,8 @@
 """Source hygiene checks: unused imports, imports inside functions,
-environment reads in the package, parameter defaults that no caller
-overrides and module-level names that nothing references, read with the
-standard library's ``ast``, and the modules that importing the CLI loads."""
+environment reads in the package, model classes constructed outside the
+config, parameter defaults that no caller overrides and module-level names
+that nothing references, read with the standard library's ``ast``, and the
+modules that importing the CLI loads."""
 
 import ast
 import os
@@ -101,9 +102,6 @@ FUNCTION_IMPORTS_ALLOWED = {
     "dynamics._eval_observable:hilbert.state_fidelity":
         "perfbench's binding census expects cycles-vslq to reach "
         "aqec.hilbert.state_fidelity and classifies no aqec.dynamics alias",
-    "optimize.optimize_constant_coupling:models.build_single_qubit":
-        "perfbench's binding census classifies no aqec.optimize alias of "
-        "build_single_qubit",
     "optimize.optimize_constant_coupling:dynamics.steady_state":
         "perfbench's binding census expects sweep-sq to reach "
         "aqec.dynamics.steady_state",
@@ -162,6 +160,54 @@ def test_checker_flags_environment_reads():
     source = ("import os\nfrom os import getenv\n"
               "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.sep\n")
     assert sorted(env_reads(source)) == ["os.environ", "os.getenv", "os.getenv"]
+
+
+MODEL_CLASSES = {"SingleQubitModel", "ThreeQubitModel", "VslqModel"}
+
+
+def model_constructions(source: str) -> list[str]:
+    """Qualified name of the function around each call of a model class,
+    by its bare name or as an attribute, or "<module>" outside any."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = _dotted(child.func)
+                if name is not None and name.rsplit(".", 1)[-1] in MODEL_CLASSES:
+                    found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_models_constructed_only_by_config():
+    # ExperimentConfig.model() constructs every model a command runs; a
+    # point derives its variants from it with dataclasses.replace
+    found = []
+    for path in sorted((ROOT / "src" / "aqec").glob("*.py")):
+        if path.stem != "config":
+            found += [f"{path.stem}.{f}"
+                      for f in model_constructions(path.read_text())]
+    assert found == []
+
+
+def test_checker_flags_model_constructions():
+    source = ("from . import models as mo\n"
+              "from .models import SingleQubitModel, VslqModel\n"
+              "DEFAULT = SingleQubitModel(1.0, 0.0, 0.0)\n"
+              "def f(cfg):\n    return mo.ThreeQubitModel(j=1.0, gamma_p=0.0,"
+              " gamma_r=0.0)\n"
+              "class K:\n    def m(self, p):\n"
+              "        return [VslqModel(**p) for _ in range(2)]\n"
+              "def g(cfg, model: mo.VslqModel):\n"
+              "    return replace(cfg.model(), delta=1.0), model\n")
+    assert model_constructions(source) == ["<module>", "f", "K.m"]
 
 
 def _defaulted_params(tree: ast.AST) -> dict[str, tuple[str, int | None]]:

@@ -364,9 +364,8 @@ def _fig2_like_pulse():
 
 class TestConstantCoupling:
     def test_t1_ordering_and_bounds(self):
-        delta = TWO_PI * 0.35
-        p5 = op.optimize_constant_coupling(delta, 5.0)
-        p20 = op.optimize_constant_coupling(delta, 20.0)
+        p5 = op.optimize_constant_coupling(*_cc_problem(5.0))
+        p20 = op.optimize_constant_coupling(*_cc_problem(20.0))
         assert 0 < p20.residual < p5.residual < 0.1
         assert p5.residual <= p5.residual_steady
         assert p20.residual <= p20.residual_steady
@@ -382,8 +381,41 @@ class TestConstantCoupling:
             return label(*args)
 
         monkeypatch.setattr(dy, "sector_labels", counted)
-        op.optimize_constant_coupling(TWO_PI * 0.35, 20.0)
+        op.optimize_constant_coupling(*_cc_problem(20.0))
         assert len(calls) <= 1
+
+
+    def test_residual_point_builds_the_terms_once(self, monkeypatch):
+        # the pulse-reset scan and the constant-coupling baseline run on
+        # the point's one model: its terms are built once and go to both
+        from pathlib import Path
+
+        from aqec import runner
+        from aqec.pulse import load_pulse
+
+        builds, seen = [], {}
+        build = mo.build_single_qubit
+        monkeypatch.setattr(mo, "build_single_qubit",
+                            lambda m: builds.append(m) or build(m))
+
+        def spy(name):
+            real = getattr(op, name)
+
+            def call(terms, *args, **kwargs):
+                seen[name] = terms
+                return real(terms, *args, **kwargs)
+            return call
+
+        for name in ("scan_reset_time", "optimize_constant_coupling"):
+            monkeypatch.setattr(op, name, spy(name))
+        pulse = load_pulse(Path(__file__).resolve().parents[1] / "perfbench"
+                           / "data" / "fig2_pulse.json")
+        cfg = runner._with_t1(
+            with_overrides(preset_config("fig3"), t_r_grid=(40.0,)), 20e3)
+        row = runner._residual_point(cfg, 20e3, pulse)
+        assert builds == [cfg.model()]
+        assert seen["scan_reset_time"] is seen["optimize_constant_coupling"]
+        assert 0 < row["pulse_reset_residual"] < row["constant_residual"]
 
 
 def _cc_problem(t1_us):
@@ -481,7 +513,7 @@ class TestConstantCouplingBatch:
 
     @pytest.mark.parametrize("t1_us", [5.0, 20.0])
     def test_descent_matches_sequential_search(self, t1_us):
-        got = op.optimize_constant_coupling(TWO_PI * 0.35, t1_us)
+        got = op.optimize_constant_coupling(*_cc_problem(t1_us))
         want = _sequential_constant_coupling(t1_us)
         assert (got.omega, got.gamma_r, got.residual,
                 got.residual_steady) == pytest.approx(want, rel=1e-6)
@@ -491,7 +523,7 @@ class TestConstantCouplingBatch:
         monkeypatch.setattr(scipy.linalg, "expm",
                             lambda a: real(a) * (1.0 + 1e-6))
         with pytest.raises(dy.IntegrityError, match="trace drift"):
-            op.optimize_constant_coupling(TWO_PI * 0.35, 20.0)
+            op.optimize_constant_coupling(*_cc_problem(20.0))
 
 
 @pytest.mark.slow
