@@ -35,6 +35,11 @@ diagonal. Evolutions return states alone; callers read observables off them
 with ``Trajectory.expect``. Every recorded or batched density passes
 ``hilbert.check_densities``, the check ``QuantumState`` makes, or raises
 IntegrityError; no state is clipped or otherwise altered to pass it.
+
+scipy is imported where it is first used: ``scipy.sparse`` by the
+pulse-phase RHS, for its CSR matvec, and ``scipy.linalg`` by the
+propagator builder, for ``expm``. A command that reaches neither, such as
+a pulse ascent, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .hilbert import (Operator, QuantumState, TensorSpace, check_densities,
                       sector_labels)
@@ -474,6 +477,8 @@ def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
     a call is one sparse matvec, each entry of which is bit-identical to
     that of the full-space matvec, and one weighted sum of its blocks.
     """
+    import scipy.sparse
+
     d = problem.h_static.matrix.shape[0]
     channels = [(op.matrix, float(rate)) for op, rate in problem.channels]
     rows, cols, vals, part = _stack([(problem.h_static.matrix, channels),
@@ -556,6 +561,8 @@ def _propagators(parts: Sequence[tuple[np.ndarray, Sequence]],
     that ``rho`` occupies, all if rho is None) are fixed here, once. A
     build makes one ``scipy.linalg.expm`` call on the (K * n_slots, m, m)
     stack of the K generators, which takes each slot on its own."""
+    import scipy.linalg
+
     rows, cols, vals, part = _stack(parts)
     labels, index, n_slots, m = _block_layout(parts[0][0].size, rows, cols)
     slot = index // m

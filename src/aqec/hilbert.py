@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 HERM_ATOL = 1e-12        # Hermiticity tolerance for operators and densities
 PURE_NORM_ATOL = 1e-10   # |norm - 1| allowed for pure states
@@ -284,18 +282,29 @@ def sector_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     ``(rows, cols)`` are the positions of a matrix's nonzero entries. Two
     indices share a label when a chain of entries, taken in either
     direction, links them (the weakly connected components of the pattern),
-    so every such matrix maps each sector into itself.
+    so every such matrix maps each sector into itself. Sectors are numbered
+    in the order of their least index, the order of
+    ``scipy.sparse.csgraph.connected_components``.
+
+    Each index points to an index of its sector no greater than itself.
+    Every round hooks the root of each entry's end to the least root the
+    entry links it to, in both directions, then jumps pointers until each
+    points to its root; it stops when every entry links one root, which is
+    then the least index of its sector.
     """
-    # CSR built by hand: going through COO costs more than the labelling
-    # itself at the sizes used here (n <= 4096)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = cols[np.argsort(rows, kind="stable")].astype(np.int32)
-    pattern = scipy.sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(n, n))
-    _, labels = scipy.sparse.csgraph.connected_components(pattern,
-                                                          directed=False)
-    return labels
+    labels = np.arange(n)
+    while True:
+        at_rows, at_cols = labels[rows], labels[cols]
+        if np.array_equal(at_rows, at_cols):
+            break
+        np.minimum.at(labels, at_rows, at_cols)
+        np.minimum.at(labels, at_cols, at_rows)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    return np.unique(labels, return_inverse=True)[1]
 
 
 def state_fidelity(rho: QuantumState, target: QuantumState) -> float:

@@ -59,7 +59,8 @@ CC_FD_STEP = 0.02         # its central-difference step in log-parameters,
 CC_STEP = 0.25            # initial descent step,
 CC_STEP_GROWTH = 1.5      # the step's growth after an accepted step,
 CC_STEP_MAX = 0.5         # its cap,
-CC_STEP_FLOOR = 1e-4      # and the step at or below which halving stops
+CC_STEP_FLOOR = 1e-4      # the step at or below which halving stops,
+CC_LADDER_HEAD = 3        # and the rungs of each halving ladder tried first
 FIXED_WINDOW_US = 40.0    # fixed-parameter lifetime: evolution window,
 FIXED_SAMPLES = 81        # the samples taken over it,
 FIXED_SKIP_US = 4.0       # and the initial transient left out of the fit
@@ -366,10 +367,12 @@ def optimize_constant_coupling(terms: ModelTerms, target: QuantumState
     steady-state residual at the optimum is reported alongside.
 
     The generator S0 + Omega S_x + Gamma_r S_r is affine in the
-    parameters, so ``constant_lindblad_batch`` evaluates the grid, each
-    step's four-point stencil and each step's whole halving ladder in one
-    call apiece. Taking the ladder's first improving entry keeps the path
-    of trying one step length at a time.
+    parameters, so ``constant_lindblad_batch`` evaluates the grid and each
+    step's four-point stencil in one call apiece, and each step's halving
+    ladder in at most two: its first ``CC_LADDER_HEAD`` rungs, then the
+    rest only if none of those lowers the residual, since most steps take
+    an early rung. Taking the first improving rung keeps the path of
+    trying one step length at a time.
     """
     psi = target.vector()
     primary = [(c.op, c.rate) for c in terms.channels if not c.lossy]
@@ -402,14 +405,20 @@ def optimize_constant_coupling(terms: ModelTerms, target: QuantumState
         while step > CC_STEP_FLOOR:
             ladder.append(step)
             step *= 0.5
-        x_try = x - np.array(ladder)[:, None] * g / norm
-        r = residuals(x_try)
-        better = np.flatnonzero(r < f_cur)
-        if better.size == 0:
+        k = None
+        for rungs in (ladder[:CC_LADDER_HEAD], ladder[CC_LADDER_HEAD:]):
+            if not rungs:
+                break
+            x_try = x - np.array(rungs)[:, None] * g / norm
+            r = residuals(x_try)
+            better = np.flatnonzero(r < f_cur)
+            if better.size:
+                k = better[0]
+                break
+        if k is None:
             break
-        k = better[0]
         x, f_cur = x_try[k], r[k]
-        step = min(ladder[k] * CC_STEP_GROWTH, CC_STEP_MAX)
+        step = min(rungs[k] * CC_STEP_GROWTH, CC_STEP_MAX)
     omega, gamma_r = float(np.exp(x[0])), float(np.exp(x[1]))
     # through dynamics' and hilbert's own bindings: perfbench's tests expect
     # sweep-sq to reach aqec.dynamics.steady_state and

@@ -10,7 +10,6 @@ outputs do not depend on the worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import datetime
 import hashlib
@@ -100,6 +99,8 @@ class RunContext:
 def _pool_map(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

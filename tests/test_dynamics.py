@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from aqec import dynamics as dy
 from aqec import hilbert as hi
@@ -349,6 +353,54 @@ SEGMENTS = {"sq-constant": _sq_constant,
             "vslq-fixed-point": _vslq_fixed_point, "vslq-reset": _vslq_reset}
 
 
+def _random_pattern(n, seed):
+    # about n one-directional entries among 80 % of the indices, so the
+    # rest stay isolated, with a quarter of the entries repeated
+    rng = np.random.default_rng(seed)
+    linked = rng.permutation(n)[:max(1, (4 * n) // 5)]
+    rows, cols = rng.choice(linked, size=(2, n))
+    repeats = rng.integers(0, n, size=n // 4)
+    return np.r_[rows, rows[repeats]], np.r_[cols, cols[repeats]], n
+
+
+def _backward_path(n):
+    # entries (i, i - 1) listed from the top down: hooking leaves one chain
+    # of n pointers, the longest that pointer jumping can face
+    rows = np.arange(n - 1, 0, -1)
+    return rows, rows - 1, n
+
+
+def _stacked_pattern(parts):
+    rows, cols, _, _ = dy._stack(parts)
+    return rows, cols, parts[0][0].size
+
+
+def _pulse_phase_pattern(name):
+    # the stack _sector_rhs builds: S(h_static, channels), S(h_x), S(h_y)
+    prob = PULSE_PHASES[name]()
+    return _stacked_pattern([
+        (prob.h_static.matrix,
+         [(op.matrix, rate) for op, rate in prob.channels]),
+        (prob.h_x.matrix, ()), (prob.h_y.matrix, ())])
+
+
+def _reset_pattern(name):
+    terms = RHS_MODELS[name]()
+    return _stacked_pattern([(terms.h_static.matrix, [
+        (op.matrix, rate) for op, rate in mo.phase_channels(terms, 0.035)])])
+
+
+SECTOR_PATTERNS = {
+    **{f"random-{n}": functools.partial(_random_pattern, n, n)
+       for n in (1, 7, 36, 1296, 4096)},
+    "backward-path-4096": functools.partial(_backward_path, 4096),
+    **{f"pulse-phase-{k}": functools.partial(_pulse_phase_pattern, k)
+       for k in ("sq", "vslq-0L", "tq-000")},
+    **{f"reset-{k}": functools.partial(_reset_pattern, k)
+       for k in ("sq", "vslq", "tq")},
+}
+
+
 class TestBlockPropagator:
     @pytest.fixture(params=list(SEGMENTS), scope="class")
     def segment(self, request):
@@ -393,6 +445,17 @@ class TestBlockPropagator:
         assert sizes["vslq-fixed-point"].max() == 164
         assert len(sizes["vslq-reset"]) == 72
         assert sizes["vslq-reset"].max() == 52
+
+    @pytest.mark.parametrize("name", list(SECTOR_PATTERNS))
+    def test_sector_labels_match_connected_components(self, name):
+        # oracle: scipy's weakly connected components, label for label
+        rows, cols, n = SECTOR_PATTERNS[name]()
+        pattern = scipy.sparse.coo_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        _, want = scipy.sparse.csgraph.connected_components(pattern,
+                                                            directed=False)
+        got = hi.sector_labels(rows, cols, n)
+        assert np.array_equal(got, want)
 
 
 def full_lindblad_rhs(problem):
