@@ -61,6 +61,25 @@ class TensorSpace:
             idx = idx * d + n
         return idx
 
+    def site_permutation(self, perm: Sequence[int]) -> np.ndarray:
+        """Basis map of the permutation ``perm`` of the sites.
+
+        Entry k is the basis index of the product state whose site
+        perm[i] holds the occupation that site i holds in state k, so
+        x[map] permutes a vector and rho[map][:, map] a density. Raises
+        ValueError unless ``perm`` permutes the sites and maps each onto
+        one of equal dimension.
+        """
+        perm = tuple(int(i) for i in perm)
+        if sorted(perm) != list(range(self.n_sites)):
+            raise DimensionError(f"{perm} is not a permutation of "
+                                 f"{self.n_sites} sites")
+        if any(self.dims[i] != self.dims[j] for i, j in enumerate(perm)):
+            raise DimensionError(f"{perm} moves sites between unequal "
+                                 f"dimensions {self.dims}")
+        return np.arange(self.total_dim).reshape(self.dims).transpose(
+            perm).reshape(-1)
+
 
 def check_densities(rhos: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the (K, d, d) stack is a

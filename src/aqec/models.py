@@ -14,7 +14,10 @@ operators, and the dissipation channels:
   to a lossy shadow resonator; photon loss everywhere.
 
 Subsystem orderings are fixed here: (q, r), (P1, P2, P3, R1, R2, R3), and
-(Sl, l, r, Sr). Energies in rad/ns, rates in 1/ns.
+(Sl, l, r, Sr). Energies in rad/ns, rates in 1/ns. Each builder also
+declares the site permutations its terms are invariant under: the
+three-qubit code its pair permutations, the VSLQ its mirror
+(Sl, l, r, Sr) -> (Sr, r, l, Sl), the single qubit none.
 """
 
 from __future__ import annotations
@@ -118,13 +121,33 @@ class LindbladChannel:
 
 @dataclass(frozen=True)
 class ModelTerms:
-    """Hamiltonian pieces and channels of one model instance."""
+    """Hamiltonian pieces and channels of one model instance, and the site
+    permutations that leave them invariant.
+
+    Each entry of ``symmetries`` permutes the sites
+    (``TensorSpace.site_permutation``) and maps h_static, h_x, h_y and the
+    channel list (operator and rate) exactly onto themselves; together they
+    generate the group that ``dynamics`` reduces invariant states by. A
+    permutation between sites of unequal dimension raises ValueError.
+    ``basis_symmetries`` gives their basis maps, the form dynamics takes.
+    """
 
     space: TensorSpace
     h_static: Operator
     h_x: Operator
     h_y: Operator
     channels: tuple[LindbladChannel, ...]
+    symmetries: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self):
+        perms = tuple(tuple(int(i) for i in p) for p in self.symmetries)
+        for perm in perms:
+            self.space.site_permutation(perm)
+        object.__setattr__(self, "symmetries", perms)
+
+    @property
+    def basis_symmetries(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.space.site_permutation(p) for p in self.symmetries)
 
 
 def check_coupling_regime(model: Model, peak_omega: float) -> list[str]:
@@ -161,7 +184,8 @@ def build_single_qubit(m: SingleQubitModel) -> ModelTerms:
         LindbladChannel(a_q, m.gamma_q, lossy=False),
         LindbladChannel(a_r, m.gamma_r, lossy=True),
     )
-    return ModelTerms(sp, h_static, h_x, h_y, channels)
+    # (q, r) have unequal dimensions: no site permutation but the identity
+    return ModelTerms(sp, h_static, h_x, h_y, channels, ())
 
 
 def build_three_qubit(m: ThreeQubitModel) -> ModelTerms:
@@ -185,7 +209,9 @@ def build_three_qubit(m: ThreeQubitModel) -> ModelTerms:
         LindbladChannel(embed(SIGMA_MINUS, 3 + i, sp), m.gamma_r, lossy=True)
         for i in range(3)
     )
-    return ModelTerms(sp, h_p + h_r, h_x, h_y, channels)
+    # (P1, P2, P3, R1, R2, R3): swap pairs 1 and 2, and pairs 2 and 3
+    pair_swaps = ((1, 0, 2, 4, 3, 5), (0, 2, 1, 3, 5, 4))
+    return ModelTerms(sp, h_p + h_r, h_x, h_y, channels, pair_swaps)
 
 
 def build_vslq(m: VslqModel) -> ModelTerms:
@@ -219,7 +245,8 @@ def build_vslq(m: VslqModel) -> ModelTerms:
         LindbladChannel(a_r, m.gamma_p, lossy=False),
         LindbladChannel(a_sr, m.gamma_s, lossy=True),
     )
-    return ModelTerms(sp, h_static, h_x, h_y, channels)
+    # the mirror (Sl, l, r, Sr) -> (Sr, r, l, Sl)
+    return ModelTerms(sp, h_static, h_x, h_y, channels, ((3, 2, 1, 0),))
 
 
 def build(model: Model) -> ModelTerms:

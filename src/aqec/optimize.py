@@ -313,8 +313,11 @@ def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
     The first pulse phase starts from ``target`` whatever t_r is, so it is
     integrated once; each t_r applies its exact reset to that state, and
     further cycles continue from there. These are the operations of one
-    ``evolve_cycles`` run per t_r, in the same order, so the residuals are
-    bit-identical to such runs.
+    ``evolve_cycles`` run per t_r, in the same order, on the same orbit
+    coordinates of the terms' symmetries. The residuals agree with such
+    runs to rounding, not bit for bit: the reset propagator here keeps
+    only the blocks that the post-pulse state occupies, which may pack
+    into other slots than the full propagator of ``evolve_cycles``.
     """
     t_r_grid = list(t_r_grid)
     if not t_r_grid:
@@ -329,7 +332,8 @@ def scan_reset_time(terms: ModelTerms, pulse: PulseShape,
         state = post_pulse
         if t_r > 0:
             state = evolve_constant_lindblad(terms.h_static, reset_channels,
-                                             post_pulse, [0.0, t_r]).final
+                                             post_pulse, [0.0, t_r],
+                                             terms.basis_symmetries).final
         if n_cycles > 1:
             schedule = CycleSchedule(t_r, reset_rate, n_cycles - 1)
             state = evolve_cycles(terms, pulse, schedule, state).final
@@ -443,14 +447,17 @@ def vslq_fixed_evolution(model: VslqModel, omega: float, which: str,
     ``times_ns`` starts at 0. The generator is time independent, so every
     sample step applies one exact segment propagator; at the VSLQ fixed
     point the generator splits into 8 decoupled blocks of 160-164 vec
-    indices, of which the X and Y eigenstates occupy 2, so only those 2
-    are exponentiated, once per distinct step, and applied.
+    indices, of which the X and Y eigenstates occupy 2. Both states are
+    mirror-invariant, so those 324 indices reduce to 171 orbits in blocks
+    of 91 and 80, which alone are exponentiated, once per distinct step,
+    and applied.
     """
     terms = build_vslq(model)
     h = terms.h_static + omega * terms.h_x
     channels = tuple((c.op, c.rate) for c in terms.channels)
     state = vslq_pauli_eigenstate(model, which, +1)
-    traj = evolve_constant_lindblad(h, channels, state, times_ns)
+    traj = evolve_constant_lindblad(h, channels, state, times_ns,
+                                    terms.basis_symmetries)
     return traj.times, traj.expect(vslq_logical_operators(model)[which])
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -446,6 +447,48 @@ class TestBlockPropagator:
         assert len(sizes["vslq-reset"]) == 72
         assert sizes["vslq-reset"].max() == 52
 
+    def test_vslq_orbit_counts(self):
+        # under the mirror: |+X_L>'s 324 fixed-point indices fall into 171
+        # orbits (18 of one index) in blocks of 91 and 80; all 1296 reset
+        # indices into 666 orbits (36 of one index) in 42 blocks of <= 40
+        terms, _ = _vslq_terms()
+        model, _ = _vslq_model()
+        plus_x = mo.vslq_pauli_eigenstate(model, "X", +1).density()
+        cases = {"vslq-fixed-point": (plus_x, 171, 18, [91, 80]),
+                 "vslq-reset": (None, 666, 36, None)}
+        for name, (rho, n_orbits, n_fixed, blocks) in cases.items():
+            h, channels, _ = SEGMENTS[name]()
+            orbit, rows, cols, _, _ = dy._symmetric_stack(
+                [(h, channels)], terms.basis_symmetries, rho)
+            vec, at, _, at_rows, at_cols = dy._restrict(orbit, rows, cols,
+                                                        rho)
+            sizes = np.bincount(at)
+            assert sizes.size == n_orbits
+            assert np.count_nonzero(sizes == 1) == n_fixed
+            got = np.bincount(hi.sector_labels(at_rows, at_cols, sizes.size))
+            if blocks is not None:
+                assert sorted(got, reverse=True) == blocks
+                assert vec.size == 324
+            else:
+                assert len(got) == 42 and got.max() == 40
+
+    @pytest.mark.parametrize("name", ["vslq-fixed-point", "vslq-reset"])
+    def test_reduced_propagator_matches_unreduced(self, name):
+        # oracle: the unreduced propagator (itself checked against the
+        # dense expm) on a mirror-invariant random density
+        h, channels, dt = SEGMENTS[name]()
+        (p,) = _vslq_terms()[0].basis_symmetries
+        rho = _random_density(36, seed=12)
+        rho = (rho + rho[np.ix_(p, p)]) / 2
+        assert np.array_equal(rho[np.ix_(p, p)], rho)
+        full = dy.segment_propagator(h, channels, dt)
+        want = dy.apply_propagator(full, rho)
+        prop = dy.segment_propagator(h, channels, dt, None, [p])
+        got = dy.apply_propagator(prop, rho)
+        assert prop.exps.size < full.exps.size
+        assert np.array_equal(got[np.ix_(p, p)], got)
+        assert np.max(np.abs(got - want)) < 1e-12
+
     @pytest.mark.parametrize("name", list(SECTOR_PATTERNS))
     def test_sector_labels_match_connected_components(self, name):
         # oracle: scipy's weakly connected components, label for label
@@ -462,7 +505,7 @@ def full_lindblad_rhs(problem):
     """rho' = f(t, rho) of the problem's master equation on the whole d x d
     matrix: ``_sector_rhs`` with every vec index kept."""
     d = problem.h_static.matrix.shape[0]
-    rhs, _ = dy._sector_rhs(problem, np.ones((d, d)))
+    rhs, _, _ = dy._sector_rhs(problem, np.ones((d, d)))
     return lambda t, rho: rhs(t, rho.reshape(-1)).reshape(d, d)
 
 
@@ -549,6 +592,9 @@ PULSE_PHASES = {
     "vslq-0L": _vslq_phase,
     "tq-000": _tq_phase,
 }
+# the basis maps each model declares, for the phases that run reduced
+PHASE_SYMMETRIES = {"vslq-0L": lambda: RHS_MODELS["vslq"]().basis_symmetries,
+                    "tq-000": lambda: RHS_MODELS["tq"]().basis_symmetries}
 
 
 def _counted(fn, calls):
@@ -609,7 +655,7 @@ class TestOccupiedSectors:
     def test_full_density_occupies_every_index(self):
         prob = PULSE_PHASES["vslq-0L"]()
         rho = _random_density(36, seed=4)
-        _, keep = dy._sector_rhs(prob, rho)
+        _, keep, _ = dy._sector_rhs(prob, rho)
         assert np.array_equal(keep, np.arange(36 ** 2))
 
     def test_vslq_pulse_phase_integrates_occupied_entries(self, monkeypatch):
@@ -797,6 +843,158 @@ class TestCycles:
         assert abs(f[0] - f[1]) < 1e-9
 
 
+def _tq_chain():
+    # fig5's three-qubit code at T_E = 5 us, from |0_L>, one seed-pulse cycle
+    model = mo.ThreeQubitModel(j=TWO_PI * 0.02, gamma_p=1 / 5000,
+                               gamma_r=0.03)
+    return (mo.build_three_qubit(model), seed_pulse(8, 40.0, TWO_PI * 0.01),
+            CycleSchedule(60.0, 0.03, 1),
+            mo.three_qubit_code_states(model)["0L"])
+
+
+def _unreduced(terms):
+    return dataclasses.replace(terms, symmetries=())
+
+
+def _max_state_difference(a, b):
+    assert np.array_equal(a.times, b.times)
+    return max(np.max(np.abs(x.density() - y.density()))
+               for x, y in zip(a.states, b.states))
+
+
+def _integrated_sizes(monkeypatch):
+    """The size of every vector adaptive_rk is handed from here on."""
+    sizes = []
+    integrate = dy.adaptive_rk
+
+    def counted(f, t_span, y0, *args, **kwargs):
+        sizes.append(y0.size)
+        return integrate(f, t_span, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dy, "adaptive_rk", counted)
+    return sizes
+
+
+class TestSymmetryReduction:
+    @pytest.mark.parametrize("which,sign", [("X", +1), ("X", -1),
+                                            ("Y", +1), ("Y", -1)])
+    def test_constant_evolution_matches_unreduced(self, which, sign):
+        # oracle: the same evolution with no symmetry declared, over the
+        # 3 steps of test_constant_evolution_matches_full_propagator and
+        # over lifetime-vslq's 80-step sample window
+        model, omega = _vslq_model()
+        terms = mo.build_vslq(model)
+        h = terms.h_static + omega * terms.h_x
+        channels = tuple((c.op, c.rate) for c in terms.channels)
+        initial = mo.vslq_pauli_eigenstate(model, which, sign)
+        window = np.linspace(0.0, op.FIXED_WINDOW_US * 1e3, op.FIXED_SAMPLES)
+        for times, tol in ((500.0 * np.arange(4), 1e-12), (window, 1e-11)):
+            want = dy.evolve_constant_lindblad(h, channels, initial, times)
+            got = dy.evolve_constant_lindblad(h, channels, initial, times,
+                                              terms.basis_symmetries)
+            assert _max_state_difference(got, want) <= tol
+
+    @pytest.mark.parametrize("chain,n_cycles,tol", [
+        (_vslq_chain, 5, 1e-10), (_tq_chain, 1, 1e-9)])
+    def test_cycles_match_unreduced(self, chain, n_cycles, tol):
+        # oracle: every recorded density of the same cycles with no
+        # symmetry declared; tq's step sequence differs, as its orbits
+        # have 1, 3 or 6 members
+        terms, pulse, sched, initial = chain()
+        sched = CycleSchedule(sched.t_r, sched.reset_rate, n_cycles)
+        got = dy.evolve_cycles(terms, pulse, sched, initial)
+        want = dy.evolve_cycles(_unreduced(terms), pulse, sched, initial)
+        assert _max_state_difference(got, want) <= tol
+
+    @pytest.mark.parametrize("chain,coords", [(_vslq_chain, 171),
+                                              (_tq_chain, 120)])
+    def test_cycles_integrate_orbit_coordinates(self, chain, coords,
+                                                monkeypatch):
+        # work counter: VSLQ |0_L>'s 324 occupied indices fall into 171
+        # mirror orbits, tq |0_L>'s 512 into 120 pair-permutation orbits
+        terms, pulse, sched, initial = chain()
+        sizes = _integrated_sizes(monkeypatch)
+        dy.evolve_cycles(terms, pulse, CycleSchedule(sched.t_r,
+                                                     sched.reset_rate, 1),
+                         initial)
+        assert sizes == [coords]
+
+    def test_fixed_point_propagator_keeps_orbit_slots(self, monkeypatch):
+        # work counter: with the mirror, |+X_L>'s 2 blocks hold 91 and 80
+        # orbits, packed into 2 slots of 91
+        shapes = []
+        build = dy.segment_propagator
+
+        def counted(*args):
+            prop = build(*args)
+            shapes.append(prop.exps.shape)
+            return prop
+
+        monkeypatch.setattr(dy, "segment_propagator", counted)
+        h, channels, initial, dt = _constant_vslq_x()
+        dy.evolve_constant_lindblad(h, channels, initial, [0.0, dt, 2 * dt],
+                                    _vslq_terms()[0].basis_symmetries)
+        assert shapes == [(2, 91, 91)]
+
+    def test_reset_blocks_shrink(self):
+        # work counter: the VSLQ reset's 72 blocks of at most 52 become 42
+        # blocks of at most 40 orbits
+        terms = _vslq_chain()[0]
+        prop = dy.segment_propagator(
+            terms.h_static.matrix,
+            [(o.matrix, r) for o, r in mo.phase_channels(terms, 0.035)],
+            60.0, None, terms.basis_symmetries)
+        assert prop.exps.shape == (20, 40, 40)
+
+    def test_broken_symmetry_rejected(self):
+        # h_x on the left pair only breaks the declared mirror
+        terms, pulse, _, initial = _vslq_chain()
+        sp = terms.space
+        left = (hi.embed(hi.ladder(3), 1, sp).dagger()
+                @ hi.embed(hi.ladder(2), 0, sp).dagger())
+        h_x = left + left.dagger()
+        prob = dataclasses.replace(_pulse_phase(terms, initial), h_x=h_x,
+                                   symmetries=terms.basis_symmetries)
+        with pytest.raises(ValueError, match="symmetry"):
+            dy._sector_rhs(prob, initial.density())
+        channels = [(c.op.matrix, c.rate) for c in terms.channels]
+        with pytest.raises(ValueError, match="symmetry"):
+            dy.segment_propagator((terms.h_static + 0.01 * h_x).matrix,
+                                  channels, 500.0, None,
+                                  terms.basis_symmetries)
+
+    def test_apply_propagator_rejects_non_invariant_density(self):
+        h, channels, initial, dt = _constant_vslq_x()
+        (p,) = _vslq_terms()[0].basis_symmetries
+        rho = initial.density()
+        prop = dy.segment_propagator(
+            h.matrix, [(o.matrix, r) for o, r in channels], dt, rho, [p])
+        # move weight between two mirror-image populations that the
+        # propagator covers
+        diag = np.arange(36) * 37
+        i = next(i for i in range(36)
+                 if p[i] != i and np.isin(diag[[i, p[i]]], prop.vec).all())
+        bad = rho.copy()
+        bad[i, i] += 1e-3
+        bad[p[i], p[i]] -= 1e-3
+        with pytest.raises(ValueError, match="not invariant"):
+            dy.apply_propagator(prop, bad)
+
+    def test_non_invariant_state_is_not_reduced(self, monkeypatch):
+        # a single-loss error state breaks the mirror: the evolution
+        # integrates the coordinates, and the arithmetic, of no symmetry
+        terms, _, _, _ = _vslq_chain()
+        model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                             gamma_p=1 / 30000, gamma_s=0.035)
+        prob = _pulse_phase(terms, mo.vslq_logical_states(model)["err_l_plus"])
+        sizes = _integrated_sizes(monkeypatch)
+        want = dy.evolve_lindblad(prob).final.density()
+        got = dy.evolve_lindblad(dataclasses.replace(
+            prob, symmetries=terms.basis_symmetries)).final.density()
+        assert sizes[0] == sizes[1]
+        assert np.array_equal(got, want)
+
+
 class TestTrajectoryExports:
     def test_csv_round_trip(self, tmp_path):
         traj = dy.Trajectory(
@@ -877,6 +1075,18 @@ pulse_file = {pulse_file}
         dy.dump_states(traj, path)
         recs = json.loads(path.read_text())
         assert recs[0]["pure"] and recs[0]["re"] == [0.0, 1.0]
+        # the C encoder, one record at a time, writes json.dump's bytes
+        space = hi.TensorSpace((2, 3))
+        states = [hi.QuantumState(space, _random_density(6, seed=k))
+                  for k in range(3)]
+        for traj in (dy.Trajectory(np.array([0.0, 40.0, 100.0]), states),
+                     dy.Trajectory(np.array([]), [])):
+            dy.dump_states(traj, path)
+            streamed = tmp_path / "streamed.json"
+            with open(streamed, "w") as f:
+                json.dump(json.loads(path.read_text()), f)
+                f.write("\n")
+            assert path.read_bytes() == streamed.read_bytes()
 
 
 
@@ -896,13 +1106,18 @@ def _sq_objective(counted):
     return ys[-1], (rhs, (0.0, pulse.t_p), y0)
 
 
-def _sector_pulse_phase(name):
+def _sector_pulse_phase(name, reduced=False):
     def run(counted, monkeypatch):
         """The occupied entries of vec(rho) after ``evolve_lindblad``, with
-        every RHS it integrates wrapped in ``counted``, and the problem."""
+        every RHS it integrates wrapped in ``counted``, and the problem
+        without symmetries. With ``reduced``, the evolution declares the
+        model's symmetries and integrates orbit coordinates."""
         prob = PULSE_PHASES[name]()
         rho0 = prob.initial.density()
-        rhs, keep = dy._sector_rhs(prob, rho0)
+        rhs, keep, _ = dy._sector_rhs(prob, rho0)
+        if reduced:
+            prob = dataclasses.replace(
+                prob, symmetries=PHASE_SYMMETRIES[name]())
         integrate = dy.adaptive_rk
         monkeypatch.setattr(dy, "adaptive_rk", lambda f, *args, **kwargs:
                             integrate(counted(f), *args, **kwargs))
@@ -929,6 +1144,10 @@ INTEGRATION_CASES = {
     "sq-objective": (lambda counted, _: _sq_objective(counted), 6.0e-10, 3000),
     "vslq-pulse-phase": (_sector_pulse_phase("vslq-0L"), 2.5e-10, 2000),
     "tq-pulse-phase": (_sector_pulse_phase("tq-000"), 3.1e-10, None),
+    "vslq-pulse-phase-mirror": (_sector_pulse_phase("vslq-0L", True),
+                                2.5e-10, 2000),
+    "tq-pulse-phase-pairs": (_sector_pulse_phase("tq-000", True), 3.1e-10,
+                             None),
 }
 
 

@@ -278,3 +278,71 @@ class TestPhaseChannels:
         assert any(not c.lossy for c in terms.channels)
 
 
+
+
+def _permuted(op: hi.Operator, p: np.ndarray) -> np.ndarray:
+    return op.matrix[np.ix_(p, p)]
+
+
+class TestSymmetries:
+    @pytest.mark.parametrize("kind,n_declared", [
+        ("sq_model", 0), ("tq_model", 2), ("vslq_model", 1)])
+    def test_declared_permutations_map_terms_onto_themselves(
+            self, kind, n_declared, request):
+        terms = mo.build(request.getfixturevalue(kind))
+        assert len(terms.symmetries) == n_declared
+        for p in terms.basis_symmetries:
+            for op in (terms.h_static, terms.h_x, terms.h_y):
+                assert np.array_equal(_permuted(op, p), op.matrix)
+            # the channel list, operator and rate, onto itself
+            images = [(_permuted(c.op, p), c.rate) for c in terms.channels]
+            for c in terms.channels:
+                hits = [rate for m, rate in images
+                        if np.array_equal(m, c.op.matrix)]
+                assert hits == [c.rate]
+
+    def test_declarations(self, sq_model, tq_model, vslq_model):
+        assert mo.build(sq_model).symmetries == ()
+        assert mo.build(tq_model).symmetries == ((1, 0, 2, 4, 3, 5),
+                                                 (0, 2, 1, 3, 5, 4))
+        assert mo.build(vslq_model).symmetries == ((3, 2, 1, 0),)
+
+    def test_basis_map_permutes_sites(self, vslq_model):
+        sp = vslq_model.space
+        (p,) = mo.build(vslq_model).basis_symmetries
+        v = hi.basis_vector(sp, (1, 2, 0, 0))
+        assert np.array_equal(v[p], hi.basis_vector(sp, (0, 0, 2, 1)))
+
+    def test_unequal_dimensions_rejected(self, sq_model, vslq_model):
+        terms = mo.build(vslq_model)
+        with pytest.raises(ValueError):
+            mo.ModelTerms(terms.space, terms.h_static, terms.h_x, terms.h_y,
+                          terms.channels, ((1, 0, 2, 3),))
+        sq = mo.build(sq_model)
+        with pytest.raises(ValueError):
+            mo.ModelTerms(sq.space, sq.h_static, sq.h_x, sq.h_y,
+                          sq.channels, ((1, 0),))
+        with pytest.raises(ValueError):
+            terms.space.site_permutation((0, 0, 1, 2))
+
+    def test_code_states_invariant(self, tq_model, vslq_model):
+        (p,) = mo.build(vslq_model).basis_symmetries
+        states = mo.vslq_logical_states(vslq_model)
+        vslq = [states["0L"], states["1L"]] + [
+            mo.vslq_pauli_eigenstate(vslq_model, which, sign)
+            for which in ("X", "Y") for sign in (+1, -1)]
+        for s in vslq:
+            rho = s.density()
+            assert np.array_equal(rho[np.ix_(p, p)], rho)
+        for s in mo.three_qubit_code_states(tq_model).values():
+            rho = s.density()
+            for q in mo.build(tq_model).basis_symmetries:
+                assert np.array_equal(rho[np.ix_(q, q)], rho)
+
+    def test_single_loss_states_not_invariant(self, vslq_model):
+        (p,) = mo.build(vslq_model).basis_symmetries
+        states = mo.vslq_logical_states(vslq_model)
+        for name in ("err_l_plus", "err_l_minus", "err_r_plus",
+                     "err_r_minus"):
+            rho = states[name].density()
+            assert not np.array_equal(rho[np.ix_(p, p)], rho)
