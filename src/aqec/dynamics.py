@@ -53,13 +53,17 @@ a pulse ascent, loads no scipy module.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+# Both forms: hilbert's observables are called through the module object,
+# which reaches hilbert's own binding, as perfbench's binding census
+# expects; a name imported from it would add an aqec.dynamics alias that
+# the census does not classify.
+from . import hilbert
 from .hilbert import (Operator, QuantumState, TensorSpace, check_densities,
                       sector_labels)
 from .models import ModelTerms, phase_channels
@@ -316,17 +320,9 @@ class Trajectory:
     def expect(self, obs: Operator | QuantumState) -> np.ndarray:
         """<obs> at every record for an Operator, the fidelity with it
         for a target QuantumState."""
-        return np.array([_eval_observable(obs, s) for s in self.states])
-
-
-def _eval_observable(obs: Operator | QuantumState,
-                     state: QuantumState) -> float:
-    # imported here: module-level names would add aqec.dynamics aliases of
-    # the hilbert observables, which perfbench's tracer would wrap
-    from .hilbert import expectation, state_fidelity
-    if isinstance(obs, Operator):
-        return expectation(obs, state)
-    return state_fidelity(state, obs)
+        if isinstance(obs, Operator):
+            return np.array([hilbert.expectation(obs, s) for s in self.states])
+        return np.array([hilbert.state_fidelity(s, obs) for s in self.states])
 
 
 def _hermitize(rho: np.ndarray) -> np.ndarray:
@@ -458,43 +454,6 @@ def _stack(parts: Sequence[tuple[np.ndarray, Sequence]]):
     return rows, cols, vals, part
 
 
-def _symmetric_stack(parts: Sequence[tuple[np.ndarray, Sequence]],
-                     symmetries: Sequence[np.ndarray],
-                     rho: np.ndarray | None):
-    """(orbit, rows, cols, values, part): ``_stack(parts)`` on the orbit
-    coordinates of the symmetries, among the basis maps ``symmetries``,
-    that ``rho`` is invariant under entry for entry (all of them if rho is
-    None); ``orbit`` labels the orbit of each vec index.
-
-    Every generator must commute with every declared map, or
-    ``_check_symmetric`` raises ValueError. A map p acts on vec index
-    i d + j as p[i] d + p[j]; the orbits are the components of those
-    edges. S commutes with the maps, so for an invariant x,
-    (S x)_r = sum_o (sum_{c in o} S[r, c]) x_o, the same for each r of an
-    orbit: triplet (r, c, v) becomes (orbit(r), orbit(c), v / |orbit(r)|),
-    and the reduced generator maps the value of each orbit of an
-    invariant vector to that of its image. With no map left the stack is
-    returned unchanged, one coordinate per vec index.
-    """
-    rows, cols, vals, part = _stack(parts)
-    d = parts[0][0].shape[0]
-    n = d * d
-
-    def vec_maps(maps):
-        return [(p[:, None] * d + p).reshape(-1) for p in maps]
-
-    if symmetries:
-        _check_symmetric(n, rows, cols, vals, part, vec_maps(symmetries))
-    if rho is not None:
-        symmetries = _invariant(symmetries, rho)
-    if not symmetries:
-        return np.arange(n), rows, cols, vals, part
-    orbit = sector_labels(np.tile(np.arange(n), len(symmetries)),
-                          np.concatenate(vec_maps(symmetries)), n)
-    size = np.bincount(orbit)
-    return orbit, orbit[rows], orbit[cols], vals / size[orbit[rows]], part
-
-
 def _invariant(symmetries: Sequence[np.ndarray], rho: np.ndarray) -> list:
     """The basis maps among ``symmetries`` that leave ``rho`` unchanged,
     entry for entry."""
@@ -546,27 +505,61 @@ def _occupied(labels: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.flatnonzero(hit[labels])
 
 
-def _restrict(orbit: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-              rho: np.ndarray | None):
-    """(vec, at, sel, at_rows, at_cols) for the pattern ``(rows, cols)`` of
-    the orbit coordinates ``orbit`` (``_symmetric_stack``): the sorted vec
-    indices ``vec`` of the sectors that ``rho`` occupies (all, if rho is
-    None), the position ``at`` of each one's coordinate among the kept
-    coordinates, the mask ``sel`` of the triplets with a kept row, and
-    their rows and columns as such positions. A sector maps into itself,
-    so the column of a selected triplet is kept too. With one coordinate
-    per vec index, ``at`` counts through vec."""
-    n = int(orbit.max()) + 1
-    if rho is None:
-        vec = np.arange(orbit.size)
-    else:
-        vec = _occupied(_block_layout(n, rows, cols)[0][orbit], rho)
-    hit = np.zeros(n, dtype=bool)
+def _reduce(parts: Sequence[tuple[np.ndarray, Sequence]],
+            symmetries: Sequence[np.ndarray], rho: np.ndarray | None):
+    """(vec, at, rows, cols, vals, part, labels): ``_stack(parts)`` on the
+    coordinates that the evolution of ``rho`` needs.
+
+    The coordinates are one per orbit of the basis maps, among
+    ``symmetries``, that rho is invariant under entry for entry (all of
+    them if rho is None), or one per vec index if none is left. Every
+    generator must commute with every declared map, or
+    ``_check_symmetric`` raises ValueError. A map p acts on vec index
+    i d + j as p[i] d + p[j]; the orbits are the components of those
+    edges. S commutes with the maps, so for an invariant x,
+    (S x)_r = sum_o (sum_{c in o} S[r, c]) x_o, the same for each r of an
+    orbit: triplet (r, c, v) becomes (orbit(r), orbit(c), v / |orbit(r)|),
+    and the reduced generator maps the value of each orbit of an
+    invariant vector to that of its image.
+
+    The sectors of that pattern are labelled once. The coordinates of the
+    sectors that rho occupies (all, if rho is None) are kept: ``vec``
+    holds their sorted vec indices, and ``at`` the position of each one's
+    coordinate among the kept ones, numbered in coordinate order. The
+    triplets with a kept row are returned in their order, with rows and
+    columns as such positions; a sector maps into itself, so the column
+    is kept too. ``labels`` is the sector of each kept coordinate in that
+    one labelling: kept sectors are whole sectors of it, so labelling the
+    kept triplets afresh would find the same partition, in the same order.
+    """
+    rows, cols, vals, part = _stack(parts)
+    d = parts[0][0].shape[0]
+    n = d * d
+
+    def vec_maps(maps):
+        return [(p[:, None] * d + p).reshape(-1) for p in maps]
+
+    if symmetries:
+        _check_symmetric(n, rows, cols, vals, part, vec_maps(symmetries))
+    if rho is not None:
+        symmetries = _invariant(symmetries, rho)
+    orbit = np.arange(n)
+    if symmetries:
+        orbit = sector_labels(np.tile(orbit, len(symmetries)),
+                              np.concatenate(vec_maps(symmetries)), n)
+        size = np.bincount(orbit)
+        rows, cols, vals = orbit[rows], orbit[cols], vals / size[orbit[rows]]
+    n_coords = int(orbit.max()) + 1
+    labels = sector_labels(rows, cols, n_coords)
+    vec = np.arange(n) if rho is None else _occupied(labels[orbit], rho)
+    hit = np.zeros(n_coords, dtype=bool)
     hit[orbit[vec]] = True
-    pos = np.full(n, -1, dtype=np.intp)
-    pos[hit] = np.arange(np.count_nonzero(hit))
+    kept = np.flatnonzero(hit)
+    pos = np.full(n_coords, -1, dtype=np.intp)
+    pos[kept] = np.arange(kept.size)
     sel = pos[rows] >= 0
-    return vec, pos[orbit[vec]], sel, pos[rows[sel]], pos[cols[sel]]
+    return (vec, pos[orbit[vec]], pos[rows[sel]], pos[cols[sel]], vals[sel],
+            part[sel], labels[kept])
 
 
 def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
@@ -576,13 +569,12 @@ def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
     In row-major vec form rho' = sum_j w_j(t) G_j rho over the generator
     blocks G = [S(h_static, channels); S(h_x); S(h_y)], with weights
     w = [1, Omega_x(t), Omega_y(t)]; a zero h_x or h_y adds no triplets.
-    The blocks are stacked by ``_symmetric_stack``, the definition the
-    segment propagators and ``steady_state`` use, on one coordinate per
-    orbit of the problem's symmetries that ``rho`` is invariant under (per
-    vec index if none). ``vec`` holds the vec indices of the sectors that
-    ``rho`` occupies under the union pattern of all blocks
-    (``_restrict``), so every block maps them into themselves and the
-    entries outside stay exactly zero. The triplets with a kept row are
+    The blocks are reduced by ``_reduce``, the step that the segment
+    propagators and ``steady_state`` take, to one coordinate per orbit of
+    the problem's symmetries that ``rho`` is invariant under (per vec
+    index if none), and to the sectors that ``rho`` occupies under the
+    union pattern of all blocks, so every block maps them into themselves
+    and the entries outside stay exactly zero. The kept triplets are
     stacked, in their original order, into one CSR matrix, so a call is
     one sparse matvec and one weighted sum of its blocks. Unreduced, each
     entry of the matvec is bit-identical to that of the full-space one.
@@ -590,13 +582,12 @@ def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
     import scipy.sparse
 
     channels = [(op.matrix, float(rate)) for op, rate in problem.channels]
-    orbit, rows, cols, vals, part = _symmetric_stack(
+    vec, at, rows, cols, vals, part, labels = _reduce(
         [(problem.h_static.matrix, channels), (problem.h_x.matrix, ()),
          (problem.h_y.matrix, ())], problem.symmetries, rho)
-    vec, at, sel, at_rows, at_cols = _restrict(orbit, rows, cols, rho)
-    m = int(at.max()) + 1
+    m = labels.size
     stack = scipy.sparse.csr_matrix(
-        (vals[sel], (at_rows + part[sel] * m, at_cols)), shape=(3 * m, m))
+        (vals, (rows + part * m, cols)), shape=(3 * m, m))
     weights = np.ones(3, dtype=complex)
     coupling = problem.coupling
 
@@ -626,26 +617,19 @@ class SegmentPropagator:
     exps: np.ndarray    # (..., n_slots, m, m)
 
 
-def _block_layout(n: int, rows: np.ndarray, cols: np.ndarray):
-    """(labels, index, n_slots, m) of the pattern of the triplet positions
-    ``(rows, cols)``: ``labels`` is the sector of each vec index, which
-    sits at ``index`` of the flattened (n_slots, m, m) stack.
+def _pack(labels: np.ndarray):
+    """(index, n_slots, m): the position of each coordinate, by its sector
+    ``labels``, in the flattened (n_slots, m, m) stack of its blocks.
 
-    Memoised per pattern: the key is the sorted distinct positions, so
-    generators that share a pattern share a layout, whatever the order or
-    the repeats of their triplets.
+    The blocks are packed, largest first and then by label, into slots the
+    size m of the largest, and a slot takes the next block while it fits.
+    That keeps the padding below 2x the coordinates and cuts expm's
+    per-slice Python overhead, which dominates at d = 6. A label that no
+    coordinate carries is an empty block, which sorts last and takes no
+    room, so labels with gaps pack as their consecutive renumbering would.
     """
-    return _pattern_layout(n, np.unique(rows * n + cols).tobytes())
-
-
-@functools.lru_cache(maxsize=16)
-def _pattern_layout(n: int, positions: bytes):
-    positions = np.frombuffer(positions, dtype=np.intp)
-    block = sector_labels(positions // n, positions % n, n)
-    sizes = np.bincount(block)
+    sizes = np.bincount(labels)
     m = int(sizes.max())
-    # packing keeps padding below 2x the indices and cuts expm's per-slice
-    # Python overhead, which dominates at d = 6
     slot_of_block = np.empty(sizes.size, dtype=np.intp)
     k = fill = 0
     for b in np.argsort(-sizes, kind="stable").tolist():
@@ -653,14 +637,13 @@ def _pattern_layout(n: int, positions: bytes):
             k, fill = k + 1, 0
         slot_of_block[b] = k
         fill += sizes[b]
-    slot = slot_of_block[block]
+    slot = slot_of_block[labels]
     fills = np.bincount(slot)
     order = np.argsort(slot, kind="stable")
+    n = labels.size
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n) - np.repeat(np.cumsum(fills) - fills, fills)
-    index = slot * m + pos
-    block.flags.writeable = index.flags.writeable = False
-    return block, index, fills.size, m
+    return slot * m + pos, fills.size, m
 
 
 def _propagators(parts: Sequence[tuple[np.ndarray, Sequence]],
@@ -669,19 +652,17 @@ def _propagators(parts: Sequence[tuple[np.ndarray, Sequence]],
     """build(c): exp(sum_j c[k, j] S_j) for every row k of a (K, J) array
     c, over the generators S_j of ``parts``, as one SegmentPropagator.
 
-    The triplets on their orbit coordinates (``_symmetric_stack``), the
-    coordinates kept (those of the sectors that ``rho`` occupies, all if
-    rho is None; ``_restrict``) and the layout of their blocks are fixed
-    here, once. A build makes one ``scipy.linalg.expm`` call on the
-    (K * n_slots, m, m) stack of the K generators, which takes each slot
-    on its own."""
+    The kept coordinates and triplets (``_reduce``: orbit coordinates,
+    and the sectors that ``rho`` occupies, all if rho is None) and the
+    packing of their blocks (``_pack``, on the sector labels of that one
+    labelling) are fixed here, once. A build makes one
+    ``scipy.linalg.expm`` call on the (K * n_slots, m, m) stack of the K
+    generators, which takes each slot on its own."""
     import scipy.linalg
 
-    orbit, rows, cols, vals, part = _symmetric_stack(parts, symmetries, rho)
-    vec, at, sel, at_rows, at_cols = _restrict(orbit, rows, cols, rho)
-    _, index, n_slots, m = _block_layout(int(at.max()) + 1, at_rows, at_cols)
-    flat = index[at_rows] * m + index[at_cols] % m
-    vals, part = vals[sel], part[sel]
+    vec, at, rows, cols, vals, part, labels = _reduce(parts, symmetries, rho)
+    index, n_slots, m = _pack(labels)
+    flat = index[rows] * m + index[cols] % m
     size = n_slots * m * m
 
     def build(coeffs: np.ndarray) -> SegmentPropagator:
@@ -727,9 +708,10 @@ def segment_propagator(h: np.ndarray,
 
     This is the one-part, one-row case ``[[dt]]`` of ``_propagators``. No
     entry of a kept block is dropped, so the result is exp(S dt) on the
-    covered indices to the accuracy of expm itself. The labelling and
-    packing depend only on the nonzero pattern, so they are memoised per
-    pattern; the values and expm are not.
+    covered indices to the accuracy of expm itself. Each call labels the
+    sectors once (and the orbits once, when a symmetry applies) and
+    packs the kept blocks from those labels; nothing is cached between
+    calls.
     """
     prop = _propagators([(h, channels)], rho, symmetries)(
         np.array([[float(dt)]]))
@@ -844,11 +826,10 @@ def steady_state(h: Operator,
     mats = [(op.matrix, float(rate)) for op, rate in channels]
     d = h.matrix.shape[0]
     n = d * d
-    rows, cols, vals, _ = _stack([(h.matrix, mats)])
     eye = np.eye(d, dtype=complex)
-    keep, _, sel, at_rows, at_cols = _restrict(np.arange(n), rows, cols, eye)
+    keep, _, rows, cols, vals, _, _ = _reduce([(h.matrix, mats)], (), eye)
     a = np.zeros((keep.size + 1, keep.size), dtype=complex)
-    np.add.at(a, (at_rows, at_cols), vals[sel])
+    np.add.at(a, (rows, cols), vals)
     a[-1] = eye.reshape(n)[keep]
     b = np.zeros(keep.size + 1, dtype=complex)
     b[-1] = 1.0

@@ -458,19 +458,34 @@ class TestBlockPropagator:
                  "vslq-reset": (None, 666, 36, None)}
         for name, (rho, n_orbits, n_fixed, blocks) in cases.items():
             h, channels, _ = SEGMENTS[name]()
-            orbit, rows, cols, _, _ = dy._symmetric_stack(
+            vec, at, rows, cols, _, _, _ = dy._reduce(
                 [(h, channels)], terms.basis_symmetries, rho)
-            vec, at, _, at_rows, at_cols = dy._restrict(orbit, rows, cols,
-                                                        rho)
             sizes = np.bincount(at)
             assert sizes.size == n_orbits
             assert np.count_nonzero(sizes == 1) == n_fixed
-            got = np.bincount(hi.sector_labels(at_rows, at_cols, sizes.size))
+            got = np.bincount(hi.sector_labels(rows, cols, sizes.size))
             if blocks is not None:
                 assert sorted(got, reverse=True) == blocks
                 assert vec.size == 324
             else:
                 assert len(got) == 42 and got.max() == 40
+
+    @pytest.mark.parametrize("stack", ["pulse-phase", "reset", "fixed-point"])
+    @pytest.mark.parametrize("name", ["sq", "vslq", "tq"])
+    def test_packing_from_reduced_labels_matches_fresh_labelling(self, name,
+                                                                 stack):
+        # oracle: the kept triplets labelled afresh, as a second labelling
+        # would; reduced and not, for rho = None and an occupied state,
+        # whose kept sectors leave gaps in the VSLQ's numbering
+        parts, symmetries, rho = _pack_case(name, stack)
+        for maps in (symmetries, ()):
+            for density in (None, rho):
+                _, _, rows, cols, _, _, labels = dy._reduce(parts, maps,
+                                                            density)
+                index, n_slots, m = dy._pack(labels)
+                want = dy._pack(hi.sector_labels(rows, cols, labels.size))
+                assert np.array_equal(index, want[0])
+                assert (n_slots, m) == want[1:]
 
     @pytest.mark.parametrize("name", ["vslq-fixed-point", "vslq-reset"])
     def test_reduced_propagator_matches_unreduced(self, name):
@@ -530,6 +545,28 @@ RHS_MODELS = {
     "tq": lambda: mo.build_three_qubit(mo.ThreeQubitModel(
         j=TWO_PI * 0.02, gamma_p=1 / 5000, gamma_r=0.03)),
 }
+
+
+def _pack_case(name, stack):
+    """(parts, symmetries, rho): the RHS_MODELS model's generator stack of
+    a pulse phase (``_sector_rhs``'s three parts at the primary rate), a
+    35 per_us reset or a constant coupling, its basis maps, and the
+    density of a state it is invariant under."""
+    terms = RHS_MODELS[name]()
+    primary = next(c.rate for c in terms.channels if not c.lossy)
+    parts = {
+        "pulse-phase": [
+            (terms.h_static.matrix,
+             [(o.matrix, r) for o, r in mo.phase_channels(terms, primary)]),
+            (terms.h_x.matrix, ()), (terms.h_y.matrix, ())],
+        "reset": [(terms.h_static.matrix,
+                   [(o.matrix, r) for o, r in mo.phase_channels(terms, 0.035)])],
+        "fixed-point": [((terms.h_static + TWO_PI * 0.004 * terms.h_x).matrix,
+                         [(c.op.matrix, c.rate) for c in terms.channels])],
+    }[stack]
+    phase = {"sq": "sq", "vslq": "vslq-0L", "tq": "tq-000"}[name]
+    return (parts, terms.basis_symmetries,
+            PULSE_PHASES[phase]().initial.density())
 
 
 class TestLindbladRhs:

@@ -1,8 +1,9 @@
 """Source hygiene checks: unused imports, imports inside functions,
-environment reads in the package, model classes constructed outside the
-config, parameter defaults that no caller overrides and module-level names
-that nothing references, read with the standard library's ``ast``, and the
-modules that importing the CLI, or running its pulse ascent, loads."""
+functools caches, environment reads in the package, model classes
+constructed outside the config, parameter defaults that no caller
+overrides and module-level names that nothing references, read with the
+standard library's ``ast``, and the modules that importing the CLI, or
+running its pulse ascent, loads."""
 
 import ast
 import os
@@ -89,20 +90,10 @@ def function_imports(source: str) -> list[str]:
     return found
 
 
-# imports inside functions of src/aqec, and why they stay there. Most keep
-# perfbench's binding census as it is: the census wraps every module
-# attribute bound to a traced function, so a module-level import would add
-# an alias it does not classify, and expects the call to reach the named
-# module's own binding. The rest keep a module off the cold start of every
-# command that never reaches the function.
+# imports inside functions of src/aqec, and why they stay there: each
+# keeps a module off the cold start of every command that never reaches
+# the function
 FUNCTION_IMPORTS_ALLOWED = {
-    "dynamics._eval_observable:hilbert.expectation":
-        "perfbench's binding census expects cycles-vslq and lifetime-vslq "
-        "to reach aqec.hilbert.expectation and classifies no aqec.dynamics "
-        "alias of it",
-    "dynamics._eval_observable:hilbert.state_fidelity":
-        "perfbench's binding census expects cycles-vslq to reach "
-        "aqec.hilbert.state_fidelity and classifies no aqec.dynamics alias",
     "dynamics._sector_rhs:scipy.sparse":
         "cold start: only a Lindblad pulse phase needs the CSR stack, and "
         "importing scipy.sparse from cold takes about 0.2 s, most of it "
@@ -115,15 +106,6 @@ FUNCTION_IMPORTS_ALLOWED = {
     "runner._pool_map:concurrent.futures":
         "cold start: only a pool of more than one worker needs it, and it "
         "loads logging too, about 5 ms in all",
-    "optimize.optimize_constant_coupling:dynamics.steady_state":
-        "perfbench's binding census expects sweep-sq to reach "
-        "aqec.dynamics.steady_state",
-    "optimize.optimize_constant_coupling:hilbert.state_fidelity":
-        "perfbench's binding census expects sweep-sq to reach "
-        "aqec.hilbert.state_fidelity",
-    "optimize.vslq_fixed_lifetime:analysis.fit_lifetime":
-        "perfbench's binding census classifies no aqec.optimize alias of "
-        "fit_lifetime",
 }
 
 
@@ -133,7 +115,7 @@ def test_package_imports_at_module_level():
         found += [f"{path.stem}.{f}" for f in function_imports(path.read_text())]
     assert [f for f in found if f not in FUNCTION_IMPORTS_ALLOWED] == []
     assert sorted(set(FUNCTION_IMPORTS_ALLOWED) - set(found)) == []
-    assert all("binding census" in why or "cold start" in why
+    assert all(why.startswith("cold start")
                for why in FUNCTION_IMPORTS_ALLOWED.values())
 
 
@@ -147,6 +129,60 @@ def test_checker_flags_function_imports():
               "    def m(self):\n        if self:\n            import csv, io\n")
     assert function_imports(source) == [
         "f:json", "f:hilbert.basis_state", "f.g:models", "K.m:csv", "K.m:io"]
+
+
+CACHE_DECORATORS = {"functools.lru_cache", "functools.cache"}
+
+
+def cache_decorators(source: str) -> list[str]:
+    """Name of every function, at any depth, decorated with
+    ``functools.lru_cache`` or ``functools.cache``, called or bare, through
+    the module, an alias of it or a name imported from it."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.update({a.asname or a.name: f"{node.module}.{a.name}"
+                             for a in node.names})
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            name = _dotted(deco.func if isinstance(deco, ast.Call) else deco)
+            head, dot, rest = (name or "").partition(".")
+            if imported.get(head, head) + dot + rest in CACHE_DECORATORS:
+                found.append(node.name)
+    return found
+
+
+# functions of src/aqec memoised across calls, and why each cache's hits
+# pay for its key: a module-level cache outlives the calls it was sized
+# for and holds memory for the life of the process
+CACHES_ALLOWED: dict[str, str] = {}
+
+
+def test_package_keeps_no_unlisted_cache():
+    found = []
+    for path in sorted((ROOT / "src" / "aqec").glob("*.py")):
+        found += [f"{path.stem}.{f}" for f in cache_decorators(path.read_text())]
+    assert [f for f in found if f not in CACHES_ALLOWED] == []
+    assert sorted(set(CACHES_ALLOWED) - set(found)) == []
+    assert all(CACHES_ALLOWED.values())
+
+
+def test_checker_flags_cache_decorators():
+    source = ("import functools\nimport functools as ft\n"
+              "from functools import cache, lru_cache as memo, wraps\n"
+              "@functools.lru_cache(maxsize=16)\ndef a(n):\n    return n\n"
+              "@ft.cache\ndef b():\n    return 1\n"
+              "@memo\ndef c():\n    return 1\n"
+              "class K:\n    @cache\n    def m(self):\n        return 2\n"
+              "@wraps(a)\ndef e():\n    return 3\n"
+              "@staticmethod\ndef f():\n    return 4\n")
+    assert cache_decorators(source) == ["a", "b", "c", "m"]
 
 
 def env_reads(source: str) -> list[str]:

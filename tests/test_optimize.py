@@ -370,20 +370,23 @@ class TestConstantCoupling:
         assert p5.residual <= p5.residual_steady
         assert p20.residual <= p20.residual_steady
 
-    def test_sectors_labelled_once_per_descent(self, monkeypatch):
-        # every cost call shares one generator pattern, so its layout is
-        # built once, and steady_state reuses it
-        calls = []
-        label = dy.sector_labels
+    def test_labelling_does_not_grow_with_the_descent(self, monkeypatch):
+        # the point labels its sectors twice, once for the cost's batch
+        # build and once for steady_state, however many batches of cost
+        # evaluations the descent makes
+        labelled, evaluated = [], []
+        label, batch = dy.sector_labels, op.constant_lindblad_batch
 
-        def counted(*args):
-            calls.append(1)
-            return label(*args)
+        def counted_batch(*args):
+            final = batch(*args)
+            return lambda coeffs: evaluated.append(1) or final(coeffs)
 
-        monkeypatch.setattr(dy, "sector_labels", counted)
+        monkeypatch.setattr(dy, "sector_labels",
+                            lambda *args: labelled.append(1) or label(*args))
+        monkeypatch.setattr(op, "constant_lindblad_batch", counted_batch)
         op.optimize_constant_coupling(*_cc_problem(20.0))
-        assert len(calls) <= 1
-
+        assert len(labelled) == 2
+        assert len(evaluated) > 10
 
     def test_residual_point_builds_the_terms_once(self, monkeypatch):
         # the pulse-reset scan and the constant-coupling baseline run on
