@@ -15,9 +15,10 @@ split the vec indices into decoupled sectors (weakly connected components
 of the pattern, here excitation-difference sectors), and a state occupies
 only some of them. One rule, exact zeros of rho and rho^T, names the
 occupied sectors, and only those are propagated. A model
-may declare site permutations that S commutes with (``ModelTerms``); an
-evolution checks that S is invariant under them, and from an initial
-state that is invariant too, entry for entry, propagates one value per
+may declare site permutations that S commutes with (``ModelTerms``);
+``_reduce``, which every Lindblad build passes through, checks them
+exactly on the d x d operators, and from an initial state that is
+invariant too, entry for entry, an evolution propagates one value per
 orbit of the vec indices (the weak-symmetry reduction of Buca & Prosen,
 NJP 14, 073007 (2012)). States are lifted back to d x d densities only
 where they are recorded; a state that is not invariant runs unreduced,
@@ -74,7 +75,6 @@ LINDBLAD_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 NORM_DRIFT_ATOL = 1e-8   # |norm - 1| a Schrodinger propagation may reach
 MAX_STEPS = 5_000_000    # adaptive_rk's step budget per integration
-SYMMETRY_RTOL = 1e-12    # asymmetry of a generator row, per its abs sum
 
 
 class IntegrationError(RuntimeError):
@@ -260,11 +260,11 @@ class EvolutionProblem:
     (Omega_x, Omega_y); a static problem passes zero amplitudes. Channel
     rates are constant over the window. ``symmetries`` are basis maps
     (``ModelTerms.basis_symmetries``) that the Hamiltonian and channels are
-    declared invariant under; a Lindblad evolution checks that claim and
-    propagates an invariant state in their orbit coordinates. The whole
-    problem is checked here, once: every part lives on one space,
-    ``t_span`` is ordered, every rate is nonnegative and every symmetry
-    permutes the basis.
+    declared invariant under; a Lindblad evolution propagates an invariant
+    state in their orbit coordinates. The rest of the problem is checked
+    here, once: every part lives on one space, ``t_span`` is ordered and
+    every rate is nonnegative. The symmetries are checked where the
+    generator is built, by ``_reduce``, as in every Lindblad build.
     """
 
     h_static: Operator
@@ -287,13 +287,10 @@ class EvolutionProblem:
         for _, rate in channels:
             if not rate >= 0:
                 raise ValueError(f"channel rates must be nonnegative, got {rate}")
-        d = self.h_static.space.total_dim
-        maps = tuple(np.asarray(p, dtype=np.intp) for p in self.symmetries)
-        if any(not np.array_equal(np.sort(p), np.arange(d)) for p in maps):
-            raise ValueError("every symmetry must permute the basis indices")
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "t_span", (t0, t1))
-        object.__setattr__(self, "symmetries", maps)
+        object.__setattr__(self, "symmetries",
+                           tuple(np.asarray(p) for p in self.symmetries))
 
 
 @dataclass
@@ -460,33 +457,32 @@ def _invariant(symmetries: Sequence[np.ndarray], rho: np.ndarray) -> list:
     return [p for p in symmetries if np.array_equal(rho[np.ix_(p, p)], rho)]
 
 
-def _check_symmetric(n: int, rows: np.ndarray, cols: np.ndarray,
-                     vals: np.ndarray, part: np.ndarray,
-                     vec_maps: Sequence[np.ndarray]) -> None:
-    """Raise ValueError unless every generator of the stack commutes with
-    each map v: S x[v] = (S x)[v], which holds for every x exactly when
-    S[v[r], v[c]] = S[r, c] for every entry. It is tested on one fixed
-    vector x of random phases, row by row, to ``SYMMETRY_RTOL`` of the
-    row's absolute sum: an invariant generator may still differ there by
-    rounding (the VSLQ reset generator's mirrored entries do by up to
-    6.9e-18, as its decay term sums the channels in another order), while
-    a broken entry moves its row by its own size unless the row's
-    mismatches cancel exactly on those phases."""
-    x = np.exp(2j * np.pi * np.random.default_rng(0).random(n))
-    at = part * n + rows
-    size = (part.max(initial=0) + 1) * n
-
-    def apply(y):
-        terms = vals * y[cols]
-        return (np.bincount(at, terms.real, size)
-                + 1j * np.bincount(at, terms.imag, size)).reshape(-1, n)
-
-    bound = SYMMETRY_RTOL * np.bincount(at, np.abs(vals), size).reshape(-1, n)
-    sx = apply(x)
-    for v in vec_maps:
-        if np.any(np.abs(apply(x[v]) - sx[:, v]) > bound):
-            raise ValueError("a declared symmetry does not leave the "
-                             "generator invariant")
+def _check_symmetries(parts: Sequence[tuple[np.ndarray, Sequence]],
+                      symmetries: Sequence[np.ndarray]) -> None:
+    """Raise ValueError unless every map p of ``symmetries`` permutes
+    range(d) and maps each part (h, channels) exactly onto itself:
+    h[p][:, p] equals h entry for entry, and the images (L[p][:, p], rate)
+    are the channel list again as a multiset, matched greedily. That is
+    sufficient for S(U rho U^dag) = U S(rho) U^dag, with U the permutation
+    matrix of p. A set test would accept a channel listed twice whose
+    image is listed once, which breaks S."""
+    d = parts[0][0].shape[0]
+    for p in symmetries:
+        if not np.array_equal(np.sort(p), np.arange(d)):
+            raise ValueError("a declared symmetry does not permute the "
+                             "basis indices")
+        for h, channels in parts:
+            unmatched = list(channels)
+            for lop, rate in channels:
+                image = lop[np.ix_(p, p)]
+                hit = next((k for k, (o, g) in enumerate(unmatched)
+                            if g == rate and np.array_equal(o, image)), None)
+                if hit is None:
+                    break
+                del unmatched[hit]
+            if unmatched or not np.array_equal(h[np.ix_(p, p)], h):
+                raise ValueError("a declared symmetry does not leave the "
+                                 "generator invariant")
 
 
 def _occupied(labels: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -513,10 +509,10 @@ def _reduce(parts: Sequence[tuple[np.ndarray, Sequence]],
     The coordinates are one per orbit of the basis maps, among
     ``symmetries``, that rho is invariant under entry for entry (all of
     them if rho is None), or one per vec index if none is left. Every
-    generator must commute with every declared map, or
-    ``_check_symmetric`` raises ValueError. A map p acts on vec index
-    i d + j as p[i] d + p[j]; the orbits are the components of those
-    edges. S commutes with the maps, so for an invariant x,
+    declared map is checked first, here alone: ``_check_symmetries``
+    raises ValueError unless it maps each part onto itself. A map p acts
+    on vec index i d + j as p[i] d + p[j]; the orbits are the components
+    of those edges. S commutes with the maps, so for an invariant x,
     (S x)_r = sum_o (sum_{c in o} S[r, c]) x_o, the same for each r of an
     orbit: triplet (r, c, v) becomes (orbit(r), orbit(c), v / |orbit(r)|),
     and the reduced generator maps the value of each orbit of an
@@ -532,21 +528,17 @@ def _reduce(parts: Sequence[tuple[np.ndarray, Sequence]],
     one labelling: kept sectors are whole sectors of it, so labelling the
     kept triplets afresh would find the same partition, in the same order.
     """
+    _check_symmetries(parts, symmetries)
     rows, cols, vals, part = _stack(parts)
     d = parts[0][0].shape[0]
     n = d * d
-
-    def vec_maps(maps):
-        return [(p[:, None] * d + p).reshape(-1) for p in maps]
-
-    if symmetries:
-        _check_symmetric(n, rows, cols, vals, part, vec_maps(symmetries))
     if rho is not None:
         symmetries = _invariant(symmetries, rho)
     orbit = np.arange(n)
     if symmetries:
+        images = [(p[:, None] * d + p).reshape(-1) for p in symmetries]
         orbit = sector_labels(np.tile(orbit, len(symmetries)),
-                              np.concatenate(vec_maps(symmetries)), n)
+                              np.concatenate(images), n)
         size = np.bincount(orbit)
         rows, cols, vals = orbit[rows], orbit[cols], vals / size[orbit[rows]]
     n_coords = int(orbit.max()) + 1
@@ -698,8 +690,9 @@ def segment_propagator(h: np.ndarray,
     into slots the size m of the largest (a slot takes the next block
     while it fits).
 
-    ``symmetries`` are basis maps that S must be invariant under
-    (ValueError otherwise). Those that ``rho`` is invariant under (all, if
+    ``symmetries`` are basis maps that h and the channels must be
+    invariant under, as ``_reduce`` checks (ValueError otherwise). Those
+    that ``rho`` is invariant under (all, if
     rho is None) reduce S to one coordinate per orbit before the blocks
     are found, and the result then applies to invariant densities only.
     Under the VSLQ mirror, the 324 vec indices that |+X_L> occupies fall
@@ -791,7 +784,7 @@ def evolve_constant_lindblad(h: Operator,
     the blocks that the initial state occupies, on one coordinate per
     orbit of the ``symmetries`` (basis maps) it is invariant under. That
     is exact: one constant generator keeps the propagated chain inside
-    those blocks, and invariant.
+    those blocks, and invariant. ``_reduce`` checks the symmetries.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:

@@ -127,7 +127,9 @@ class ModelTerms:
     Each entry of ``symmetries`` permutes the sites
     (``TensorSpace.site_permutation``) and maps h_static, h_x, h_y and the
     channel list (operator and rate) exactly onto themselves; together they
-    generate the group that ``dynamics`` reduces invariant states by. A
+    generate the group that ``dynamics`` reduces invariant states by.
+    That exact mapping is the contract ``dynamics._reduce`` checks in
+    every Lindblad build, where a broken one raises ValueError; here, a
     permutation between sites of unequal dimension raises ValueError.
     ``basis_symmetries`` gives their basis maps, the form dynamics takes.
     """

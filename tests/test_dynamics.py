@@ -1000,6 +1000,63 @@ class TestSymmetryReduction:
                                   channels, 500.0, None,
                                   terms.basis_symmetries)
 
+    @pytest.mark.parametrize("broken", ["unequal-lossy-rates",
+                                        "image-missing", "a_sl-twice"])
+    def test_broken_channel_symmetry_rejected(self, broken):
+        # the channel list must map onto itself as a multiset of (operator,
+        # rate) pairs; a_sl and a_sr are its first and last channels, and
+        # a_sl listed twice is set-equal to its image but not multiset-equal
+        terms, _, _, initial = _vslq_chain()
+        channels = list(mo.phase_channels(terms, 0.035))
+        (a_sr, rate), rest = channels[-1], channels[:-1]
+        channels = {"unequal-lossy-rates": rest + [(a_sr, 2 * rate)],
+                    "image-missing": rest,
+                    "a_sl-twice": channels + channels[:1]}[broken]
+        prob = dataclasses.replace(_pulse_phase(terms, initial),
+                                   channels=tuple(channels),
+                                   symmetries=terms.basis_symmetries)
+        with pytest.raises(ValueError, match="symmetry"):
+            dy._sector_rhs(prob, initial.density())
+        with pytest.raises(ValueError, match="symmetry"):
+            dy.segment_propagator(terms.h_static.matrix,
+                                  [(o.matrix, r) for o, r in channels],
+                                  60.0, None, terms.basis_symmetries)
+
+    @pytest.mark.parametrize("which", ["repeated", "short", "out-of-range"])
+    def test_non_permutation_map_rejected(self, which):
+        h, channels, initial, dt = _constant_vslq_x()
+        (p,) = _vslq_terms()[0].basis_symmetries
+        q = {"repeated": np.r_[p[1], p[1:]], "short": p[:-1],
+             "out-of-range": p + 1}[which]
+        with pytest.raises(ValueError, match="symmetry"):
+            dy.segment_propagator(h.matrix,
+                                  [(o.matrix, r) for o, r in channels], dt,
+                                  None, [q])
+        with pytest.raises(ValueError, match="symmetry"):
+            dy.evolve_constant_lindblad(h, channels, initial, [0.0, dt], [q])
+
+    @pytest.mark.parametrize("name,stack", [
+        ("vslq", "pulse-phase"), ("vslq", "reset"), ("vslq", "fixed-point"),
+        ("tq", "pulse-phase"), ("tq", "reset")])
+    def test_accepted_maps_commute_with_dense_generator(self, name, stack):
+        # oracle: every generator built with symmetries, dense, commutes
+        # with each map that the exact d x d test accepts, as the vec
+        # permutation v: S[v][:, v] = S to rounding of the decay sums
+        parts, symmetries, _ = _pack_case(name, stack)
+        dy._reduce(parts, symmetries, None)
+        d = parts[0][0].shape[0]
+        # row chunks keep the copies of tq's 4096^2 S small
+        chunks = np.array_split(np.arange(d * d), 16)
+        for h, channels in parts:
+            s = lindblad_superoperator(h, channels)
+            bound = 1e-15 * max(np.abs(s[rows]).max() for rows in chunks)
+            for p in symmetries:
+                v = (p[:, None] * d + p).reshape(-1)
+                for rows in chunks:
+                    diff = s[np.ix_(v[rows], v)] - s[rows]
+                    assert np.abs(diff).max() <= bound
+            del s  # before the next part's S is built
+
     def test_apply_propagator_rejects_non_invariant_density(self):
         h, channels, initial, dt = _constant_vslq_x()
         (p,) = _vslq_terms()[0].basis_symmetries

@@ -1,5 +1,6 @@
 """Source hygiene checks: unused imports, imports inside functions,
-functools caches, environment reads in the package, model classes
+functools caches, environment reads and random draws in the package,
+model classes
 constructed outside the config, parameter defaults that no caller
 overrides and module-level names that nothing references, read with the
 standard library's ``ast``, and the modules that importing the CLI, or
@@ -209,6 +210,43 @@ def test_checker_flags_environment_reads():
     source = ("import os\nfrom os import getenv\n"
               "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.sep\n")
     assert sorted(env_reads(source)) == ["os.environ", "os.getenv", "os.getenv"]
+
+
+def random_draws(source: str) -> list[str]:
+    """Every way to draw random numbers: a ``np.random`` or
+    ``numpy.random`` attribute, and an import of ``random`` or
+    ``numpy.random``, or of a name from either."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and _dotted(node) in (
+                "np.random", "numpy.random"):
+            found.append(_dotted(node))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name in ("random", "numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.module in (
+                "random", "numpy.random", "numpy"):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if node.module != "numpy" or a.name == "random"]
+    return found
+
+
+def test_package_draws_no_random_numbers():
+    # every output is deterministic by construction
+    for path in sorted((ROOT / "src" / "aqec").glob("*.py")):
+        assert random_draws(path.read_text()) == [], path.name
+
+
+def test_checker_flags_random_draws():
+    source = ("import random\nimport numpy as np\nimport numpy.random\n"
+              "from random import choice\nfrom numpy import random as r, pi\n"
+              "from numpy.random import default_rng\n"
+              "x = np.random.default_rng(0).random(3)\n"
+              "y = numpy.random.rand(2) + rng.random(2) + pi\n")
+    # numpy.random three times: imported, imported from numpy, and read
+    assert sorted(random_draws(source)) == [
+        "np.random", "numpy.random", "numpy.random", "numpy.random",
+        "numpy.random.default_rng", "random", "random.choice"]
 
 
 MODEL_CLASSES = {"SingleQubitModel", "ThreeQubitModel", "VslqModel"}
