@@ -69,8 +69,9 @@ def fit_lifetime(times, values, model: str = "exp") -> DecayFit:
     For each trial rate k = 1/T the amplitude (and offset) are solved in
     closed form and the residual is minimized over k, bracketed outward
     from the log-slope seed; times are normalized, so T scales with their
-    units. Raises on fewer than 5 samples, non-finite or constant data, no
-    interior minimum, or a non-positive fitted lifetime.
+    units. Raises on fewer than 5 samples, times that are not strictly
+    increasing, non-finite or constant data, no interior minimum, or a
+    non-positive fitted lifetime.
     """
     if model not in ("exp", "exp_with_offset"):
         raise ValueError(f"unknown decay model {model!r}")
@@ -83,9 +84,9 @@ def fit_lifetime(times, values, model: str = "exp") -> DecayFit:
     if np.ptp(y) < 1e-15 * max(1.0, np.max(np.abs(y))):
         raise ValueError("degenerate data: values are constant")
 
+    if not (np.diff(t) > 0).all():
+        raise ValueError("times must be strictly increasing")
     t_scale = t[-1] - t[0]
-    if t_scale <= 0:
-        raise ValueError("times must be increasing")
     ts = (t - t[0]) / t_scale
 
     # seed k = 1/T from the log-slope of the offset-free positive part

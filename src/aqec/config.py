@@ -30,7 +30,7 @@ its model class; only their value kinds are listed here.
 Accepted ranges: every number is finite; rates, times and integers are
 >= 0; n_modes, t_p, epsilon, learning_rate, target_fidelity and each
 [sweep] t1 are > 0; target_fidelity is at most 1; t_r_grid is non-empty.
-The model classes add their own bounds (delta > 0, j > 0).
+The model classes add their own bounds (delta > 0, j > 0, w > 0).
 """
 
 from __future__ import annotations

@@ -338,7 +338,11 @@ def _checked_state(space: TensorSpace, data: np.ndarray) -> QuantumState:
 
 def evolve_unitary(problem: EvolutionProblem,
                    record_times: Sequence[float] | None = None) -> Trajectory:
-    """Integrate i psi' = H(t) psi (hbar = 1) for a pure initial state."""
+    """Integrate i psi' = H(t) psi (hbar = 1) for a pure initial state;
+    a channel with a positive rate, which it cannot apply, is a ValueError."""
+    if any(rate > 0 for _, rate in problem.channels):
+        raise ValueError("evolve_unitary applies no channel; a positive "
+                         "rate needs evolve_lindblad")
     psi0 = problem.initial.vector()
     h0, hx, hy = (op.matrix for op in (problem.h_static, problem.h_x,
                                        problem.h_y))

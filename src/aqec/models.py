@@ -101,6 +101,8 @@ class VslqModel:
     omega_s: float | None = None
 
     def __post_init__(self):
+        if not (self.w > 0 and self.delta > 0):
+            raise ValueError("w and delta must be positive")
         if self.omega_s is None:
             object.__setattr__(self, "omega_s", self.w + self.delta / 2)
 

@@ -437,42 +437,40 @@ def optimize_constant_coupling(terms: ModelTerms, target: QuantumState
 
 # --- fixed-parameter benchmark (lifetime at a given working point) ---------------
 
-def vslq_fixed_evolution(model: VslqModel, omega: float, which: str,
+def vslq_fixed_evolution(model: VslqModel, omega: float,
                          times_ns: Sequence[float]
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Times (ns) and values of <which_L> from the +1 eigenstate of the
-    logical operator ``which``, under ``model``'s channels at their rates
-    and the constant coupling ``omega`` (rad/ns) on its x quadrature.
+    """<X_L> from |+X_L> and <Y_L> from |+Y_L> at ``times_ns`` under
+    ``model``'s channels at their rates and the constant coupling ``omega``
+    (rad/ns) on its x quadrature, from one build of the terms, Hamiltonian,
+    channels and logical operators; each state takes its own
+    ``evolve_constant_lindblad`` call, and only its curve is kept.
 
     ``times_ns`` starts at 0. The generator is time independent, so every
     sample step applies one exact segment propagator; at the VSLQ fixed
     point the generator splits into 8 decoupled blocks of 160-164 vec
     indices, of which the X and Y eigenstates occupy 2. Both states are
     mirror-invariant, so those 324 indices reduce to 171 orbits in blocks
-    of 91 and 80, which alone are exponentiated, once per distinct step,
-    and applied.
+    of 91 and 80, which alone are exponentiated and applied.
     """
     terms = build_vslq(model)
     h = terms.h_static + omega * terms.h_x
     channels = tuple((c.op, c.rate) for c in terms.channels)
-    state = vslq_pauli_eigenstate(model, which, +1)
-    traj = evolve_constant_lindblad(h, channels, state, times_ns,
-                                    terms.basis_symmetries)
-    return traj.times, traj.expect(vslq_logical_operators(model)[which])
+    ops = vslq_logical_operators(model)
+    return tuple(evolve_constant_lindblad(
+        h, channels, vslq_pauli_eigenstate(model, which, +1), times_ns,
+        terms.basis_symmetries).expect(ops[which]) for which in ("X", "Y"))
 
 
-def vslq_fixed_lifetime(model: VslqModel, omega: float, which: str) -> float:
-    """Logical lifetime (us) of ``model`` under the constant coupling
-    ``omega`` (rad/ns) on its x quadrature.
-
-    Evolves the +1 eigenstate of the chosen logical operator for
-    ``FIXED_WINDOW_US`` by ``vslq_fixed_evolution``, then fits exp(-t/T)
-    to its expectation after discarding the first ``FIXED_SKIP_US`` of
-    transient.
-    """
-    times_ns, vals = vslq_fixed_evolution(
-        model, omega, which,
-        np.linspace(0.0, FIXED_WINDOW_US * 1e3, FIXED_SAMPLES))
+def vslq_fixed_lifetime(model: VslqModel, omega: float
+                        ) -> tuple[float, float]:
+    """Logical lifetimes (T_X, T_Y), in us, of ``model`` under the constant
+    coupling ``omega`` (rad/ns) on its x quadrature: exp(-t/T) fitted to
+    each curve of one ``vslq_fixed_evolution`` over ``FIXED_WINDOW_US``,
+    after its first ``FIXED_SKIP_US`` of transient."""
+    times_ns = np.linspace(0.0, FIXED_WINDOW_US * 1e3, FIXED_SAMPLES)
+    curves = vslq_fixed_evolution(model, omega, times_ns)
     t_us = times_ns / 1e3
     keep = t_us >= FIXED_SKIP_US
-    return analysis.fit_lifetime(t_us[keep], vals[keep], model="exp").lifetime
+    return tuple(analysis.fit_lifetime(t_us[keep], v[keep]).lifetime
+                 for v in curves)

@@ -300,8 +300,7 @@ def _vslq_fixed_point(cfg: ExperimentConfig, t1_ns: float, pulse) -> dict:
     """VSLQ lifetimes at the tabulated fixed working point (no pulse)."""
     t1_us = t1_ns / 1e3
     row, model, omega = _vslq_working_point(cfg, t1_ns)
-    t_x, t_y = (op.vslq_fixed_lifetime(model, omega, which)
-                for which in ("X", "Y"))
+    t_x, t_y = op.vslq_fixed_lifetime(model, omega)
     return {
         "t1_us": t1_us,
         "omega_over_2pi_mhz": row[0], "gamma_s_per_us": row[1],
@@ -313,22 +312,27 @@ def _vslq_fixed_point(cfg: ExperimentConfig, t1_ns: float, pulse) -> dict:
     }
 
 
-def _select_vslq_t_r(cfg: ExperimentConfig, model: mo.VslqModel,
-                     terms: mo.ModelTerms, pulse: PulseShape) -> float:
-    """The grid t_r whose cycles, with ``terms`` of ``model`` and cfg's
-    reset rate, decay <X_L> slowest per unit time over a probe of
-    ``T_R_PROBE_CYCLES`` cycles from its +1 eigenstate."""
+def _vslq_cycle_setup(cfg: ExperimentConfig, pulse: PulseShape):
+    """(terms, eigen, t_r) of a VSLQ cycle point: cfg's VSLQ terms, "X" and
+    "Y" each mapped to (its +1 eigenstate, its logical operator), and
+    ``cfg.t_r``, or else the first grid t_r whose cycles at cfg's reset
+    rate decay <X_L> from |+X_L> slowest per unit time over
+    ``T_R_PROBE_CYCLES`` cycles."""
+    model = cfg.model()
+    terms = mo.build(model)
     ops = mo.vslq_logical_operators(model)
-    state = mo.vslq_pauli_eigenstate(model, "X", +1)
-    best = None
-    for t_r in cfg.t_r_grid:
+    eigen = {which: (mo.vslq_pauli_eigenstate(model, which, +1), ops[which])
+             for which in ("X", "Y")}
+    if cfg.t_r is not None:
+        return terms, eigen, cfg.t_r
+
+    def rate(t_r):
         schedule = CycleSchedule(t_r, cfg.reset_rate, T_R_PROBE_CYCLES)
-        traj = dy.evolve_cycles(terms, pulse, schedule, state)
+        traj = dy.evolve_cycles(terms, pulse, schedule, eigen["X"][0])
         # per-time decay rate: cycle lengths differ across grid points
-        rate = -np.log(max(traj.expect(ops["X"])[-1], 1e-12)) / traj.times[-1]
-        if best is None or rate < best[0]:
-            best = (rate, float(t_r))
-    return best[1]
+        return -np.log(max(traj.expect(ops["X"])[-1], 1e-12)) / traj.times[-1]
+
+    return terms, eigen, float(min(cfg.t_r_grid, key=rate))
 
 
 def _cycle_end_series(cfg: ExperimentConfig, terms: mo.ModelTerms,
@@ -348,16 +352,10 @@ def _vslq_cycle_point(cfg: ExperimentConfig, t1_ns: float,
     """VSLQ logical lifetimes: pulse-reset cycles vs the tabulated fixed point."""
     t1_us = t1_ns / 1e3
     fixed = _vslq_fixed_point(cfg, t1_ns, pulse)
-    model = cfg.model()
-    terms = mo.build(model)
-    t_r = (cfg.t_r if cfg.t_r is not None
-           else _select_vslq_t_r(cfg, model, terms, pulse))
-    ops = mo.vslq_logical_operators(model)
+    terms, eigen, t_r = _vslq_cycle_setup(cfg, pulse)
     row = {"t1_us": t1_us, "t_r_ns": t_r}
-    for which in ("X", "Y"):
-        state = mo.vslq_pauli_eigenstate(model, which, +1)
-        times_us, vals = _cycle_end_series(cfg, terms, pulse, t_r, state,
-                                           ops[which])
+    for which, (state, obs) in eigen.items():
+        times_us, vals = _cycle_end_series(cfg, terms, pulse, t_r, state, obs)
         lifetime = an.fit_lifetime(times_us, vals, model="exp").lifetime
         row[f"t_{which.lower()}_cycles_us"] = lifetime
         row[f"improvement_{which.lower()}_cycles"] = an.improvement_factor(
@@ -377,28 +375,24 @@ def _short_time_point(cfg: ExperimentConfig, t1_ns: float,
     post-step moves them into ``short_time_curves.csv``. Raises
     ValueError if the window holds no whole cycle.
     """
-    model = cfg.model()
-    terms = mo.build(model)
-    t_r = (cfg.t_r if cfg.t_r is not None
-           else _select_vslq_t_r(cfg, model, terms, pulse))
+    terms, eigen, t_r = _vslq_cycle_setup(cfg, pulse)
     n_cycles = int(SHORT_WINDOW_NS // (cfg.t_p + t_r))
     if n_cycles < 1:
         raise ValueError(
             f"the short-time window of {SHORT_WINDOW_NS:g} ns is shorter "
             f"than one cycle of t_p + t_r = {cfg.t_p + t_r:g} ns")
-    ops = mo.vslq_logical_operators(model)
     t1_us = t1_ns / 1e3
-    _, m_fix, omega = _vslq_working_point(cfg, t1_ns)
     schedule = CycleSchedule(t_r, cfg.reset_rate, n_cycles)
+    trajs = [dy.evolve_cycles(terms, pulse, schedule, state)
+             for state, _ in eigen.values()]
+    t_end = float(trajs[0].times[-1])
+    _, m_fix, omega = _vslq_working_point(cfg, t1_ns)
+    times_fix = np.linspace(0.0, t_end, n_cycles + 1)
+    fixed = op.vslq_fixed_evolution(m_fix, omega, times_fix)
     row = {"t1_us": t1_us, "t_r_ns": t_r}
     curves = []
-    for which in ("X", "Y"):
-        state = mo.vslq_pauli_eigenstate(model, which, +1)
-        traj = dy.evolve_cycles(terms, pulse, schedule, state)
-        vals = traj.expect(ops[which])
-        t_end = float(traj.times[-1])
-        times_fix, vals_fix = op.vslq_fixed_evolution(
-            m_fix, omega, which, np.linspace(0.0, t_end, n_cycles + 1))
+    for (which, (_, obs)), traj, vals_fix in zip(eigen.items(), trajs, fixed):
+        vals = traj.expect(obs)
         row[f"{which.lower()}_pulse_reset"] = float(vals[-1])
         row[f"{which.lower()}_fixed"] = float(vals_fix[-1])
         row[f"window_ns_{which.lower()}"] = t_end

@@ -198,8 +198,8 @@ class TestFitLifetimeOracle:
         model = mo.VslqModel(w=two_pi * 0.035, delta=two_pi * 0.35,
                              gamma_p=1.0 / 30e3, gamma_s=gamma_s * 1e-3,
                              omega_s=two_pi * omega_s * 1e-3)
-        lifetime = op.vslq_fixed_lifetime(model, two_pi * omega * 1e-3, "X")
-        (t, y), = windows
+        lifetime, _ = op.vslq_fixed_lifetime(model, two_pi * omega * 1e-3)
+        (t, y), _ = windows
         assert lifetime == pytest.approx(_curve_fit_lifetime(t, y, "exp")[0],
                                          rel=1e-7)
 
@@ -273,6 +273,18 @@ class TestFitsRaiseValueError:
                              (np.where(t == t[-1], np.inf, t), y)):
             with pytest.raises(ValueError, match="finite"):
                 an.fit_lifetime(bad_t, bad_y)
+
+    def test_fit_lifetime_rejects_times_not_strictly_increasing(self):
+        # exp(-t/3) with its interior times reversed fits T = 6.6 at
+        # r^2 = 0.11, and with a repeated time T = 2.8, if the order goes
+        # unchecked
+        t = np.linspace(0.0, 10.0, 8)
+        y = np.exp(-t / 3.0)
+        shuffled = np.r_[t[0], t[1:-1][::-1], t[-1]]
+        repeated = np.where(t == t[4], t[3], t)
+        for bad_t in (shuffled, repeated):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                an.fit_lifetime(bad_t, y)
 
     @pytest.mark.parametrize("with_offset", [False, True])
     def test_fit_power_law_rejects_nan_and_inf(self, with_offset):

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -212,3 +213,44 @@ pulse_file = {pulse_file}
     err = capsys.readouterr().err
     assert "2000 ns" in err and "2040 ns" in err
     assert not (out / "short_time.csv").exists()
+
+
+def test_fit_of_unordered_times_exits_2(tmp_path, capsys):
+    # shuffled interior times of a clean exp(-t/3) fit badly but silently
+    from aqec import cli
+
+    csv_file = tmp_path / "decay.csv"
+    t = [10 / 7 * k for k in (0, 6, 5, 4, 3, 2, 1, 7)]
+    csv_file.write_text("t,y\n" + "".join(
+        f"{x!r},{math.exp(-x / 3.0)!r}\n" for x in t))
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--csv", str(csv_file), "--xcol", "t",
+                     "--ycol", "y", "--out", str(out)]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("w,delta", [(0, 350), (35, 0)])
+def test_vslq_without_positive_w_and_delta_exits_2(w, delta, tmp_path,
+                                                    capsys):
+    # unchecked, a fixed_lifetimes sweep at w = delta = 0 writes T_X = 10.8 us
+    from aqec import cli
+
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"""\
+[model]
+kind = vslq
+w = {w} MHz
+delta = {delta} MHz
+gamma_p = 0.2 per_us
+gamma_s = 35 per_us
+
+[sweep]
+t1 = 30 us
+mode = fixed_lifetimes
+""")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_file),
+                     "--out", str(out)]) == 2
+    assert "w and delta must be positive" in capsys.readouterr().err
+    assert not out.exists()

@@ -390,6 +390,53 @@ mode = {sweep_mode}
         assert handed.value.args == (2,), "fig4"
 
 
+class TestVslqBuildsPerPoint:
+    @pytest.mark.parametrize("mode,builds", [("fixed_lifetimes", 1),
+                                             ("lifetimes", 2),
+                                             ("short_time", 2)])
+    def test_each_model_is_built_once(self, mode, builds, tmp_path,
+                                      monkeypatch):
+        # one T1 point: the fixed working point's VSLQ once, and the cycle
+        # model once where the mode runs cycles
+        from aqec import models, optimize, runner
+        from aqec.pulse import PulseShape, save_pulse
+
+        built = []
+
+        def counting(build):
+            def wrapper(model):
+                built.append(model)
+                return build(model)
+            return wrapper
+
+        def window(cfg, terms, pulse, t_r, state, obs):
+            # the lifetime window's 200 cycles, replaced by a clean decay
+            t_us = np.arange(1.0, 7.0)
+            return t_us, np.exp(-t_us / 100.0)
+
+        monkeypatch.setattr(optimize, "build_vslq",
+                            counting(optimize.build_vslq))
+        monkeypatch.setattr(models, "build", counting(models.build))
+        monkeypatch.setattr(runner, "_cycle_end_series", window)
+        pulse_file = tmp_path / "pulse.json"
+        save_pulse(PulseShape([0.01, 0.0], [0.0, 0.0], 40.0), pulse_file)
+        cfg = cf.parse_config(VSLQ + f"""
+[schedule]
+t_r = 960 ns
+reset_rate = 35 per_us
+
+[sweep]
+t1 = 30 us
+mode = {mode}
+
+[run]
+workers = 1
+pulse_file = {pulse_file}
+""")
+        runner.cmd_sweep(cfg, tmp_path / "out")
+        assert len(built) == builds
+
+
 class TestPulseFileDuration:
     @pytest.mark.parametrize("command,model,sweep", [
         ("evolve", MINIMAL, ""),

@@ -51,6 +51,20 @@ class TestUnitary:
         traj = dy.evolve_unitary(prob)
         assert np.allclose(traj.final.vector(), psi.vector(), atol=1e-9)
 
+    def test_positive_rate_channel_rejected(self, sq_terms):
+        # a closed evolution would keep |1_q 0_r> at population 1 under
+        # loss at 1/ns; rate-0 channels are accepted
+        _, terms = sq_terms
+        initial = hi.basis_state(terms.space, (1, 0))
+        lossless = [(c.op, 0.0) for c in terms.channels]
+        traj = dy.evolve_unitary(static_problem(terms.h_static, lossless,
+                                                (0.0, 40.0), initial))
+        assert hi.state_fidelity(traj.final, initial) == pytest.approx(1.0)
+        lossy = [(c.op, 1.0) for c in terms.channels]
+        with pytest.raises(ValueError, match="evolve_lindblad"):
+            dy.evolve_unitary(static_problem(terms.h_static, lossy,
+                                             (0.0, 40.0), initial))
+
     def test_rabi_pi_pulse_transfer(self, sq_terms):
         # constant coupling with the nonlinearity term absent: full
         # population transfer |00> -> |11> at t = pi / (2 Omega)

@@ -162,6 +162,12 @@ class TestVslq:
                           omega_s=5.9)
         assert m2.omega_s == 5.9
 
+    @pytest.mark.parametrize("w,delta", [(0.0, 10.0), (-1.0, 10.0),
+                                         (1.0, 0.0), (1.0, -10.0)])
+    def test_w_and_delta_must_be_positive(self, w, delta):
+        with pytest.raises(ValueError, match="w and delta must be positive"):
+            mo.VslqModel(w=w, delta=delta, gamma_p=0.0, gamma_s=0.0)
+
     def test_channels(self, vslq_model):
         chans = mo.build_vslq(vslq_model).channels
         for site, c in enumerate(chans):

@@ -535,7 +535,7 @@ class TestFixedParameters:
         w, delta = TWO_PI * 0.035, TWO_PI * 0.35
         model = mo.VslqModel(w=w, delta=delta, gamma_p=1.0 / 5000.0,
                              gamma_s=24.66e-3, omega_s=TWO_PI * 0.20975)
-        t_x = op.vslq_fixed_lifetime(model, TWO_PI * 2.94e-3, which="X")
+        t_x, _ = op.vslq_fixed_lifetime(model, TWO_PI * 2.94e-3)
         assert t_x == pytest.approx(117.0, rel=0.15)
 
 
@@ -547,8 +547,6 @@ def test_table1_fixed_point_lifetimes(t1_us):
     model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
                          gamma_p=1.0 / (t1_us * 1e3), gamma_s=gamma_s * 1e-3,
                          omega_s=TWO_PI * omega_s * 1e-3)
-    args = (model, TWO_PI * omega * 1e-3)
-    assert op.vslq_fixed_lifetime(*args, which="X") == pytest.approx(
-        t_x_paper, rel=0.05)
-    assert op.vslq_fixed_lifetime(*args, which="Y") == pytest.approx(
-        t_y_paper, rel=0.05)
+    t_x, t_y = op.vslq_fixed_lifetime(model, TWO_PI * omega * 1e-3)
+    assert t_x == pytest.approx(t_x_paper, rel=0.05)
+    assert t_y == pytest.approx(t_y_paper, rel=0.05)
