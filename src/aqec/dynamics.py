@@ -42,9 +42,15 @@ faster than stepping through them. Integrating a reset phase
 oracle for that propagator, and the two agree to integrator tolerance.
 ``steady_state`` solves only over the sectors holding the identity's
 diagonal. Evolutions return states alone; callers read observables off them
-with ``Trajectory.expect``. Every recorded or batched density passes
-``hilbert.check_densities``, the check ``QuantumState`` makes, or raises
-IntegrityError; no state is clipped or otherwise altered to pass it.
+with ``Trajectory.expect``, one ``hilbert.expectation`` call per operator.
+Every recorded or batched density passes ``hilbert.check_densities``, the
+check ``QuantumState`` makes, exactly once, or raises IntegrityError; no
+state is clipped or otherwise altered to pass it. A constant evolution
+checks its records as one stack, which ``check_densities`` tests block by
+block on the blocks of the stack's union nonzero pattern when it holds
+more densities than each has rows and d is large enough for that to pay:
+the 81 records from |+X_L> at the VSLQ fixed point split into four 9 x 9
+blocks.
 
 scipy is imported where it is first used: ``scipy.sparse`` by the
 pulse-phase RHS, for its CSR matvec, and ``scipy.linalg`` by the
@@ -296,7 +302,8 @@ class EvolutionProblem:
 @dataclass
 class Trajectory:
     """Recorded evolution: strictly increasing times plus states, off
-    which ``expect`` reads observables."""
+    which ``expect`` reads observables. The states of a constant evolution
+    are read-only views of the one stack that was checked."""
 
     times: np.ndarray
     states: list[QuantumState]
@@ -315,10 +322,11 @@ class Trajectory:
         return self.states[-1]
 
     def expect(self, obs: Operator | QuantumState) -> np.ndarray:
-        """<obs> at every record for an Operator, the fidelity with it
+        """<obs> at every record for an Operator, read by one
+        ``hilbert.expectation`` call over all states; the fidelity with it
         for a target QuantumState."""
         if isinstance(obs, Operator):
-            return np.array([hilbert.expectation(obs, s) for s in self.states])
+            return hilbert.expectation(obs, self.states)
         return np.array([hilbert.state_fidelity(s, obs) for s in self.states])
 
 
@@ -326,12 +334,19 @@ def _hermitize(rho: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def _checked_state(space: TensorSpace, data: np.ndarray) -> QuantumState:
-    """A recorded state; a failed QuantumState check is an IntegrityError."""
+def _checked_states(space: TensorSpace, rhos: np.ndarray
+                    ) -> list[QuantumState]:
+    """The recorded states of the (K, d, d) stack ``rhos``, checked at once
+    by ``QuantumState.densities``; a failed check is an IntegrityError."""
     try:
-        return QuantumState(space, data)
+        return QuantumState.densities(space, rhos)
     except ValueError as exc:
         raise IntegrityError(str(exc)) from exc
+
+
+def _checked_state(space: TensorSpace, rho: np.ndarray) -> QuantumState:
+    """One recorded density: the one-record case of ``_checked_states``."""
+    return _checked_states(space, rho[None])[0]
 
 
 # --- public evolutions ---------------------------------------------------------
@@ -789,6 +804,12 @@ def evolve_constant_lindblad(h: Operator,
     orbit of the ``symmetries`` (basis maps) it is invariant under. That
     is exact: one constant generator keeps the propagated chain inside
     those blocks, and invariant. ``_reduce`` checks the symmetries.
+
+    The K records are written into one (K, d, d) stack, each by its own
+    ``apply_propagator`` step, and checked by one ``check_densities``
+    call on the whole stack (``QuantumState.densities``, block by block
+    when K > d >= ``hilbert.SPLIT_MIN_DIM``); the states are read-only
+    views of it.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -796,19 +817,22 @@ def evolve_constant_lindblad(h: Operator,
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must start at 0 and increase strictly")
     mats = [(op.matrix, float(rate)) for op, rate in channels]
-    cache: dict[float, SegmentPropagator] = {}
     rho = rho0 = initial.density()
-    space = initial.space
-    # a pure state's outer product is Hermitian only to rounding
-    states = [_checked_state(space, _hermitize(rho))]
-    for dt in np.diff(times):
-        key = round(float(dt), 12)
-        if key not in cache:
-            cache[key] = segment_propagator(h.matrix, mats, float(dt), rho0,
+    steps = np.diff(times)
+    keys = [round(float(dt), 12) for dt in steps]
+    # every distinct step's propagator is built before the stack is
+    # allocated, so that their scratch and the stack are not held at once
+    props: dict[float, SegmentPropagator] = {}
+    for key, dt in zip(keys, steps):
+        if key not in props:
+            props[key] = segment_propagator(h.matrix, mats, float(dt), rho0,
                                             symmetries)
-        rho = apply_propagator(cache[key], rho)
-        states.append(_checked_state(space, rho))
-    return Trajectory(times, states)
+    rhos = np.empty((times.size, *rho0.shape), dtype=complex)
+    # a pure state's outer product is Hermitian only to rounding
+    rhos[0] = _hermitize(rho0)
+    for i, key in enumerate(keys, 1):
+        rho = rhos[i] = apply_propagator(props[key], rho)
+    return Trajectory(times, _checked_states(initial.space, rhos))
 
 
 def steady_state(h: Operator,

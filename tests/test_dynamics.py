@@ -260,17 +260,23 @@ class TestLindblad:
                                         [0.0, 50.0, 100.0])
 
     def test_each_sample_is_diagonalized_once(self, monkeypatch):
-        # work counter: k + 1 recorded densities, k + 1 eigvalsh calls
-        calls = []
+        # work counter in densities: each of the k + 1 records reaches
+        # eigvalsh once, whole or as blocks whose rows partition its d = 16
+        # rows, so the rows handed to eigvalsh sum to (k + 1) d. Two
+        # records are checked whole (K <= d), twenty as 1 x 1 blocks.
+        rows = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a: calls.append(1) or eigvalsh(a))
-        sp = hi.TensorSpace((2,))
-        a = hi.Operator(sp, hi.ladder(2))
-        h0 = hi.Operator(sp, np.zeros((2, 2)))
-        dy.evolve_constant_lindblad(h0, ((a, 0.01),), hi.basis_state(sp, (1,)),
-                                    10.0 * np.arange(5))
-        assert len(calls) == 5
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(
+            a.size // a.shape[-1]) or eigvalsh(a))
+        sp = hi.TensorSpace((2,) * 4)
+        a = hi.embed(hi.ladder(2), 0, sp)
+        h0 = hi.Operator(sp, np.zeros((16, 16)))
+        for n_records in (2, 20):
+            rows.clear()
+            dy.evolve_constant_lindblad(h0, ((a, 0.01),),
+                                        hi.basis_state(sp, (1, 0, 1, 0)),
+                                        10.0 * np.arange(n_records))
+            assert sum(rows) == n_records * 16
 
 
 class TestConstantPropagator:
@@ -307,6 +313,56 @@ class TestConstantPropagator:
                                            hi.basis_state(sp, (1,)), times)
         pe = np.array([s.density()[1, 1].real for s in traj.states])
         assert np.allclose(pe, np.exp(-0.01 * times), atol=1e-9)
+
+
+class TestStackedRecords:
+    """evolve_constant_lindblad writes its records into one stack, checked
+    once, with every record the per-step propagator chain's."""
+
+    @staticmethod
+    def _decay(times):
+        sp = hi.TensorSpace((2, 2))
+        a = hi.Operator(sp, np.kron(hi.ladder(2), np.eye(2)))
+        h = hi.Operator(sp, 0.01 * np.kron(hi.SIGMA_X, hi.SIGMA_X))
+        initial = hi.normalized_state(sp, np.array([0.0, 1.0, 1.0, 0.5]))
+        return (h, ((a, 0.01),), initial,
+                dy.evolve_constant_lindblad(h, ((a, 0.01),), initial, times))
+
+    def test_single_time_gives_one_record(self):
+        _, _, initial, traj = self._decay([0.0])
+        assert traj.times.tolist() == [0.0] and len(traj.states) == 1
+        assert np.array_equal(traj.final.density(),
+                              dy._hermitize(initial.density()))
+
+    def test_non_uniform_grid_two_propagators_one_stack(self, monkeypatch):
+        built, checked = [], []
+        seg, check = dy.segment_propagator, hi.check_densities
+        monkeypatch.setattr(dy, "segment_propagator",
+                            lambda *a, **k: built.append(a[2]) or seg(*a, **k))
+        monkeypatch.setattr(hi, "check_densities",
+                            lambda r: checked.append(len(r)) or check(r))
+        *_, traj = self._decay([0.0, 10.0, 30.0, 40.0, 60.0])
+        assert sorted(built) == [10.0, 20.0]
+        assert checked == [5]
+        base = traj.states[0].data.base
+        assert all(s.data.base is base for s in traj.states)
+
+    def test_states_are_read_only(self):
+        *_, traj = self._decay([0.0, 10.0, 20.0])
+        for s in traj.states:
+            with pytest.raises(ValueError, match="read-only"):
+                s.data[0, 0] = 1.0
+
+    def test_records_equal_the_propagator_chain(self):
+        times = [0.0, 10.0, 30.0, 40.0, 60.0]
+        h, channels, initial, traj = self._decay(times)
+        mats = [(op.matrix, rate) for op, rate in channels]
+        rho0 = rho = initial.density()
+        assert np.array_equal(traj.states[0].data, dy._hermitize(rho0))
+        for dt, state in zip(np.diff(times), traj.states[1:]):
+            rho = dy.apply_propagator(
+                dy.segment_propagator(h.matrix, mats, dt, rho0), rho)
+            assert np.array_equal(state.data, rho)
 
 
 def lindblad_superoperator(h, channels):
