@@ -149,26 +149,22 @@ _KINDS = {"model": {"kind": "str", **_MODEL_UNITS},
              for section, group in _SECTIONS.items()}}
 
 
+# bare kind -> (what its one token is, its conversion, what a bad one is not)
+_BARE = {"str": ("a single word", str, None),
+         "int": ("a bare integer", int, "an integer"),
+         "float": ("a bare number", float, "a number")}
+
+
 def _parse_value(kind: str, raw: str, lineno: int):
     toks = raw.split()
-    if kind == "str":
+    if kind in _BARE:
+        expected, convert, noun = _BARE[kind]
         if len(toks) != 1:
-            raise ConfigError(f"line {lineno}: expected a single word, got {raw!r}")
-        return toks[0]
-    if kind == "int":
-        if len(toks) != 1:
-            raise ConfigError(f"line {lineno}: expected a bare integer, got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected {expected}, got {raw!r}")
         try:
-            return int(toks[0])
+            return convert(toks[0])
         except ValueError:
-            raise ConfigError(f"line {lineno}: {toks[0]!r} is not an integer")
-    if kind == "float":
-        if len(toks) != 1:
-            raise ConfigError(f"line {lineno}: expected a bare number, got {raw!r}")
-        try:
-            return float(toks[0])
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {toks[0]!r} is not a number")
+            raise ConfigError(f"line {lineno}: {toks[0]!r} is not {noun}")
     # dimensioned kinds: one or more numbers followed by a unit suffix
     if len(toks) < 2:
         raise ConfigError(f"line {lineno}: missing unit suffix in {raw!r}")

@@ -148,9 +148,10 @@ def _density_blocks(rhos: np.ndarray):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
-    a.setflags(write=False)
-    return a
+    """A read-only C-contiguous complex view of ``a``, which stays as it was."""
+    view = np.ascontiguousarray(a, dtype=complex).view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class Operator:
         if matrix.shape != (d, d):
             raise DimensionError(f"matrix shape {matrix.shape} != ({d}, {d})")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "matrix", _readonly(matrix))
+        object.__setattr__(self, "matrix", _readonly(matrix.copy()))
 
     def dagger(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T)
@@ -228,7 +229,7 @@ class QuantumState:
             check_densities(data[None])
         else:
             raise DimensionError("state must be a vector or a square matrix")
-        self._set(space, _readonly(data))
+        self._set(space, _readonly(data.copy()))
 
     @classmethod
     def densities(cls, space: TensorSpace,

@@ -18,13 +18,17 @@ Subsystem orderings are fixed here: (q, r), (P1, P2, P3, R1, R2, R3), and
 declares the site permutations its terms are invariant under: the
 three-qubit code its pair permutations, the VSLQ its mirror
 (Sl, l, r, Sr) -> (Sr, r, l, Sl), the single qubit none.
+
+Each model class declares what the commands take from its kind: the rate
+field a T1 point sets to 1/T1 (``t1_rate``), the state the cycles protect
+(``protected()``) and the observables of ``aqec evolve`` (``observables()``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -60,6 +64,8 @@ class SingleQubitModel:
     gamma_q: float    # primary photon-loss rate, 1/ns
     gamma_r: float    # lossy-resonator rate, 1/ns
 
+    t1_rate: ClassVar[str] = "gamma_q"
+
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError("delta must be positive")
@@ -67,6 +73,13 @@ class SingleQubitModel:
     @property
     def space(self) -> TensorSpace:
         return TensorSpace((3, 2))
+
+    def protected(self) -> QuantumState:
+        return basis_state(self.space, (1, 0))  # |1_q 0_r>
+
+    def observables(self) -> dict[str, QuantumState]:
+        return {"fid_target": self.protected(),
+                "pop_leak": basis_state(self.space, (2, 1))}
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,8 @@ class ThreeQubitModel:
     gamma_p: float    # primary bit-flip rate, 1/ns
     gamma_r: float    # lossy-qubit decay rate, 1/ns
 
+    t1_rate: ClassVar[str] = "gamma_p"
+
     def __post_init__(self):
         if not self.j > 0:
             raise ValueError("j must be positive")
@@ -84,6 +99,12 @@ class ThreeQubitModel:
     @property
     def space(self) -> TensorSpace:
         return TensorSpace((2,) * 6)
+
+    def protected(self) -> QuantumState:
+        return three_qubit_code_states(self)["0L"]
+
+    def observables(self) -> dict[str, QuantumState]:
+        return {f"fid_{k}": s for k, s in three_qubit_code_states(self).items()}
 
 
 @dataclass(frozen=True)
@@ -100,6 +121,8 @@ class VslqModel:
     gamma_s: float
     omega_s: float | None = None
 
+    t1_rate: ClassVar[str] = "gamma_p"
+
     def __post_init__(self):
         if not (self.w > 0 and self.delta > 0):
             raise ValueError("w and delta must be positive")
@@ -109,6 +132,14 @@ class VslqModel:
     @property
     def space(self) -> TensorSpace:
         return TensorSpace((2, 3, 3, 2))
+
+    def protected(self) -> QuantumState:
+        return vslq_logical_states(self)["0L"]
+
+    def observables(self) -> dict[str, Operator | QuantumState]:
+        ops = vslq_logical_operators(self)
+        return {"exp_XL": ops["X"], "exp_YL": ops["Y"],
+                "fid_0L": self.protected()}
 
 
 Model = SingleQubitModel | ThreeQubitModel | VslqModel

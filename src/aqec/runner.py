@@ -14,7 +14,6 @@ import csv
 import datetime
 import hashlib
 import json
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from . import models as mo
 from . import optimize as op
 from . import spectral as spc
 from .config import ExperimentConfig, config_hash, with_overrides, write_config
-from .hilbert import Operator, basis_state
+from .hilbert import Operator
 from .presets import (PAPER_VALUES, VSLQ_FIXED_TABLE, list_presets,
                       preset_config)
 from .pulse import (
@@ -68,11 +67,7 @@ class RunContext:
         return p
 
     def write_json(self, name: str, payload) -> Path:
-        p = self.path(name)
-        with open(p, "w") as f:
-            json.dump(payload, f, indent=1, sort_keys=True)
-            f.write("\n")
-        return p
+        return _write_json(self.path(name), payload)
 
     def finish(self) -> Path:
         self.path("config.txt").write_text(write_config(self.cfg))
@@ -89,11 +84,15 @@ class RunContext:
                 datetime.timezone.utc).isoformat(),
             "outputs": entries,
         }
-        p = self.out_dir / "manifest.json"
-        with open(p, "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-            f.write("\n")
-        return p
+        return _write_json(self.out_dir / "manifest.json", manifest)
+
+
+def _write_json(path: Path, payload) -> Path:
+    """Write ``payload`` as the sorted JSON form of every run file."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=1, sort_keys=True)
+        f.write("\n")
+    return path
 
 
 def _pool_map(fn, items, workers: int):
@@ -105,39 +104,10 @@ def _pool_map(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-@dataclass(frozen=True)
-class _ModelKind:
-    """What the commands take from one model kind."""
-
-    t1_rate: str                   # the primary rate a T1 point sets to 1/T1
-    protected: Callable            # model -> the state the cycles protect
-    observables: Callable          # model -> {name: operator or state}
-
-
-_MODEL_KINDS = {
-    "single_qubit": _ModelKind(
-        "gamma_q",
-        lambda m: basis_state(m.space, (1, 0)),
-        lambda m: {"fid_target": basis_state(m.space, (1, 0)),
-                   "pop_leak": basis_state(m.space, (2, 1))}),
-    "three_qubit": _ModelKind(
-        "gamma_p",
-        lambda m: mo.three_qubit_code_states(m)["0L"],
-        lambda m: {f"fid_{k}": s
-                   for k, s in mo.three_qubit_code_states(m).items()}),
-    "vslq": _ModelKind(
-        "gamma_p",
-        lambda m: mo.vslq_logical_states(m)["0L"],
-        lambda m: {"exp_XL": mo.vslq_logical_operators(m)["X"],
-                   "exp_YL": mo.vslq_logical_operators(m)["Y"],
-                   "fid_0L": mo.vslq_logical_states(m)["0L"]}),
-}
-
-
 def _with_t1(cfg: ExperimentConfig, t1_ns: float) -> ExperimentConfig:
-    """Rebuild the config with the kind's T1 rate at 1/t1."""
+    """Rebuild the config with the model's T1 rate at 1/t1."""
     params = dict(cfg.model_params)
-    params[_MODEL_KINDS[cfg.model_kind].t1_rate] = 1.0 / t1_ns
+    params[cfg.model().t1_rate] = 1.0 / t1_ns
     return with_overrides(cfg, model_params=tuple(sorted(params.items())))
 
 
@@ -201,13 +171,12 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir) -> dy.Trajectory:
     ctx = RunContext(Path(out_dir), cfg)
     pulse = _ensure_pulse(ctx)
     model = cfg.model()
-    kind = _MODEL_KINDS[cfg.model_kind]
     terms = mo.build(model)
     t_r = cfg.t_r if cfg.t_r is not None else cfg.t_r_grid[0]
     schedule = CycleSchedule(t_r, cfg.reset_rate, cfg.n_cycles)
-    traj = dy.evolve_cycles(terms, pulse, schedule, kind.protected(model))
+    traj = dy.evolve_cycles(terms, pulse, schedule, model.protected())
     values = {name: traj.expect(obs)
-              for name, obs in kind.observables(model).items()}
+              for name, obs in model.observables().items()}
     dy.trajectory_to_csv(traj, values, ctx.path("trajectory.csv"))
     dy.dump_states(traj, ctx.path("states.json"))
     ctx.write_json("evolve_summary.json", {
@@ -256,8 +225,8 @@ def _scan_point(cfg: ExperimentConfig, t1_ns: float, pulse: PulseShape) -> dict:
     """End-of-cycle residual over the t_r grid."""
     model = cfg.model()
     scan = op.scan_reset_time(mo.build(model), pulse, cfg.t_r_grid,
-                              _MODEL_KINDS[cfg.model_kind].protected(model),
-                              cfg.reset_rate, n_cycles=cfg.n_cycles)
+                              model.protected(), cfg.reset_rate,
+                              n_cycles=cfg.n_cycles)
     return {"t1_us": t1_ns / 1e3, "scan": scan}
 
 
@@ -267,7 +236,7 @@ def _residual_point(cfg: ExperimentConfig, t1_ns: float,
     both on the point's one model: cfg's, at gamma_q = 1/T1."""
     model = cfg.model()
     terms = mo.build(model)
-    target = _MODEL_KINDS[cfg.model_kind].protected(model)
+    target = model.protected()
     scan = op.scan_reset_time(terms, pulse, cfg.t_r_grid, target,
                               cfg.reset_rate, n_cycles=cfg.n_cycles)
     cc = op.optimize_constant_coupling(terms, target)
@@ -424,8 +393,7 @@ def _three_qubit_point(cfg: ExperimentConfig, t1_ns: float,
     t_e_us = t1_ns / 1e3
     t_r = cfg.t_r if cfg.t_r is not None else cfg.t_r_grid[0]
     times_us, vals = _cycle_end_series(
-        cfg, mo.build(model), pulse, t_r,
-        mo.three_qubit_code_states(model)["0L"],
+        cfg, mo.build(model), pulse, t_r, model.protected(),
         _three_qubit_majority_projector(model, 0))
     fit = an.fit_lifetime(times_us, 2.0 * (vals - 0.5), model="exp")
     return {
@@ -466,7 +434,7 @@ def cmd_scan_reset(cfg: ExperimentConfig, out_dir) -> dict:
     """
     t1_axis = cfg.sweep_t1
     if not t1_axis:
-        rate = dict(cfg.model_params)[_MODEL_KINDS[cfg.model_kind].t1_rate]
+        rate = dict(cfg.model_params)[cfg.model().t1_rate]
         if not rate:
             raise ValueError("model has no finite primary rate; set [sweep] t1")
         t1_axis = (1.0 / rate,)
@@ -662,7 +630,5 @@ def cmd_fit(csv_path, x_col: str, y_col: str, kind: str, out_dir) -> dict:
                          "n_points": len(records)}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "fit.json", "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "fit.json", payload)
     return payload

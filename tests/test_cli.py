@@ -1,8 +1,18 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import aqec
+
+# the child imports the aqec this process imported, so the CLI runs from a
+# checkout under pytest's pythonpath as well as under PYTHONPATH
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(aqec.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH")])))
 
 SUBCOMMANDS = [
     ("reproduce", "fig2"),
@@ -20,7 +30,7 @@ def test_invalid_worker_count_exits_2(command, workers, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "aqec.cli", *command, f"--workers={workers}",
          "--out", str(out)],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=CLI_ENV)
     assert proc.returncode == 2, proc.stderr
     assert "--workers" in proc.stderr
     assert not out.exists()
@@ -33,7 +43,7 @@ def test_workers_not_offered_where_unused(command, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "aqec.cli", command, "--preset", "fig2",
          "--workers=2", "--out", str(out)],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=CLI_ENV)
     assert proc.returncode == 2, proc.stderr
     assert "--workers" in proc.stderr
     assert not out.exists()
@@ -44,7 +54,7 @@ def test_unknown_figure_exits_2(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "aqec.cli", "reproduce", "fig9",
          "--out", str(out)],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=CLI_ENV)
     assert proc.returncode == 2, proc.stderr
     assert "table1" in proc.stderr
     assert not out.exists()

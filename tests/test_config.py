@@ -1,12 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aqec
 from aqec import config as cf
 from aqec import presets as pr
+
+# the child imports the aqec this process imported, so the CLI runs from a
+# checkout under pytest's pythonpath as well as under PYTHONPATH
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(aqec.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH")])))
 
 TWO_PI = 2 * np.pi
 
@@ -73,6 +82,21 @@ class TestParsing:
     def test_sweep_list(self):
         cfg = cf.parse_config(MINIMAL + "\n[sweep]\nt1 = 5 10 20 us\n")
         assert cfg.sweep_t1 == (5e3, 10e3, 20e3)
+
+    @pytest.mark.parametrize("section,line,message", [
+        ("sweep", "mode = residual fixed",
+         "expected a single word, got 'residual fixed'"),
+        ("pulse", "n_modes = 20 30", "expected a bare integer, got '20 30'"),
+        ("optimizer", "learning_rate = 0.1 0.2",
+         "expected a bare number, got '0.1 0.2'"),
+        ("pulse", "n_modes = 2.5", "'2.5' is not an integer"),
+        ("optimizer", "learning_rate = fast", "'fast' is not a number"),
+    ])
+    def test_bare_value_errors(self, section, line, message):
+        # MINIMAL's 5 lines, a blank line and the header put the value on 8
+        with pytest.raises(cf.ConfigError) as err:
+            cf.parse_config(MINIMAL + f"\n[{section}]\n{line}\n")
+        assert str(err.value) == f"line 8: {message}"
 
 
 class TestRoundTrip:
@@ -288,6 +312,40 @@ gamma_r = 30 per_us
 """
 
 
+class TestModelRunFacts:
+    """The commands read each kind's T1 rate, protected state and
+    observables off the model that the config constructs."""
+
+    @pytest.mark.parametrize("text", [MINIMAL, THREE_QUBIT, VSLQ],
+                             ids=["sq", "tq", "vslq"])
+    def test_with_t1_sets_the_declared_rate(self, text):
+        import dataclasses
+
+        from aqec import runner
+        cfg = cf.parse_config(text)
+        model = cfg.model()
+        got = runner._with_t1(cfg, 5e3).model()
+        assert got == dataclasses.replace(model, **{model.t1_rate: 1 / 5e3})
+
+    @pytest.mark.parametrize("text,header,protected", [
+        (MINIMAL, "time_ns,fid_target,pop_leak", "fid_target"),
+        (THREE_QUBIT, "time_ns,fid_0L,fid_1L", "fid_0L"),
+        (VSLQ, "time_ns,exp_XL,exp_YL,fid_0L", "fid_0L")],
+        ids=["sq", "tq", "vslq"])
+    def test_trajectory_header(self, text, header, protected, tmp_path):
+        # no cycle: the one record is the protected state itself
+        from aqec import runner
+        from aqec.pulse import save_pulse, seed_pulse
+        save_pulse(seed_pulse(4, 40.0, TWO_PI * 0.01), tmp_path / "pulse.json")
+        cfg = cf.with_overrides(cf.parse_config(text), n_cycles=0, t_r=0.0,
+                                pulse_file=str(tmp_path / "pulse.json"))
+        runner.cmd_evolve(cfg, tmp_path / "out")
+        names, row = (tmp_path / "out" / "trajectory.csv"
+                      ).read_text().splitlines()
+        assert names == header
+        assert dict(zip(names.split(","), row.split(",")))[protected] == "1"
+
+
 class _PoolCalled(Exception):
     """Raised by the pool stand-in with the worker count it was handed."""
 
@@ -495,7 +553,7 @@ class TestFitCommand:
 class TestCli:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "aqec.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=CLI_ENV)
 
     def test_optimize_roundtrip(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

@@ -939,6 +939,48 @@ class TestCycles:
             rho = state.density()
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14
 
+    def test_reset_widens_the_occupied_sectors(self, monkeypatch):
+        # with a zero primary rate the pulse phase has no jump term, so the
+        # reset moves weight into sectors that the pulse pattern of
+        # |1_q 0_r> does not reach, and each phase integrates more
+        # coordinates. Oracle: the full 36 x 36 Liouvillian, pulse phases
+        # by adaptive_rk at rtol 1e-12 and resets by expm
+        model = mo.SingleQubitModel(delta=TWO_PI * 0.35, gamma_q=0.0,
+                                    gamma_r=0.0)
+        terms = mo.build_single_qubit(model)
+        pulse = seed_pulse(8, 40.0, TWO_PI * 0.02)
+        sched = CycleSchedule(60.0, 0.03, 3)
+        initial = hi.basis_state(model.space, (1, 0))
+        integrate = dy.adaptive_rk
+        sizes = _integrated_sizes(monkeypatch)
+        traj = dy.evolve_cycles(terms, pulse, sched, initial)
+        assert sizes == [4, 5, 5]
+
+        def generator(h, rate):
+            return lindblad_superoperator(h.matrix, [
+                (op.matrix, r) for op, r in mo.phase_channels(terms, rate)])
+
+        s0 = generator(terms.h_static, 0.0)
+        sx, sy = (lindblad_superoperator(h.matrix, ())
+                  for h in (terms.h_x, terms.h_y))
+        reset = scipy.linalg.expm(
+            sched.t_r * generator(terms.h_static, sched.reset_rate))
+
+        def rhs(t, y):
+            ox, oy = evaluate(pulse, t)
+            return (s0 + ox * sx + oy * sy) @ y
+
+        y = initial.density().reshape(-1)
+        want = [y]
+        for _ in range(sched.n_cycles):
+            y = integrate(rhs, (0.0, pulse.t_p), y, rtol=1e-12)[1][-1]
+            want.append(y)
+            y = reset @ y
+            want.append(y)
+        assert len(traj.states) == len(want)
+        for state, y in zip(traj.states, want):
+            assert np.max(np.abs(state.density().reshape(-1) - y)) < 1e-8
+
     def test_step_halving_convergence(self, cycle_setup):
         model, terms, pulse = cycle_setup
         sched = CycleSchedule(60.0, 0.03, 1)
@@ -1025,6 +1067,19 @@ class TestSymmetryReduction:
                                                      sched.reset_rate, 1),
                          initial)
         assert sizes == [coords]
+
+    def test_reset_widens_vslq_orbit_coordinates(self, monkeypatch):
+        # work counter: at gamma_p = 0 the pulse phase has no jump term,
+        # and each reset widens the next phase's occupied set of |0_L>'s
+        # vec indices, 81, 268 and 324, held in 45, 143 and 171 orbits
+        model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                             gamma_p=0.0, gamma_s=0.035)
+        sizes = _integrated_sizes(monkeypatch)
+        dy.evolve_cycles(mo.build_vslq(model),
+                         seed_pulse(8, 40.0, TWO_PI * 0.01),
+                         CycleSchedule(60.0, 0.035, 3),
+                         mo.vslq_logical_states(model)["0L"])
+        assert sizes == [45, 143, 171]
 
     def test_fixed_point_propagator_keeps_orbit_slots(self, monkeypatch):
         # work counter: with the mirror, |+X_L>'s 2 blocks hold 91 and 80

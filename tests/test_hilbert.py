@@ -177,6 +177,34 @@ class TestQuantumState:
         assert rho[2, 2] == 1.0 and np.trace(rho) == pytest.approx(1.0)
 
 
+class TestCallerArrays:
+    """No constructor changes the array it is given: an operator and a
+    single state keep a private read-only copy, and a density stack's
+    states a read-only view of the stack itself."""
+
+    @pytest.mark.parametrize("given,make", [
+        (np.eye(4) / 4, lambda sp, a: hi.Operator(sp, a).matrix),
+        (np.full(4, 0.5), lambda sp, a: hi.QuantumState(sp, a).data),
+        (np.eye(4) / 4, lambda sp, a: hi.QuantumState(sp, a).data),
+    ], ids=["operator", "vector", "density"])
+    def test_private_read_only_copy(self, qubit_pair, given, make):
+        given = given.astype(complex)     # contiguous complex: no conversion
+        kept = make(qubit_pair, given)
+        before = kept.copy()
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(kept, given)
+        given[0] = 0.0
+        assert np.array_equal(kept, before)
+
+    def test_density_stack_view_leaves_the_stack_writeable(self, qubit_pair):
+        rhos = np.stack([np.eye(4, dtype=complex) / 4] * 2)
+        states = hi.QuantumState.densities(qubit_pair, rhos)
+        assert rhos.flags.writeable
+        assert not any(s.data.flags.writeable for s in states)
+        rhos[0, 0, 0] = 0.5
+        assert states[0].data[0, 0] == 0.5
+
+
 class TestExpectation:
     def test_sequence_reads_each_state_as_alone(self):
         sp = hi.TensorSpace((3, 2))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -352,3 +354,50 @@ class TestSymmetries:
                      "err_r_minus"):
             rho = states[name].density()
             assert not np.array_equal(rho[np.ix_(p, p)], rho)
+
+
+def _same(a, b) -> bool:
+    """a and b are the same state, or the same operator, entry for entry."""
+    if isinstance(a, hi.Operator):
+        return isinstance(b, hi.Operator) and np.array_equal(a.matrix, b.matrix)
+    return (isinstance(b, hi.QuantumState) and a.is_pure == b.is_pure
+            and np.array_equal(a.data, b.data))
+
+
+class TestRunFacts:
+    """What the commands take from each model kind: the rate a T1 point
+    sets, the state the cycles protect and the observables of evolve."""
+
+    @pytest.mark.parametrize("cls", [mo.SingleQubitModel, mo.ThreeQubitModel,
+                                     mo.VslqModel])
+    def test_t1_rate_names_a_rate_field(self, cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert cls.t1_rate in names and cls.t1_rate.startswith("gamma_")
+        assert "t1_rate" not in names
+
+    def test_single_qubit(self, sq_model):
+        sp = sq_model.space
+        target = hi.basis_state(sp, (1, 0))
+        assert _same(sq_model.protected(), target)
+        obs = sq_model.observables()
+        assert list(obs) == ["fid_target", "pop_leak"]
+        assert _same(obs["fid_target"], target)
+        assert _same(obs["pop_leak"], hi.basis_state(sp, (2, 1)))
+
+    def test_three_qubit(self, tq_model):
+        code = mo.three_qubit_code_states(tq_model)
+        assert _same(tq_model.protected(), code["0L"])
+        obs = tq_model.observables()
+        assert list(obs) == ["fid_0L", "fid_1L"]
+        assert _same(obs["fid_0L"], code["0L"])
+        assert _same(obs["fid_1L"], code["1L"])
+
+    def test_vslq(self, vslq_model):
+        zero = mo.vslq_logical_states(vslq_model)["0L"]
+        ops = mo.vslq_logical_operators(vslq_model)
+        assert _same(vslq_model.protected(), zero)
+        obs = vslq_model.observables()
+        assert list(obs) == ["exp_XL", "exp_YL", "fid_0L"]
+        assert _same(obs["exp_XL"], ops["X"])
+        assert _same(obs["exp_YL"], ops["Y"])
+        assert _same(obs["fid_0L"], zero)
