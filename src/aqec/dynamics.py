@@ -2,13 +2,17 @@
 master-equation propagation for lossy pulse-reset cycles.
 
 The workhorse is an adaptive Dormand-Prince 8(5,3) integrator (DOP853)
-operating on complex arrays of any shape; its twelve stages live in one
-preallocated array, so each stage input, the update and the error estimate
-are one matrix product each. Evolutions are split at every phase boundary
-of a cycle schedule so a discontinuous rate change is never straddled by a
-step. Every integrated evolution has one shape, an ``EvolutionProblem``
-with H(t) = h_static + Omega_x(t) h_x + Omega_y(t) h_y, checked once when
-it is built; a static problem passes zero amplitudes. All Lindblad flow
+operating on complex arrays of any shape. The state y and the twelve
+stages k_0 ... k_11 are the rows of one preallocated (13, N) array
+z = [y; k_0 ... k_11], and the tableau is one augmented coefficient matrix
+over those rows, scaled by h once per attempted step: each stage input is
+one product of a tableau row with the rows of z before it, and the update
+and both error estimates are one (3, N) product with all of z.
+Evolutions are split at every phase boundary of a cycle schedule so a
+discontinuous rate change is never straddled by a step. Every integrated
+evolution has one shape, an ``EvolutionProblem`` with
+H(t) = h_static + Omega_x(t) h_x + Omega_y(t) h_y, checked once when it is
+built; a static problem passes zero amplitudes. All Lindblad flow
 uses one definition of the vectorized generator S, built from the exact
 nonzeros of the d x d factors. S is never formed densely: its nonzeros
 split the vec indices into decoupled sectors (weakly connected components
@@ -61,6 +65,7 @@ a pulse ascent, loads no scipy module.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -141,6 +146,14 @@ _E3 = _B.real - np.array([0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                           0.7338466882816118, 0.0, 0.0, 0.022058823529411766])
 _E53 = np.array([_E5, _E3], dtype=complex)
 _STAGES = len(_C)
+# The same coefficients over z = [y; k_0 ... k_11], one column per row of z:
+# row i < 12 gives the input of stage i (row 0, y itself), row 12 the
+# 8th-order update and rows 13 and 14 the two error estimates. A step h
+# scales every column but y's.
+_TABLEAU = np.array(
+    [np.concatenate(([1.0], row, np.zeros(_STAGES - row.size))) for row in _A]
+    + [np.concatenate(([1.0], _B))]
+    + [np.concatenate(([0.0], e)) for e in _E53])
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol, span):
@@ -169,24 +182,29 @@ def adaptive_rk(
     """Integrate y' = f(t, y) with the embedded Dormand-Prince 8(5,3) pair.
 
     Steps are clamped to land exactly on every entry of ``record_times``
-    (plus the endpoint), where the state is recorded. The twelve stages
-    are the rows of one preallocated array; each stage input, the update
-    and the pair of error estimates is one product of tableau rows with
-    them. The first stage of a step is f at its start, evaluated once
-    however often the step is retried. It is evaluated afresh after each
-    accepted step: this tableau's last stage sits at t + h but not at the
-    new y, so it cannot stand in for it. The error norm is Hairer's
-    combination of the 5th- and 3rd-order estimates,
-    h n5 / sqrt((n5 + 0.01 n3) N), where n5 and n3 are the squared sums of
-    the estimates over the scale atol + rtol |y| and N is the size of y,
-    and the step follows it with exponent -1/8. Raises IntegrationError
-    with the achieved error if the step size underflows or turns NaN, or
-    the ``MAX_STEPS`` budget is exhausted.
+    (plus the endpoint), where the state is recorded. The state and the
+    twelve stages are the rows of one preallocated (13, N) array
+    z = [y; k_0 ... k_11], N the size of y. Each attempt scales the
+    augmented tableau ``_TABLEAU`` by h once, so each stage input is one
+    product of a tableau row with the rows of z before it, and the update
+    and both error estimates are one (3, N) product with all of z. f is
+    called once per stage, with the stage input in the shape of ``y0``;
+    that array is reused by the next stage, so f must not keep it.
+    The first stage of a step is f at its start, evaluated once however
+    often the step is retried. It is evaluated afresh after each accepted
+    step: this tableau's last stage sits at t + h but not at the new y, so
+    it cannot stand in for it. The error norm is Hairer's combination of
+    the 5th- and 3rd-order estimates, h n5 / sqrt((n5 + 0.01 n3) N), where
+    n5 and n3 are the squared sums of the estimates over the scale
+    atol + rtol max(|y|, |y_new|), and the step follows it with exponent
+    -1/8; |y| is carried over from the accepted step. Raises
+    IntegrationError with the achieved error if the step size underflows
+    or turns NaN, or the ``MAX_STEPS`` budget is exhausted.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise ValueError("backward integration not supported")
-    y = np.array(y0, dtype=complex)
+    y0 = np.array(y0, dtype=complex)
     if record_times is None:
         record = [t1]
     else:
@@ -197,18 +215,35 @@ def adaptive_rk(
     out_y: list[np.ndarray] = []
     if record and abs(record[0] - t0) <= 1e-12 * max(1.0, abs(t0)):
         out_t.append(t0)
-        out_y.append(y.copy())
+        out_y.append(y0)
         record = record[1:]
     if t1 == t0:
         return np.array(out_t), out_y
 
     span = t1 - t0
     t = t0
-    shape = y.shape
-    ks = np.empty((_STAGES,) + shape, dtype=complex)
-    stages = ks.reshape(_STAGES, -1)
-    ks[0] = f(t, y)
-    h = _initial_step(f, t, y, ks[0], rtol, atol, span)
+    shape, n = y0.shape, y0.size
+    z = np.empty((_STAGES + 1, n), dtype=complex)
+    shaped = z.reshape((_STAGES + 1,) + shape)   # z's rows in y's shape
+    y = shaped[0]
+    y[...] = y0
+    # views made once: each stage's tableau row and the rows of z it weighs
+    coeffs = np.empty_like(_TABLEAU)
+    y_coeffs = coeffs[:_STAGES + 1, 0]
+    stage_coeffs = [coeffs[i, :i + 1] for i in range(_STAGES)]
+    stage_rows = [z[:i + 1] for i in range(_STAGES)]
+    stage_in = np.empty(n, dtype=complex)
+    stage_arg = stage_in.reshape(shape)
+    out_coeffs = coeffs[_STAGES:]
+    out = np.empty((3, n), dtype=complex)
+    y_new, err5, err3 = out
+    nodes = _C.tolist()
+    abs_y = np.abs(z[0])
+    abs_new = np.empty(n)
+    sc = np.empty(n)
+
+    shaped[1] = f(t, y)
+    h = float(_initial_step(f, t, y, shaped[1], rtol, atol, span))
     h_min = 1e-14 * span
     first_valid = True
     next_record = 0
@@ -223,20 +258,31 @@ def adaptive_rk(
         h_trial = min(h, target - t)
         clamped = h_trial < h
         if not first_valid:
-            ks[0] = f(t, y)
+            shaped[1] = f(t, y)
             first_valid = True
+        np.multiply(_TABLEAU, h_trial, out=coeffs)
+        y_coeffs.fill(1.0)
+        # np.dot, not matmul: on these small operands its call costs less
         for i in range(1, _STAGES):
-            yi = y + h_trial * (_A[i] @ stages[:i]).reshape(shape)
-            ks[i] = f(t + _C[i] * h_trial, yi)
-        y_new = y + h_trial * (_B @ stages).reshape(shape)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new)).reshape(-1)
-        err = np.abs((_E53 @ stages) / sc) ** 2
-        n5, n3 = err.sum(axis=1)
+            np.dot(stage_coeffs[i], stage_rows[i], out=stage_in)
+            shaped[i + 1] = f(t + nodes[i] * h_trial, stage_arg)
+        np.dot(out_coeffs, z, out=out)
+        np.abs(y_new, out=abs_new)
+        np.maximum(abs_y, abs_new, out=sc)
+        sc *= rtol
+        sc += atol
+        err5 /= sc
+        err3 /= sc
+        # the estimates carry h, so h n5 / sqrt(...) is n5 / sqrt(...) here
+        n5 = np.vdot(err5, err5).real
+        n3 = np.vdot(err3, err3).real
         err_norm = 0.0 if n5 == 0.0 else float(
-            h_trial * n5 / np.sqrt((n5 + 0.01 * n3) * sc.size))
+            n5 / math.sqrt((n5 + 0.01 * n3) * n))
         steps += 1
         if err_norm <= 1.0:
-            t, y = t + h_trial, y_new
+            t += h_trial
+            z[0] = y_new
+            abs_y, abs_new = abs_new, abs_y
             first_valid = False
             if next_record < len(record) and abs(t - record[next_record]) <= 1e-12 * max(1.0, abs(t)):
                 out_t.append(record[next_record])
@@ -891,7 +937,7 @@ def evolve_cycles(terms: ModelTerms,
     pulse_channels = phase_channels(terms, primary_rate)
     symmetries = terms.basis_symmetries
     reset_prop = None
-    if schedule.t_r > 0:
+    if schedule.t_r > 0 and schedule.n_cycles > 0:
         reset_prop = segment_propagator(
             terms.h_static.matrix,
             [(op.matrix, rate)
@@ -900,12 +946,15 @@ def evolve_cycles(terms: ModelTerms,
             symmetries=_invariant(symmetries, states[0].density()))
 
     # the integrator samples t only inside [0, t_p], the window that
-    # pulse.evaluate checks; the sine modes are formed once here
+    # pulse.evaluate checks; the sine modes are formed once here, and each
+    # call takes their sines in place
     modes = np.arange(1, pulse.n_modes + 1) * (np.pi / pulse.t_p)
     coeffs = np.array([pulse.cx, pulse.cy])
+    sines = np.empty(pulse.n_modes)
 
     def coupling(t):
-        return coeffs @ np.sin(modes * t)
+        return np.dot(coeffs, np.sin(np.multiply(modes, t, out=sines),
+                                     out=sines))
 
     t_abs = 0.0
     for _ in range(schedule.n_cycles):

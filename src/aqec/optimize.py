@@ -9,9 +9,10 @@ fast without any approximation:
   so each transfer pair evolves inside a small exactly-invariant subspace
   (found once by sparsity closure over the Hamiltonian terms);
 * all finite-difference coefficient perturbations share one batched
-  integration of the stacked sector states. The right-hand side is one
-  batched matmul of the per-pair generators [-i h0; -i hx; -i hy] with the
-  (pairs, d, batch) states, combined by the batch's quadrature amplitudes.
+  integration of the stacked sector states. The right-hand side weighs the
+  (pairs, d, batch) states by the batch's quadrature amplitudes and applies
+  the per-pair generators [-i h0 | -i hx | -i hy] to them in one batched
+  matmul.
 
 Gradients are central finite differences over the 2N sine coefficients;
 the ascent uses a fixed base step with backtracking halving on
@@ -142,20 +143,28 @@ def coeff_batch_rhs(obj: Objective, cx: np.ndarray, cy: np.ndarray,
                     t_p: float):
     """y' = f(t, y) for a batch of coefficient vectors (B, N), for adaptive_rk.
 
-    y holds the sector states as (P, d, B). The generators are stacked per
-    pair as the (P, 3d, d) array [-i h0; -i hx; -i hy], so a call is one
-    batched matmul combined by the (3, B) weights [1, Omega_x, Omega_y].
+    y holds the sector states as (P, d, B). A call forms the sines of the
+    N modes in place, weighs y by the (3, B) amplitudes [1, Omega_x,
+    Omega_y] into one preallocated (P, 3, d, B) buffer, and applies the
+    generators, stacked per pair as the (P, d, 3d) array
+    [-i h0 | -i hx | -i hy], to it in one batched matmul.
     """
     b = cx.shape[0]
     p, d = obj.psi0.shape
-    n = np.arange(1, cx.shape[1] + 1)
-    gens = -1j * np.concatenate([obj.h0, obj.hx, obj.hy], axis=1)
+    k = np.arange(1, cx.shape[1] + 1) * (np.pi / t_p)
+    gens = -1j * np.concatenate([obj.h0, obj.hx, obj.hy], axis=2)
     coeffs = np.concatenate([cx, cy])
-    weights = np.ones((3, 1, b), dtype=complex)
+    sines = np.empty(k.size)
+    weights = np.ones((3, 1, b))
+    amplitudes = weights[1:].reshape(2 * b)
+    weighted = np.empty((p, 3, d, b), dtype=complex)
+    stacked = weighted.reshape(p, 3 * d, b)
 
     def rhs(t, y):
-        weights[1:] = (coeffs @ np.sin(n * (np.pi * t / t_p))).reshape(2, 1, b)
-        return ((gens @ y).reshape(p, 3, d, b) * weights).sum(axis=1)
+        np.sin(np.multiply(k, t, out=sines), out=sines)
+        np.dot(coeffs, sines, out=amplitudes)
+        np.multiply(y[:, None], weights, out=weighted)
+        return gens @ stacked
 
     return rhs
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from aqec import hilbert as hi
 from aqec import models as mo
 from aqec import optimize as op
 from aqec.presets import VSLQ_FIXED_TABLE, preset_config
-from aqec.pulse import CycleSchedule, PulseShape, evaluate, seed_pulse
+from aqec.pulse import (CycleSchedule, PulseShape, evaluate, load_pulse,
+                        seed_pulse)
+from test_config_fields import _perfbench_workloads
 
+ROOT = Path(__file__).resolve().parents[1]
 TWO_PI = 2 * np.pi
 
 
@@ -874,6 +878,24 @@ class TestCycles:
         assert len(traj.states) == 1
         assert np.allclose(traj.final.density(), initial.density())
 
+    def test_zero_cycles_build_no_reset_propagator(self, monkeypatch):
+        # no reset is applied, so none is built: the VSLQ reset would cost
+        # one expm at t_r = 60 ns
+        model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                             gamma_p=1 / 30000, gamma_s=0.035)
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a: calls.append(1) or expm(a))
+        initial = mo.vslq_pauli_eigenstate(model, "X")
+        traj = dy.evolve_cycles(mo.build_vslq(model),
+                                seed_pulse(8, 40.0, TWO_PI * 0.01),
+                                CycleSchedule(60.0, 0.035, 0), initial)
+        assert calls == []
+        assert list(traj.times) == [0.0] and len(traj.states) == 1
+        assert isinstance(traj.final, hi.QuantumState)
+        assert np.max(np.abs(traj.final.density() - initial.density())) < 1e-15
+
     def test_identity_dynamics_on_static_eigenstate(self, cycle_setup):
         # zero rates and zero pulse leave a static eigenstate unchanged
         model = mo.SingleQubitModel(delta=TWO_PI * 0.35, gamma_q=0.0,
@@ -1416,3 +1438,161 @@ class TestDop853:
         assert np.max(np.abs(got - _tight_reference(*problem))) <= max_error
         if max_calls is not None:
             assert len(calls) <= max_calls
+
+
+def _reference_adaptive_rk(f, t_span, y0, rtol, atol=dy.DEFAULT_ATOL,
+                           record_times=None, rejected=None):
+    """The DOP853 loop before the state and the stages shared one array.
+
+    Oracle for ``adaptive_rk``: the same tableau, error norm, step control
+    and RHS schedule, with the stages in their own array, each stage input
+    formed as y + h (A_i @ k) and the error norm from the unscaled
+    estimates. Appends one entry to ``rejected`` per rejected step.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y = np.array(y0, dtype=complex)
+    if record_times is None:
+        record = [t1]
+    else:
+        record = sorted({float(t) for t in record_times} | {t1})
+    out_t, out_y = [], []
+    if record and abs(record[0] - t0) <= 1e-12 * max(1.0, abs(t0)):
+        out_t.append(t0)
+        out_y.append(y.copy())
+        record = record[1:]
+    span = t1 - t0
+    t = t0
+    shape = y.shape
+    ks = np.empty((dy._STAGES,) + shape, dtype=complex)
+    stages = ks.reshape(dy._STAGES, -1)
+    ks[0] = f(t, y)
+    h = dy._initial_step(f, t, y, ks[0], rtol, atol, span)
+    first_valid = True
+    next_record = 0
+    while t < t1 - 1e-14 * span:
+        target = record[next_record] if next_record < len(record) else t1
+        h_trial = min(h, target - t)
+        clamped = h_trial < h
+        if not first_valid:
+            ks[0] = f(t, y)
+            first_valid = True
+        for i in range(1, dy._STAGES):
+            yi = y + h_trial * (dy._A[i] @ stages[:i]).reshape(shape)
+            ks[i] = f(t + dy._C[i] * h_trial, yi)
+        y_new = y + h_trial * (dy._B @ stages).reshape(shape)
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new)).reshape(-1)
+        err = np.abs((dy._E53 @ stages) / sc) ** 2
+        n5, n3 = err.sum(axis=1)
+        err_norm = 0.0 if n5 == 0.0 else float(
+            h_trial * n5 / np.sqrt((n5 + 0.01 * n3) * sc.size))
+        if err_norm <= 1.0:
+            t, y = t + h_trial, y_new
+            first_valid = False
+            if (next_record < len(record) and abs(t - record[next_record])
+                    <= 1e-12 * max(1.0, abs(t))):
+                out_t.append(record[next_record])
+                out_y.append(y.copy())
+                next_record += 1
+            factor = 5.0 if err_norm == 0.0 else min(
+                5.0, max(0.2, 0.9 * err_norm ** -0.125))
+            h_next = h_trial * factor
+            h = max(h, h_next) if clamped else h_next
+        else:
+            if rejected is not None:
+                rejected.append(t)
+            h = h_trial * max(0.2, 0.9 * err_norm ** -0.125)
+    return np.array(out_t), out_y
+
+
+def _captured_integrations(monkeypatch, module, run):
+    """(f, t_span, y0, kwargs) of every adaptive_rk call that ``run`` makes
+    through ``module``'s binding of it."""
+    seen = []
+    integrate = dy.adaptive_rk
+
+    def capture(f, t_span, y0, **kwargs):
+        seen.append((f, t_span, np.array(y0), kwargs))
+        return integrate(f, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(module, "adaptive_rk", capture)
+    run()
+    return seen
+
+
+def _cycles_pulse_phase(terms, pulse, initial):
+    """One pulse phase of ``evolve_cycles``, through its own coupling."""
+    return lambda: dy.evolve_cycles(terms, pulse, CycleSchedule(0.0, 0.03, 1),
+                                    initial)
+
+
+def _sq_fig2_phase():
+    model = mo.SingleQubitModel(delta=TWO_PI * 0.35, gamma_q=1 / 20000,
+                                gamma_r=1 / 20000)
+    pulse = load_pulse(ROOT / "perfbench" / "data" / "fig2_pulse.json")
+    return dy, _cycles_pulse_phase(mo.build_single_qubit(model), pulse,
+                                   hi.basis_state(model.space, (1, 0)))
+
+
+def _vslq_plus_x_phase():
+    # the cycles-vslq workload's model, from |+X_L>, with its pulse 0
+    model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                         gamma_p=1 / 30000, gamma_s=0.035)
+    rec = _perfbench_workloads().cycles_pulse_record(0)
+    pulse = PulseShape(rec["cx"], rec["cy"], rec["t_p_ns"])
+    return dy, _cycles_pulse_phase(
+        mo.build_vslq(model), pulse, mo.vslq_pauli_eigenstate(model, "X"))
+
+
+def _fig2_gradient():
+    cfg = preset_config("fig2")
+    model = cfg.model()
+    obj = op.make_objective(mo.build(model), mo.target_operation(model))
+    pulse = seed_pulse(cfg.n_modes, cfg.t_p, cfg.seed_c1x)
+    return op, lambda: op.gradient(obj, pulse)
+
+
+def _bump_with_records():
+    # a fast phase bump at t = 5 forces rejected steps; the records split
+    # the span at interior times
+    w = np.linspace(0.2, 1.0, 6)
+
+    def f(t, y):
+        return -1j * (1.0 + 30.0 * np.exp(-((t - 5.0) / 0.2) ** 2)) * w * y
+
+    def run():
+        dy.adaptive_rk(f, (0.0, 10.0), np.ones(6, dtype=complex),
+                       rtol=dy.UNITARY_RTOL, record_times=[1.0, 2.5, 5.0, 7.5])
+    return dy, run
+
+
+STEP_ORACLE_CASES = {
+    "sq-fig2-pulse-phase": _sq_fig2_phase,
+    "vslq-plus-x-pulse-phase": _vslq_plus_x_phase,
+    "fig2-fd-batch": _fig2_gradient,
+    "interior-records-rejected-steps": _bump_with_records,
+}
+
+
+class TestDop853Step:
+    @pytest.mark.parametrize("name", list(STEP_ORACLE_CASES))
+    def test_matches_reference_loop(self, name, monkeypatch):
+        module, run = STEP_ORACLE_CASES[name]()
+        integrations = _captured_integrations(monkeypatch, module, run)
+        assert integrations
+        monkeypatch.undo()
+        rejected = []
+        for f, t_span, y0, kwargs in integrations:
+            calls, ref_calls = [], []
+            times, ys = dy.adaptive_rk(_counted(f, calls), t_span, y0,
+                                       **kwargs)
+            ref_times, ref_ys = _reference_adaptive_rk(
+                _counted(f, ref_calls), t_span, y0, rejected=rejected,
+                **kwargs)
+            assert len(calls) == len(ref_calls)
+            assert np.array_equal(times, ref_times)
+            assert len(ys) == len(ref_ys)
+            for y, want in zip(ys, ref_ys):
+                assert y.shape == want.shape
+                assert np.max(np.abs(y - want)) <= 1e-12 * np.max(np.abs(want))
+        if name == "interior-records-rejected-steps":
+            assert rejected and len(ys) == 5

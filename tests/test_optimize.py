@@ -113,14 +113,26 @@ class TestFidelity:
             op.fidelity(obj, pulse), abs=1e-12)
 
 
+# the decoherence-free model of each kind that the ascent runs on
+OBJECTIVE_MODELS = {
+    "sq": lambda: mo.SingleQubitModel(delta=TWO_PI * 0.35, gamma_q=0.0,
+                                      gamma_r=0.0),
+    "vslq": lambda: mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
+                                 gamma_p=0.0, gamma_s=0.0),
+    "tq": lambda: mo.ThreeQubitModel(j=TWO_PI * 0.02, gamma_p=0.0,
+                                     gamma_r=0.0),
+}
+
+
 class TestBatchRhs:
-    def test_stacked_rhs_matches_einsum_form(self):
+    @pytest.mark.parametrize("b", [1, 5], ids=["B1", "B5"])
+    @pytest.mark.parametrize("kind", list(OBJECTIVE_MODELS))
+    def test_stacked_rhs_matches_einsum_form(self, kind, b):
         # oracle: the three-einsum form on (B, P, d) states
-        model = mo.VslqModel(w=TWO_PI * 0.035, delta=TWO_PI * 0.35,
-                             gamma_p=0.0, gamma_s=0.0)
-        obj = op.make_objective(mo.build_vslq(model), mo.target_operation(model))
+        model = OBJECTIVE_MODELS[kind]()
+        obj = op.make_objective(mo.build(model), mo.target_operation(model))
         rng = np.random.default_rng(7)
-        b, n_modes, t_p = 5, 8, 40.0
+        n_modes, t_p = 8, 40.0
         cx = rng.normal(size=(b, n_modes)) * 0.05
         cy = rng.normal(size=(b, n_modes)) * 0.05
         rhs = op.coeff_batch_rhs(obj, cx, cy, t_p)
