@@ -27,9 +27,10 @@ orbit of the vec indices (the weak-symmetry reduction of Buca & Prosen,
 NJP 14, 073007 (2012)). States are lifted back to d x d densities only
 where they are recorded; a state that is not invariant runs unreduced,
 through the same code. A pulse phase integrates the occupied coordinates
-through the stacked sparse blocks of S (static part and the two coupling
-quadratures), one sparse matvec per right-hand side, with the step
-control of the full vector; the VSLQ |0_L> occupies 324 of 1296 entries,
+through the blocks of S (static part and the two coupling quadratures),
+laid out once as one table of values on their union pattern, so each
+right-hand side is one numpy segment sum, with the step control of the
+full vector; the VSLQ |0_L> occupies 324 of 1296 entries,
 which its mirror folds into 171 orbits, and the three-qubit |0_L> 512,
 which its pair permutations fold into 120. Nothing projects the
 integrated state, so a pulse phase is an exactly linear map of the kept
@@ -56,10 +57,10 @@ more densities than each has rows and d is large enough for that to pay:
 the 81 records from |+X_L> at the VSLQ fixed point split into four 9 x 9
 blocks.
 
-scipy is imported where it is first used: ``scipy.sparse`` by the
-pulse-phase RHS, for its CSR matvec, and ``scipy.linalg`` by the
-propagator builder, for ``expm``. A command that reaches neither, such as
-a pulse ascent, loads no scipy module.
+scipy is imported where it is first used, ``scipy.linalg`` by the
+propagator builder, for ``expm``; no module of the package imports
+``scipy.sparse``. A command that builds no propagator, such as a pulse
+ascent, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ Coupling = Callable[[float], tuple[float, float]]
 class EvolutionProblem:
     """One evolution under H(t) = h_static + Omega_x(t) h_x + Omega_y(t) h_y.
 
-    ``coupling`` maps t (ns) to the two quadrature amplitudes
+    ``coupling`` maps t (ns) to the two real quadrature amplitudes
     (Omega_x, Omega_y); a static problem passes zero amplitudes. Channel
     rates are constant over the window. ``symmetries`` are basis maps
     (``ModelTerms.basis_symmetries``) that the Hamiltonian and channels are
@@ -631,26 +632,45 @@ def _sector_rhs(problem: EvolutionProblem, rho: np.ndarray):
     the problem's symmetries that ``rho`` is invariant under (per vec
     index if none), and to the sectors that ``rho`` occupies under the
     union pattern of all blocks, so every block maps them into themselves
-    and the entries outside stay exactly zero. The kept triplets are
-    stacked, in their original order, into one CSR matrix, so a call is
-    one sparse matvec and one weighted sum of its blocks. Unreduced, each
-    entry of the matvec is bit-identical to that of the full-space one.
-    """
-    import scipy.sparse
+    and the entries outside stay exactly zero.
 
+    The kept triplets are laid out once on the union pattern of the
+    blocks, row-major, plus every diagonal position: a (3, nnz) table of
+    each block's value there, repeats summed. A call folds the weights
+    into one value per position (one real product with the table's real
+    and imaginary parts: a Hermitian H(t) has real amplitudes), multiplies
+    by the gathered x and sums each row's segment by ``np.add.reduceat``.
+    The diagonal keeps every segment non-empty, since at an empty one
+    reduceat returns the next row's first product, not 0. Unreduced, each
+    entry is bit-identical to that of the full-space RHS.
+    """
     channels = [(op.matrix, float(rate)) for op, rate in problem.channels]
     vec, at, rows, cols, vals, part, labels = _reduce(
         [(problem.h_static.matrix, channels), (problem.h_x.matrix, ()),
          (problem.h_y.matrix, ())], problem.symmetries, rho)
     m = labels.size
-    stack = scipy.sparse.csr_matrix(
-        (vals, (rows + part * m, cols)), shape=(3 * m, m))
-    weights = np.ones(3, dtype=complex)
+    coords = np.arange(m)
+    keys, where = np.unique(np.r_[rows * m + cols, coords * (m + 1)],
+                            return_inverse=True)
+    nnz = keys.size
+    slot = part * nnz + where[:rows.size]
+    # (3, 2 nnz): each value's real and imaginary parts, side by side
+    planes = (np.bincount(slot, vals.real, 3 * nnz)
+              + 1j * np.bincount(slot, vals.imag, 3 * nnz)
+              ).reshape(3, nnz).view(float)
+    cols = keys % m
+    starts = np.searchsorted(keys, coords * m)
+    weights = np.ones(3)
+    folded = np.empty(nnz, dtype=complex)
+    folded_parts = folded.view(float)
+    prod = np.empty(nnz, dtype=complex)
     coupling = problem.coupling
 
     def rhs(t, x):
         weights[1:3] = coupling(t)
-        return weights @ (stack @ x).reshape(3, m)
+        np.dot(weights, planes, out=folded_parts)
+        np.multiply(folded, x[cols], out=prod)
+        return np.add.reduceat(prod, starts)
 
     return rhs, vec, at
 

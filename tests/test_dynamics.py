@@ -643,28 +643,125 @@ def _pack_case(name, stack):
             PULSE_PHASES[phase]().initial.density())
 
 
+def _protected_rhs(name):
+    """(problem, rhs, draw) for the RHS_MODELS model's pulse phase from its
+    protected state, with its basis maps declared. ``rhs`` is
+    ``_sector_rhs`` on d x d matrices: the orbit values are read off the
+    occupied entries and the result is lifted back, zero elsewhere.
+    ``draw(rng)`` is a random Hermitian density on those entries, one
+    value per orbit."""
+    phase = {"sq": "sq", "vslq": "vslq-0L", "tq": "tq-000"}[name]
+    prob = dataclasses.replace(
+        PULSE_PHASES[phase](),
+        symmetries=PHASE_SYMMETRIES.get(phase, tuple)())
+    rhs, vec, at = dy._sector_rhs(prob, prob.initial.density())
+    d = prob.initial.space.total_dim
+    n_coords = int(at.max()) + 1
+
+    def lift(x):
+        rho = np.zeros(d * d, dtype=complex)
+        rho[vec] = x[at]
+        return rho.reshape(d, d)
+
+    def lifted(t, rho):
+        x = np.zeros(n_coords, dtype=complex)
+        x[at] = rho.reshape(-1)[vec]
+        return lift(rhs(t, x))
+
+    def draw(rng):
+        x = rng.normal(size=n_coords) + 1j * rng.normal(size=n_coords)
+        return dy._hermitize(lift(x))
+
+    return prob, lifted, draw
+
+
+def _unreduced_rhs(name):
+    """(problem, rhs, draw): the seed pulse plus one y mode, so both
+    coupling blocks carry weight, with every channel at its own rate;
+    ``full_lindblad_rhs`` and a random Hermitian matrix."""
+    terms = RHS_MODELS[name]()
+    seed = seed_pulse(8, 40.0, TWO_PI * 0.02)
+    pulse = PulseShape(seed.cx, [0.0, TWO_PI * 0.005] + [0.0] * 6, 40.0)
+    channels = [(c.op, 0.01 * (k + 1)) for k, c in enumerate(terms.channels)]
+    initial = hi.basis_state(terms.space, (0,) * len(terms.space.dims))
+    prob = dy.EvolutionProblem(
+        terms.h_static, terms.h_x, terms.h_y, lambda t: evaluate(pulse, t),
+        channels, (0.0, 40.0), initial)
+    d = terms.space.total_dim
+
+    def draw(rng):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return a + a.conj().T
+
+    return prob, full_lindblad_rhs(prob), draw
+
+
 class TestLindbladRhs:
-    @pytest.mark.parametrize("name", list(RHS_MODELS))
+    @pytest.mark.parametrize("name", list(RHS_MODELS)
+                             + [f"{k}-protected" for k in RHS_MODELS])
     def test_matches_dense_formula(self, name):
-        # the seed pulse plus one y mode, so both coupling blocks carry
-        # weight; every channel has its own rate
-        terms = RHS_MODELS[name]()
-        seed = seed_pulse(8, 40.0, TWO_PI * 0.02)
-        pulse = PulseShape(seed.cx, [0.0, TWO_PI * 0.005] + [0.0] * 6, 40.0)
-        channels = [(c.op, 0.01 * (k + 1)) for k, c in enumerate(terms.channels)]
-        initial = hi.basis_state(terms.space, (0,) * len(terms.space.dims))
-        prob = dy.EvolutionProblem(
-            terms.h_static, terms.h_x, terms.h_y, lambda t: evaluate(pulse, t),
-            channels, (0.0, 40.0), initial)
-        rhs = full_lindblad_rhs(prob)
+        # unreduced, over the whole d x d matrix; "-protected", the pulse
+        # phase from the model's protected state, reduced to its occupied
+        # sectors and the orbits of its basis maps, where the dense form is
+        # zero outside the occupied entries
+        model, _, form = name.partition("-")
+        prob, rhs, draw = (_protected_rhs if form else _unreduced_rhs)(model)
         rng = np.random.default_rng(5)
-        d = terms.space.total_dim
         for t in np.linspace(3.0, 37.0, 5):
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            rho = a + a.conj().T
+            rho = draw(rng)
             want = _dense_lindblad_rhs(prob, t, rho)
             got = rhs(t, rho)
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_row_with_no_entry_has_zero_derivative(self):
+        # regression: with h_static and every rate zero, neither quadrature
+        # couples |2_q 0_r>, so its population's row holds no triplet.
+        # np.add.reduceat returns the element at a repeated start, not 0:
+        # only the explicit zero diagonal keeps that derivative 0
+        terms = RHS_MODELS["sq"]()
+        sp = terms.space
+        initial = hi.normalized_state(
+            sp, hi.basis_state(sp, (2, 0)).vector()
+            + 0.5 * hi.basis_state(sp, (1, 0)).vector())
+        pulse = seed_pulse(8, 40.0, TWO_PI * 0.02)
+        prob = dy.EvolutionProblem(
+            0.0 * terms.h_static, terms.h_x, terms.h_y,
+            lambda t: evaluate(pulse, t),
+            tuple((c.op, 0.0) for c in terms.channels), (0.0, 40.0), initial)
+        rho0 = initial.density()
+        rhs, vec, at = dy._sector_rhs(prob, rho0)
+        i = 2 * 2 + 0                      # |2_q 0_r> in the (3, 2) space
+        (k,) = np.flatnonzero(vec == i * 6 + i)
+        assert k < vec.size - 1            # rows with entries follow it
+        derivative = rhs(20.0, rho0.reshape(-1)[vec])
+        assert derivative[at[k]] == 0.0
+        assert np.count_nonzero(derivative) > 0
+        final = dy.evolve_lindblad(prob).final.density()
+        assert final[i, i] == rho0[i, i]
+
+    @pytest.mark.parametrize("phase,stored", [("sq", 35), ("vslq-0L", 977),
+                                              ("tq-000", 1056)])
+    def test_stores_one_value_per_union_position(self, phase, stored):
+        # work counter: one value per distinct position of the union
+        # pattern of the three reduced blocks and the diagonal, where the
+        # stacked CSR blocks held 50, 1,408 and 1,632 entries
+        prob = dataclasses.replace(
+            PULSE_PHASES[phase](),
+            symmetries=PHASE_SYMMETRIES.get(phase, tuple)())
+        rho0 = prob.initial.density()
+        rhs, _, _ = dy._sector_rhs(prob, rho0)
+        channels = [(o.matrix, r) for o, r in prob.channels]
+        *_, rows, cols, _, _, labels = dy._reduce(
+            [(prob.h_static.matrix, channels), (prob.h_x.matrix, ()),
+             (prob.h_y.matrix, ())], prob.symmetries, rho0)
+        m = labels.size
+        union = np.unique(np.r_[rows * m + cols, np.arange(m) * (m + 1)])
+        assert union.size == stored
+        # the arrays the kernel's closure captures, by name
+        cells = dict(zip(rhs.__code__.co_freevars,
+                         (c.cell_contents for c in rhs.__closure__)))
+        assert cells["planes"].shape == (3, 2 * stored)
+        assert cells["starts"].shape == (m,)
 
 
 def _pulse_phase(terms, initial):

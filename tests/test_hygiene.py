@@ -95,10 +95,6 @@ def function_imports(source: str) -> list[str]:
 # keeps a module off the cold start of every command that never reaches
 # the function
 FUNCTION_IMPORTS_ALLOWED = {
-    "dynamics._sector_rhs:scipy.sparse":
-        "cold start: only a Lindblad pulse phase needs the CSR stack, and "
-        "importing scipy.sparse from cold takes about 0.2 s, most of it "
-        "scipy's shared base",
     "dynamics._propagators:scipy.linalg":
         "cold start: only a constant segment needs expm, and importing "
         "scipy.linalg from cold takes about 0.3 s; expm is still looked "
@@ -412,9 +408,9 @@ def _scipy_or_pool(loaded: list[str]) -> list[str]:
 
 
 def test_cli_import_loads_no_scipy():
-    # ROADMAP aim 1's cold start: scipy.sparse and scipy.linalg load inside
-    # the one function that needs each, and the worker pool's module only
-    # when a pool runs
+    # ROADMAP aim 1's cold start: scipy.linalg loads inside the one
+    # function that needs it, and the worker pool's module only when a
+    # pool runs
     assert _scipy_or_pool(_loaded_modules("import sys, aqec.cli")) == []
 
 
@@ -436,6 +432,35 @@ def test_optimize_command_loads_no_scipy(tmp_path):
              "assert summary['iterations'] == 2, summary\n")
     loaded = _loaded_modules(probe, str(tmp_path / "run"))
     assert _scipy_or_pool(loaded) == []
+
+
+def test_lindblad_commands_load_no_scipy_sparse(tmp_path):
+    # the pulse-phase RHS is numpy alone: a 1-cycle sq evolve and one
+    # residual sweep point integrate Lindblad pulse phases and load
+    # scipy.linalg, for expm, but no scipy.sparse module
+    probe = ("import csv, sys\n"
+             "from pathlib import Path\n"
+             "from aqec import runner\n"
+             "from aqec.config import with_overrides\n"
+             "from aqec.presets import preset_config\n"
+             "from aqec.pulse import save_pulse, seed_pulse\n"
+             "out = Path(sys.argv[1])\n"
+             "out.mkdir()\n"
+             "cfg = preset_config('fig3')\n"
+             "pulse = seed_pulse(cfg.n_modes, cfg.t_p, cfg.seed_c1x)\n"
+             "save_pulse(pulse, out / 'pulse.json')\n"
+             "runner.cmd_evolve(with_overrides(\n"
+             "    cfg, pulse_file=str(out / 'pulse.json'), t_r=40.0),\n"
+             "    out / 'evolve')\n"
+             "rows = list(csv.DictReader(open(out / 'evolve' / "
+             "'trajectory.csv')))\n"
+             "assert len(rows) == 3, rows\n"
+             "row = runner._residual_point(runner._with_t1(\n"
+             "    with_overrides(cfg, t_r_grid=(40.0,)), 20e3), 20e3, pulse)\n"
+             "assert row['best_t_r_ns'] == 40.0, row\n")
+    loaded = _loaded_modules(probe, str(tmp_path / "run"))
+    assert "scipy.linalg" in loaded
+    assert [m for m in loaded if m.startswith("scipy.sparse")] == []
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
