@@ -80,13 +80,14 @@ from . import hilbert
 from .hilbert import (Operator, QuantumState, TensorSpace, check_densities,
                       sector_labels)
 from .models import ModelTerms, phase_channels
-from .pulse import CycleSchedule, PulseShape
+from .pulse import CycleSchedule, PulseShape, drive
 
 UNITARY_RTOL = 1e-10
 LINDBLAD_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 NORM_DRIFT_ATOL = 1e-8   # |norm - 1| a Schrodinger propagation may reach
 MAX_STEPS = 5_000_000    # adaptive_rk's step budget per integration
+GRID_STEP_ATOL = 1e-12   # ns: the spread of a uniform grid's steps
 
 
 class IntegrationError(RuntimeError):
@@ -863,13 +864,13 @@ def evolve_constant_lindblad(h: Operator,
                              ) -> Trajectory:
     """Exact expm-stepped evolution for constant H and rates.
 
-    ``times`` must be increasing and start at the initial time (offset 0);
-    propagators are cached per distinct step, so uniform grids cost one
-    matrix exponential regardless of length. Each propagator keeps only
-    the blocks that the initial state occupies, on one coordinate per
-    orbit of the ``symmetries`` (basis maps) it is invariant under. That
-    is exact: one constant generator keeps the propagated chain inside
-    those blocks, and invariant. ``_reduce`` checks the symmetries.
+    ``times`` must be a uniform grid starting at the initial time (offset
+    0): its steps may spread by GRID_STEP_ATOL at most, and one propagator
+    of the first step serves them all. It keeps only the blocks that the
+    initial state occupies, on one coordinate per orbit of the
+    ``symmetries`` (basis maps) it is invariant under. That is exact: one
+    constant generator keeps the propagated chain inside those blocks, and
+    invariant. ``_reduce`` checks the symmetries.
 
     The K records are written into one (K, d, d) stack, each by its own
     ``apply_propagator`` step, and checked by one ``check_densities``
@@ -880,24 +881,23 @@ def evolve_constant_lindblad(h: Operator,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("need at least one time")
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
+    steps = np.diff(times)
+    if times[0] != 0.0 or np.any(steps <= 0):
         raise ValueError("times must start at 0 and increase strictly")
+    if steps.size and np.ptp(steps) > GRID_STEP_ATOL:
+        raise ValueError(f"times must be uniform: the steps span "
+                         f"{steps.min():.12g} to {steps.max():.12g} ns")
     mats = [(op.matrix, float(rate)) for op, rate in channels]
     rho = rho0 = initial.density()
-    steps = np.diff(times)
-    keys = [round(float(dt), 12) for dt in steps]
-    # every distinct step's propagator is built before the stack is
-    # allocated, so that their scratch and the stack are not held at once
-    props: dict[float, SegmentPropagator] = {}
-    for key, dt in zip(keys, steps):
-        if key not in props:
-            props[key] = segment_propagator(h.matrix, mats, float(dt), rho0,
-                                            symmetries)
+    # the propagator is built before the stack is allocated, so that its
+    # scratch and the stack are not held at once
+    prop = (segment_propagator(h.matrix, mats, float(steps[0]), rho0,
+                               symmetries) if steps.size else None)
     rhos = np.empty((times.size, *rho0.shape), dtype=complex)
     # a pure state's outer product is Hermitian only to rounding
     rhos[0] = _hermitize(rho0)
-    for i, key in enumerate(keys, 1):
-        rho = rhos[i] = apply_propagator(props[key], rho)
+    for i in range(1, times.size):
+        rho = rhos[i] = apply_propagator(prop, rho)
     return Trajectory(times, _checked_states(initial.space, rhos))
 
 
@@ -965,16 +965,8 @@ def evolve_cycles(terms: ModelTerms,
             schedule.t_r,
             symmetries=_invariant(symmetries, states[0].density()))
 
-    # the integrator samples t only inside [0, t_p], the window that
-    # pulse.evaluate checks; the sine modes are formed once here, and each
-    # call takes their sines in place
-    modes = np.arange(1, pulse.n_modes + 1) * (np.pi / pulse.t_p)
-    coeffs = np.array([pulse.cx, pulse.cy])
-    sines = np.empty(pulse.n_modes)
-
-    def coupling(t):
-        return np.dot(coeffs, np.sin(np.multiply(modes, t, out=sines),
-                                     out=sines))
+    # every pulse phase's integrator samples t inside [0, t_p] only
+    coupling = drive(pulse.cx, pulse.cy, pulse.t_p, np.empty(2))
 
     t_abs = 0.0
     for _ in range(schedule.n_cycles):

@@ -55,7 +55,7 @@ from .models import (
     vslq_logical_operators,
     vslq_pauli_eigenstate,
 )
-from .pulse import CycleSchedule, PulseShape, seed_pulse
+from .pulse import CycleSchedule, PulseShape, drive, seed_pulse
 
 CC_WINDOW_US = 5.0        # settling window of the constant-coupling residual
 CC_MAX_ITERS = 80         # descent iterations of the constant-coupling search
@@ -103,9 +103,7 @@ class Objective:
     are zero and stay decoupled during propagation.
     """
 
-    h0: np.ndarray       # (P, d, d)
-    hx: np.ndarray
-    hy: np.ndarray
+    gens: np.ndarray     # (P, d, 3d): [-i h0 | -i hx | -i hy] per pair
     psi0: np.ndarray     # (P, d)
     psif: np.ndarray
     weights: np.ndarray  # (P,)
@@ -121,50 +119,42 @@ def make_objective(terms: ModelTerms, target: TargetOperation) -> Objective:
         blocks.append((idx, v0[idx], vf[idx], weight))
     d = max(len(idx) for idx, *_ in blocks)
     p = len(blocks)
-    h0 = np.zeros((p, d, d), dtype=complex)
-    hx = np.zeros((p, d, d), dtype=complex)
-    hy = np.zeros((p, d, d), dtype=complex)
+    h = np.zeros((p, d, 3 * d), dtype=complex)
     psi0 = np.zeros((p, d), dtype=complex)
     psif = np.zeros((p, d), dtype=complex)
     weights = np.zeros(p)
     for k, (idx, v0, vf, w) in enumerate(blocks):
         ix = np.ix_(idx, idx)
         n = len(idx)
-        h0[k, :n, :n] = mats[0][ix]
-        hx[k, :n, :n] = mats[1][ix]
-        hy[k, :n, :n] = mats[2][ix]
+        for j, mat in enumerate(mats):
+            h[k, :n, j * d:j * d + n] = mat[ix]
         psi0[k, :n] = v0
         psif[k, :n] = vf
         weights[k] = w
-    return Objective(h0, hx, hy, psi0, psif, weights)
+    return Objective(-1j * h, psi0, psif, weights)
 
 
 def coeff_batch_rhs(obj: Objective, cx: np.ndarray, cy: np.ndarray,
                     t_p: float):
     """y' = f(t, y) for a batch of coefficient vectors (B, N), for adaptive_rk.
 
-    y holds the sector states as (P, d, B). A call forms the sines of the
-    N modes in place, weighs y by the (3, B) amplitudes [1, Omega_x,
-    Omega_y] into one preallocated (P, 3, d, B) buffer, and applies the
-    generators, stacked per pair as the (P, d, 3d) array
-    [-i h0 | -i hx | -i hy], to it in one batched matmul.
+    y holds the sector states as (P, d, B). A call has the pulse's
+    ``drive`` write the batch's quadrature amplitudes into the last two
+    rows of the (3, B) weights [1, Omega_x, Omega_y], weighs y by them into
+    one preallocated (P, 3, d, B) buffer, and applies the objective's
+    stacked generators ``gens`` to it in one batched matmul.
     """
     b = cx.shape[0]
     p, d = obj.psi0.shape
-    k = np.arange(1, cx.shape[1] + 1) * (np.pi / t_p)
-    gens = -1j * np.concatenate([obj.h0, obj.hx, obj.hy], axis=2)
-    coeffs = np.concatenate([cx, cy])
-    sines = np.empty(k.size)
     weights = np.ones((3, 1, b))
-    amplitudes = weights[1:].reshape(2 * b)
+    omega = drive(cx, cy, t_p, weights[1:].reshape(2 * b))
     weighted = np.empty((p, 3, d, b), dtype=complex)
     stacked = weighted.reshape(p, 3 * d, b)
 
     def rhs(t, y):
-        np.sin(np.multiply(k, t, out=sines), out=sines)
-        np.dot(coeffs, sines, out=amplitudes)
+        omega(t)
         np.multiply(y[:, None], weights, out=weighted)
-        return gens @ stacked
+        return obj.gens @ stacked
 
     return rhs
 
@@ -455,12 +445,12 @@ def vslq_fixed_evolution(model: VslqModel, omega: float,
     channels and logical operators; each state takes its own
     ``evolve_constant_lindblad`` call, and only its curve is kept.
 
-    ``times_ns`` starts at 0. The generator is time independent, so every
-    sample step applies one exact segment propagator; at the VSLQ fixed
-    point the generator splits into 8 decoupled blocks of 160-164 vec
-    indices, of which the X and Y eigenstates occupy 2. Both states are
-    mirror-invariant, so those 324 indices reduce to 171 orbits in blocks
-    of 91 and 80, which alone are exponentiated and applied.
+    ``times_ns`` is a uniform grid from 0; one exact segment propagator
+    serves every step. At the VSLQ fixed point the generator splits into
+    8 decoupled blocks of 160-164 vec indices, of which the X and Y
+    eigenstates occupy 2. Both states are mirror-invariant, so those 324
+    indices reduce to 171 orbits in blocks of 91 and 80, which alone are
+    exponentiated and applied.
     """
     terms = build_vslq(model)
     h = terms.h_static + omega * terms.h_x

@@ -5,6 +5,10 @@ vanishes at both ends of the coupling window by construction:
 
     Omega_{x,y}(t) = sum_n c_n^{x,y} sin(n pi t / t_p),   0 <= t <= t_p.
 
+The basis is evaluated here only: ``evaluate`` samples a pulse, at one
+time or an array of times, and ``drive`` is the in-place kernel that feeds
+the integrators a batch of coefficient rows at one time per call.
+
 A schedule alternates the pulse (lossy element at the primary rate) with a
 reset phase of length t_r (coupling off, lossy element pumped at the reset
 rate); ``models.phase_channels`` gives each phase its channel rates.
@@ -48,7 +52,7 @@ class PulseShape:
     def peak_coupling(self) -> float:
         """max over t of sqrt(Ox^2 + Oy^2) on PEAK_SAMPLES uniform times."""
         t = np.linspace(0.0, self.t_p, PEAK_SAMPLES)
-        ox, oy = evaluate_many(self, t)
+        ox, oy = evaluate(self, t)
         return float(np.max(np.hypot(ox, oy)))
 
 
@@ -59,23 +63,32 @@ def seed_pulse(n_modes: int, t_p: float, c1x: float) -> PulseShape:
     return PulseShape(cx, [0.0] * n_modes, t_p)
 
 
-def evaluate(pulse: PulseShape, t: float) -> tuple[float, float]:
-    """(Omega_x, Omega_y) in rad/ns at a single time within [0, t_p]."""
-    if t < 0.0 or t > pulse.t_p:
-        raise ValueError(f"t={t} outside pulse window [0, {pulse.t_p}]")
+def evaluate(pulse: PulseShape, t: float | np.ndarray):
+    """(Omega_x, Omega_y) in rad/ns at a time within [0, t_p], as floats,
+    or at an array of times, as two arrays of its shape."""
+    ts = np.asarray(t, dtype=float)
+    if ts.size and (ts.min() < 0.0 or ts.max() > pulse.t_p):
+        raise ValueError(f"times outside pulse window [0, {pulse.t_p}]")
     n = np.arange(1, pulse.n_modes + 1)
-    s = np.sin(n * (np.pi * t / pulse.t_p))
-    return float(np.dot(pulse.cx, s)), float(np.dot(pulse.cy, s))
+    s = np.sin(np.multiply.outer(ts, n) * (np.pi / pulse.t_p))
+    ox, oy = s @ np.asarray(pulse.cx), s @ np.asarray(pulse.cy)
+    return (float(ox), float(oy)) if ts.ndim == 0 else (ox, oy)
 
 
-def evaluate_many(pulse: PulseShape, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized evaluate over an array of times inside [0, t_p]."""
-    t = np.asarray(t, dtype=float)
-    if t.size and (t.min() < 0.0 or t.max() > pulse.t_p):
-        raise ValueError("times outside pulse window")
-    n = np.arange(1, pulse.n_modes + 1)
-    s = np.sin(np.outer(t, n) * (np.pi / pulse.t_p))
-    return s @ np.asarray(pulse.cx), s @ np.asarray(pulse.cy)
+def drive(cx, cy, t_p: float, out: np.ndarray):
+    """omega(t), which writes [Omega_x; Omega_y] of the coefficient rows
+    ``cx``, ``cy`` (B, N) or (N,) at t into ``out`` (2B,) and returns it:
+    the sines of n pi t / t_p taken in place, and one ``np.dot``. It checks
+    no window, since an integrator over [0, t_p] samples t only inside."""
+    coeffs = np.concatenate([np.atleast_2d(cx), np.atleast_2d(cy)])
+    k = np.arange(1, coeffs.shape[1] + 1) * (np.pi / t_p)
+    sines = np.empty(k.size)
+
+    def omega(t):
+        np.sin(np.multiply(k, t, out=sines), out=sines)
+        return np.dot(coeffs, sines, out=out)
+
+    return omega
 
 
 @dataclass(frozen=True)

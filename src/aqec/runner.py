@@ -32,7 +32,7 @@ from .presets import (PAPER_VALUES, VSLQ_FIXED_TABLE, list_presets,
 from .pulse import (
     CycleSchedule,
     PulseShape,
-    evaluate_many,
+    evaluate,
     load_pulse,
     save_pulse,
 )
@@ -125,7 +125,7 @@ def _optimize_core(ctx: RunContext) -> op.OptimizeResult:
     ctx.write_csv("optimize_trace.csv", ["iteration", "fidelity", "step"],
                   result.trace)
     t = np.linspace(0.0, cfg.t_p, 401)
-    ox, oy = evaluate_many(result.pulse, t)
+    ox, oy = evaluate(result.pulse, t)
     ctx.write_csv("pulse_samples.csv", ["time_ns", "omega_x", "omega_y"],
                   zip(t, ox, oy))
     ctx.write_json("optimize_summary.json", {

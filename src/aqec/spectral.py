@@ -13,7 +13,7 @@ import numpy as np
 from . import models as mo
 from .dynamics import EvolutionProblem, evolve_unitary
 from .hilbert import basis_state
-from .pulse import PulseShape, evaluate, evaluate_many
+from .pulse import PulseShape, drive, evaluate
 
 SAMPLE_DT_NS = 0.05   # Nyquist 10 GHz, far above any coupling frequency here
 LEAKAGE_SAMPLES = 200  # record times of the leakage probe over the window
@@ -62,15 +62,16 @@ def counterterm_peak(pulse: PulseShape) -> SpectralPeak:
     over the pulse window."""
     t = np.arange(0.0, pulse.t_p + SAMPLE_DT_NS / 2, SAMPLE_DT_NS)
     t = np.clip(t, 0.0, pulse.t_p)
-    _, oy = evaluate_many(pulse, t)
+    _, oy = evaluate(pulse, t)
     return dominant_frequency(oy, SAMPLE_DT_NS)
 
 
 def max_leakage(terms: mo.ModelTerms, pulse: PulseShape) -> float:
     """Peak population of the |2_q 1_r> leakage state while holding |1_q 0_r>.
 
-    Decoherence-free propagation of the stabilized state under the pulse,
-    sampled at LEAKAGE_SAMPLES times across the window.
+    Decoherence-free propagation of the stabilized state under the pulse
+    (``evolve_unitary``, its coupling the pulse's ``drive``), sampled at
+    LEAKAGE_SAMPLES times across the window.
     """
     space = terms.space
     initial = basis_state(space, (1, 0))
@@ -78,7 +79,7 @@ def max_leakage(terms: mo.ModelTerms, pulse: PulseShape) -> float:
     record = np.linspace(0.0, pulse.t_p, LEAKAGE_SAMPLES)
     prob = EvolutionProblem(
         h_static=terms.h_static, h_x=terms.h_x, h_y=terms.h_y,
-        coupling=lambda t: evaluate(pulse, t), channels=(),
-        t_span=(0.0, pulse.t_p), initial=initial)
+        coupling=drive(pulse.cx, pulse.cy, pulse.t_p, np.empty(2)),
+        channels=(), t_span=(0.0, pulse.t_p), initial=initial)
     traj = evolve_unitary(prob, record_times=record)
     return float(np.max(traj.expect(leak)))

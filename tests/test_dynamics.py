@@ -338,18 +338,30 @@ class TestStackedRecords:
         assert np.array_equal(traj.final.density(),
                               dy._hermitize(initial.density()))
 
-    def test_non_uniform_grid_two_propagators_one_stack(self, monkeypatch):
+    def test_uniform_grid_one_propagator_one_stack(self, monkeypatch):
         built, checked = [], []
         seg, check = dy.segment_propagator, hi.check_densities
         monkeypatch.setattr(dy, "segment_propagator",
                             lambda *a, **k: built.append(a[2]) or seg(*a, **k))
         monkeypatch.setattr(hi, "check_densities",
                             lambda r: checked.append(len(r)) or check(r))
-        *_, traj = self._decay([0.0, 10.0, 30.0, 40.0, 60.0])
-        assert sorted(built) == [10.0, 20.0]
+        *_, traj = self._decay([0.0, 10.0, 20.0, 30.0, 40.0])
+        assert built == [10.0]
         assert checked == [5]
         base = traj.states[0].data.base
         assert all(s.data.base is base for s in traj.states)
+
+    def test_non_uniform_grid_rejected(self, monkeypatch):
+        built = []
+        seg = dy.segment_propagator
+        monkeypatch.setattr(dy, "segment_propagator",
+                            lambda *a, **k: built.append(a[2]) or seg(*a, **k))
+        with pytest.raises(ValueError, match="uniform"):
+            self._decay([0.0, 10.0, 30.0, 40.0])
+        assert built == []
+        # steps that spread by less than GRID_STEP_ATOL are one step
+        self._decay([0.0, 10.0, 20.0 + 0.5 * dy.GRID_STEP_ATOL])
+        assert built == [10.0]
 
     def test_states_are_read_only(self):
         *_, traj = self._decay([0.0, 10.0, 20.0])
@@ -358,7 +370,7 @@ class TestStackedRecords:
                 s.data[0, 0] = 1.0
 
     def test_records_equal_the_propagator_chain(self):
-        times = [0.0, 10.0, 30.0, 40.0, 60.0]
+        times = [0.0, 10.0, 20.0, 30.0, 40.0]
         h, channels, initial, traj = self._decay(times)
         mats = [(op.matrix, rate) for op, rate in channels]
         rho0 = rho = initial.density()

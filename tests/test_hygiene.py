@@ -1,6 +1,6 @@
 """Source hygiene checks: unused imports, imports inside functions,
-functools caches, environment reads and random draws in the package,
-model classes
+functools caches, environment reads, random draws and sines outside
+``pulse`` in the package, model classes
 constructed outside the config, parameter defaults that no caller
 overrides and module-level names that nothing references, read with the
 standard library's ``ast``, and the modules that importing the CLI, or
@@ -243,6 +243,39 @@ def test_checker_flags_random_draws():
     assert sorted(random_draws(source)) == [
         "np.random", "numpy.random", "numpy.random", "numpy.random",
         "numpy.random.default_rng", "random", "random.choice"]
+
+
+SINES = ("np.sin", "numpy.sin", "math.sin")
+
+
+def sine_calls(source: str) -> list[str]:
+    """Every read of ``np.sin``, ``numpy.sin`` or ``math.sin``, and every
+    import of ``sin`` from ``numpy`` or ``math``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and _dotted(node) in SINES:
+            found.append(_dotted(node))
+        elif isinstance(node, ast.ImportFrom) and node.module in (
+                "numpy", "math"):
+            found += [f"{node.module}.sin" for a in node.names
+                      if a.name == "sin"]
+    return found
+
+
+def test_sine_basis_evaluated_only_in_pulse():
+    # pulse.evaluate samples the basis and pulse.drive feeds the integrators
+    for path in sorted((ROOT / "src" / "aqec").glob("*.py")):
+        if path.name != "pulse.py":
+            assert sine_calls(path.read_text()) == [], path.name
+
+
+def test_checker_flags_sine_calls():
+    source = ("import math\nimport numpy as np\nimport numpy\n"
+              "from math import sin\nfrom numpy import sinh, sin as s\n"
+              "a = np.sin(1.0) + numpy.sin(2.0) + math.sin(3.0)\n"
+              "b = np.sinh(1.0) + np.arcsin(0.5) + s(1.0)\n")
+    assert sorted(sine_calls(source)) == [
+        "math.sin", "math.sin", "np.sin", "numpy.sin", "numpy.sin"]
 
 
 MODEL_CLASSES = {"SingleQubitModel", "ThreeQubitModel", "VslqModel"}

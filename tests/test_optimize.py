@@ -141,10 +141,10 @@ class TestBatchRhs:
             y = rng.normal(size=(b, p, d)) + 1j * rng.normal(size=(b, p, d))
             s = np.sin(np.arange(1, n_modes + 1) * (np.pi * t / t_p))
             ox, oy = cx @ s, cy @ s
-            want = np.einsum("pij,bpj->bpi", obj.h0, y)
-            want += ox[:, None, None] * np.einsum("pij,bpj->bpi", obj.hx, y)
-            want += oy[:, None, None] * np.einsum("pij,bpj->bpi", obj.hy, y)
-            want = -1j * want
+            g0, gx, gy = (obj.gens[:, :, j * d:(j + 1) * d] for j in range(3))
+            want = np.einsum("pij,bpj->bpi", g0, y)
+            want += ox[:, None, None] * np.einsum("pij,bpj->bpi", gx, y)
+            want += oy[:, None, None] * np.einsum("pij,bpj->bpi", gy, y)
             got = rhs(t, np.ascontiguousarray(y.transpose(1, 2, 0)))
             err = np.max(np.abs(got.transpose(2, 0, 1) - want))
             assert err < 1e-13 * np.max(np.abs(want))

@@ -42,12 +42,24 @@ class TestEvaluate:
             assert sy == pytest.approx(3 * oy, rel=1e-12)
 
     def test_vectorized_matches_scalar(self, pulse):
+        # the same sines at every time; a BLAS matrix-vector product sums a
+        # row in another order than a lone dot product, so the two agree
+        # to the rounding of a few terms of size |c| <= 0.1
         ts = np.linspace(0, 40, 17)
-        ox, oy = pu.evaluate_many(pulse, ts)
+        ox, oy = pu.evaluate(pulse, ts)
+        assert ox.shape == oy.shape == ts.shape
         for i, t in enumerate(ts):
             ex, ey = pu.evaluate(pulse, t)
-            assert ox[i] == pytest.approx(ex, abs=1e-14)
-            assert oy[i] == pytest.approx(ey, abs=1e-14)
+            assert type(ex) is float and type(ey) is float
+            assert ox[i] == pytest.approx(ex, abs=1e-16)
+            assert oy[i] == pytest.approx(ey, abs=1e-16)
+
+    def test_array_with_one_time_outside_rejected(self, pulse):
+        ts = np.linspace(0, 40, 17)
+        pu.evaluate(pulse, ts)
+        for bad in (-1e-9, 40.0 + 1e-9):
+            with pytest.raises(ValueError, match="outside pulse window"):
+                pu.evaluate(pulse, np.r_[ts[:5], bad, ts[5:]])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,6 +68,28 @@ class TestEvaluate:
             pu.PulseShape([0.1], [0.1, 0.2], 40.0)
         with pytest.raises(ValueError):
             pu.PulseShape([0.1], [0.0], 0.0)
+
+
+class TestDrive:
+    @pytest.mark.parametrize("b", [1, 3], ids=["B1", "B3"])
+    def test_matches_evaluate(self, b):
+        rng = np.random.default_rng(5)
+        t_p = 40.0
+        cx = rng.normal(size=(b, 6)) * 0.05
+        cy = rng.normal(size=(b, 6)) * 0.05
+        out = np.empty(2 * b)
+        omega = pu.drive(cx, cy, t_p, out)
+        for t in (0.0, t_p / 3, t_p):
+            assert omega(t) is out
+            for j in range(b):
+                ox, oy = pu.evaluate(pu.PulseShape(cx[j], cy[j], t_p), t)
+                assert out[j] == pytest.approx(ox, abs=1e-14)
+                assert out[b + j] == pytest.approx(oy, abs=1e-14)
+
+    def test_one_row_of_a_pulse(self, pulse):
+        omega = pu.drive(pulse.cx, pulse.cy, pulse.t_p, np.empty(2))
+        for t in (0.0, pulse.t_p / 3, pulse.t_p):
+            assert omega(t) == pytest.approx(pu.evaluate(pulse, t), abs=1e-14)
 
 
 class TestFiniteCoefficients:
